@@ -31,7 +31,6 @@ from .experiments import (
     BlockSource,
     DatasetSource,
     ExperimentConfig,
-    MultiLabelPartition,
     ResultTable,
     SamplingPolicy,
     SbmSource,
@@ -45,6 +44,7 @@ from .experiments import (
 )
 from .graph import (
     Graph,
+    MultiLabelPartition,
     NodePartition,
     build_graph,
     connected_components,

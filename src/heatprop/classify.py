@@ -8,8 +8,6 @@ temperature before comparing labels.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +23,6 @@ from .solver import (
 )
 
 VARIANTS = ("vanilla", "weighted", "centered")
-
-THREADS_ENV_VAR = "HEATPROP_THREADS"
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -141,17 +129,11 @@ def center(t: TemperatureField) -> TemperatureField:
 def one_vs_all_fields(
     g: Graph, seeds: SeedSet, opts: SolverOptions | None = None
 ) -> tuple[TemperatureField, ...]:
-    """All K diffusions. They are independent and read the graph without
-    touching it, so they can run on a thread pool (``HEATPROP_THREADS``)."""
+    """All K diffusions, one per label in label order."""
     missing = seeds.missing_labels()
     if missing.size:
         raise ValidationError(f"label(s) without seeds: {missing.tolist()}")
-    ks = range(1, seeds.num_labels + 1)
-    workers = _worker_count()
-    if workers > 1 and seeds.num_labels > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return tuple(pool.map(lambda k: diffuse_one_vs_all(g, seeds, k, opts), ks))
-    return tuple(diffuse_one_vs_all(g, seeds, k, opts) for k in ks)
+    return tuple(diffuse_one_vs_all(g, seeds, k, opts) for k in range(1, seeds.num_labels + 1))
 
 
 def scores_from_fields(

@@ -4,8 +4,9 @@ Randomness is derived from a single master seed through a documented
 splittable scheme: the stream for (sweep point ``i``, repetition ``r``) is
 seeded with ``SeedSequence([master_seed, i, r, stream_id])`` where stream 0
 generates the graph and stream 1 samples the seeds. Repetitions are therefore
-independent and order-free, and every variant inside one repetition sees the
-identical graph and seed set.
+independent and order-free. The variants inside one repetition share the
+graph, the seed set and the K one-vs-all fields: the fields are solved once
+per repetition and each variant only rescores them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -23,9 +25,9 @@ from .blockmodel import (
     build_deterministic_block_graph,
     sbm_generate,
 )
-from .classify import SeedSet, classify
+from .classify import SeedSet, classification_from_scores, one_vs_all_fields, scores_from_fields
 from .errors import NumericalError, ValidationError
-from .graph import Graph, NodePartition
+from .graph import Graph, MultiLabelPartition, NodePartition
 from .solver import DirichletProblem, SolverOptions, jacobi_sweep
 
 POLICY_KINDS = ("uniform", "degree", "balanced", "explicit_counts")
@@ -255,6 +257,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """Metrics of one variant in one repetition. ``wall_ms`` is the time of
+    the repetition's shared field solve plus this variant's scoring and
+    labeling; ``iterations`` is the largest iteration count among the fields."""
+
     variant: str
     sweep: float
     rep: int
@@ -377,18 +383,24 @@ def _realize(source, sweep, value, graph_seed):
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Run every (sweep point, repetition, variant) cell and collect metrics.
 
-    Within a repetition all variants score the same graph and the same seed
-    set; scoring is restricted to labeled non-seed nodes. A repetition that
-    raises is recorded under ``failures`` and skipped.
+    Within a repetition all variants score the same graph, seed set and
+    fields; scoring is restricted to labeled non-seed nodes. A repetition
+    that raises is recorded under ``failures`` and skipped.
     """
     if cfg.source is None:
         raise ValidationError("experiment config needs a graph source")
     points = cfg.sweep.values if cfg.sweep is not None else (0.0,)
+    return _run_grid(points, cfg.repetitions, partial(_run_one, cfg))
+
+
+def _run_grid(points, repetitions: int, run_rep) -> ResultTable:
+    """Call ``run_rep(point_index, value, rep, table)`` for every cell and
+    record the repetitions that raise as failures."""
     table = ResultTable()
     for pi, value in enumerate(points):
-        for rep in range(cfg.repetitions):
+        for rep in range(repetitions):
             try:
-                _run_one(cfg, pi, value, rep, table)
+                run_rep(pi, value, rep, table)
             except (ValidationError, NumericalError) as exc:
                 table.failures.append(RunFailure(sweep=value, rep=rep, message=str(exc)))
     return table
@@ -406,55 +418,46 @@ def _run_one(cfg: ExperimentConfig, pi: int, value: float, rep: int, table: Resu
         policy = SamplingPolicy(kind="explicit_counts", counts=params.seed_counts)
     policy = replace(policy, rng_seed=sample_seed)
     seeds = sample_seeds(truth, graph, policy)
-    digest = _digest(graph, seeds)
+    _append_rows(table, cfg, graph, truth, seeds, value, rep)
 
+
+def _append_rows(table, cfg, graph, truth, seeds, sweep, rep, positive_class=False):
+    """Solve the fields of one repetition once, then score and evaluate every
+    variant on the labeled non-seed nodes. ``macro_f1`` holds the F1 of label
+    1 instead of the macro average when ``positive_class`` is set."""
+    digest = _digest(graph, seeds)
     eval_mask = truth.labels > 0
     eval_mask[seeds.nodes] = False
     eval_nodes = np.flatnonzero(eval_mask)
     truth_eval = truth.labels[eval_nodes]
 
+    start = time.perf_counter()
+    fields = one_vs_all_fields(graph, seeds, cfg.solver)
+    solve_ms = (time.perf_counter() - start) * 1000.0
+    iterations = max(f.info.iterations for f in fields)
     for variant in cfg.variants:
         start = time.perf_counter()
-        scores, result = classify(graph, seeds, variant, cfg.solver)
-        wall_ms = (time.perf_counter() - start) * 1000.0
+        result = classification_from_scores(scores_from_fields(fields, seeds, variant), seeds)
+        wall_ms = solve_ms + (time.perf_counter() - start) * 1000.0
         pred = result.labels[eval_nodes]
+        f1 = per_class_f1(pred, truth_eval, truth.num_labels)
         table.rows.append(
             ResultRow(
                 variant=variant,
-                sweep=value,
+                sweep=sweep,
                 rep=rep,
-                macro_f1=macro_f1(pred, truth_eval, truth.num_labels),
-                per_class_f1=tuple(per_class_f1(pred, truth_eval, truth.num_labels)),
+                macro_f1=float(f1[0] if positive_class else f1.mean()),
+                per_class_f1=tuple(f1),
                 accuracy=accuracy(pred, truth_eval),
                 wall_ms=wall_ms,
-                iterations=max(f.info.iterations for f in scores.fields),
+                iterations=iterations,
                 input_digest=digest,
             )
         )
 
 
 # ---------------------------------------------------------------------------
-# multi-label ground truth and per-label binary tasks
-
-
-@dataclass(frozen=True)
-class MultiLabelPartition:
-    """Ground truth where a node may carry several labels (or none)."""
-
-    sets: tuple[frozenset[int], ...]
-    num_labels: int
-
-    def labeled_nodes(self) -> np.ndarray:
-        return np.fromiter(
-            (i for i, s in enumerate(self.sets) if s), dtype=np.int64
-        )
-
-    def label_counts(self) -> np.ndarray:
-        counts = np.zeros(self.num_labels + 1, dtype=np.int64)
-        for s in self.sets:
-            for lab in s:
-                counts[lab] += 1
-        return counts
+# per-label binary tasks on multi-label ground truth
 
 
 def binary_per_label_experiment(
@@ -478,52 +481,21 @@ def binary_per_label_experiment(
         raise ValidationError(
             f"need {top_labels} distinct labels, ground truth has {distinct.size}"
         )
-    order = sorted(distinct, key=lambda lab: (-counts[lab], lab))
+    order = sorted(distinct, key=lambda lab: (-counts[lab], lab))[:top_labels]
     fraction = cfg.policy.fraction if cfg.policy is not None else 0.01
-    labeled = labels.labeled_nodes()
+    # 1 = carries the label, 2 = labeled without it, 0 = unlabeled
+    truths = [
+        NodePartition(labels=np.array([(lab not in s) + 1 if s else 0 for s in labels.sets]), num_labels=2)
+        for lab in order
+    ]
 
-    table = ResultTable()
-    for ti, lab in enumerate(order[:top_labels]):
-        binary = np.zeros(len(labels.sets), dtype=np.int64)
-        binary[labeled] = 2
-        for i in labeled:
-            if lab in labels.sets[i]:
-                binary[i] = 1
-        truth = NodePartition(labels=binary, num_labels=2)
-        for rep in range(cfg.repetitions):
-            policy = SamplingPolicy(
-                kind="balanced",
-                fraction=fraction,
-                rng_seed=derive_seed(cfg.master_seed, ti, rep, 1),
-            )
-            try:
-                seeds = sample_seeds(truth, g, policy)
-                digest = _digest(g, seeds)
-                eval_mask = binary > 0
-                eval_mask[seeds.nodes] = False
-                eval_nodes = np.flatnonzero(eval_mask)
-                for variant in cfg.variants:
-                    start = time.perf_counter()
-                    scores, result = classify(g, seeds, variant, cfg.solver)
-                    wall_ms = (time.perf_counter() - start) * 1000.0
-                    pred = result.labels[eval_nodes]
-                    f1 = per_class_f1(pred, binary[eval_nodes], 2)
-                    table.rows.append(
-                        ResultRow(
-                            variant=variant,
-                            sweep=float(lab),
-                            rep=rep,
-                            macro_f1=float(f1[0]),  # positive-class F1
-                            per_class_f1=tuple(f1),
-                            accuracy=accuracy(pred, binary[eval_nodes]),
-                            wall_ms=wall_ms,
-                            iterations=max(f.info.iterations for f in scores.fields),
-                            input_digest=digest,
-                        )
-                    )
-            except (ValidationError, NumericalError) as exc:
-                table.failures.append(RunFailure(sweep=float(lab), rep=rep, message=str(exc)))
-    return table
+    def run_rep(ti, value, rep, table):
+        rng_seed = derive_seed(cfg.master_seed, ti, rep, 1)
+        policy = SamplingPolicy(kind="balanced", fraction=fraction, rng_seed=rng_seed)
+        seeds = sample_seeds(truths[ti], g, policy)
+        _append_rows(table, cfg, g, truths[ti], seeds, value, rep, positive_class=True)
+
+    return _run_grid([float(lab) for lab in order], cfg.repetitions, run_rep)
 
 
 # ---------------------------------------------------------------------------

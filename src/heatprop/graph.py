@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,9 +57,11 @@ class Graph:
             raise ValidationError("all edge weights must be positive")
         # unique, sorted columns within each row
         if indices.size:
-            inner = np.ones(indices.size, dtype=bool)
-            inner[indptr[1:-1]] = False  # row starts may break monotonicity
-            if np.any((np.diff(indices) <= 0) & inner[1:]):
+            # row starts may break monotonicity; a start equals indices.size
+            # when the last rows are empty
+            inner = np.ones(indices.size + 1, dtype=bool)
+            inner[indptr[1:-1]] = False
+            if np.any((np.diff(indices) <= 0) & inner[1:-1]):
                 raise ValidationError("column indices must be strictly increasing per row")
         row_sums = np.zeros(n)
         if indices.size:
@@ -71,6 +74,17 @@ class Graph:
             raise IsolatedNodeError(
                 f"isolated node(s) with zero degree: {_format_nodes(bad)}", bad.tolist()
             )
+
+    @cached_property
+    def component_ids(self) -> np.ndarray:
+        """Read-only index of each node's connected component, in the order
+        of ``connected_components`` (by smallest member). Computed on first
+        use and kept with the graph."""
+        ids = np.empty(self.n, dtype=np.int64)
+        for c, members in enumerate(connected_components(self)):
+            ids[members] = c
+        ids.setflags(write=False)
+        return ids
 
     @property
     def num_edges(self) -> int:
@@ -290,3 +304,23 @@ class NodePartition:
     def label_counts(self) -> np.ndarray:
         """Count per label id; entry 0 counts unlabeled nodes."""
         return np.bincount(self.labels, minlength=self.num_labels + 1)
+
+
+@dataclass(frozen=True)
+class MultiLabelPartition:
+    """Ground truth where a node may carry several labels (or none)."""
+
+    sets: tuple[frozenset[int], ...]
+    num_labels: int
+
+    def labeled_nodes(self) -> np.ndarray:
+        return np.fromiter(
+            (i for i, s in enumerate(self.sets) if s), dtype=np.int64
+        )
+
+    def label_counts(self) -> np.ndarray:
+        counts = np.zeros(self.num_labels + 1, dtype=np.int64)
+        for s in self.sets:
+            for lab in s:
+                counts[lab] += 1
+        return counts

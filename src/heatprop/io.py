@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .experiments import MultiLabelPartition
-from .graph import Graph, NodePartition, build_graph, directed_to_bipartite
+from .graph import Graph, MultiLabelPartition, NodePartition, build_graph, directed_to_bipartite
 
 
 @dataclass

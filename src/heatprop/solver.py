@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .graph import Graph, connected_components, transition_apply
+from .graph import Graph, transition_apply
 
 DEFAULT_MAX_DENSE_UNKNOWNS = 10_000
 
@@ -114,13 +114,16 @@ class TemperatureField:
 def _check_boundary_cover(problem: DirichletProblem):
     """Every connected component must contain a boundary node, otherwise the
     temperatures on that component are undetermined."""
-    mask = problem.boundary_mask()
-    for comp in connected_components(problem.graph):
-        if not mask[comp].any():
-            raise ValidationError(
-                f"connected component containing node {comp[0]} "
-                f"({comp.size} nodes) has no boundary node"
-            )
+    ids = problem.graph.component_ids
+    covered = np.zeros(int(ids.max()) + 1, dtype=bool)
+    covered[ids[problem.boundary]] = True
+    if not covered.all():
+        # components are numbered by smallest member: name the first uncovered
+        comp = np.flatnonzero(ids == np.argmin(covered))
+        raise ValidationError(
+            f"connected component containing node {comp[0]} "
+            f"({comp.size} nodes) has no boundary node"
+        )
 
 
 def jacobi_sweep(g: Graph, boundary_mask: np.ndarray, pinned: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -17,6 +17,20 @@ def dense_from_edges(n, edges):
     return a
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` by a wrapper that records each call's
+    positional arguments; returns the list of records."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_connected_graph(rng, n, extra_edges=0, weighted=True) -> Graph:
     """Random spanning tree plus extra edges; connected by construction."""
     edges = []

@@ -13,7 +13,7 @@ from heatprop import (
 )
 from heatprop.blockmodel import BlockModelParams, build_deterministic_block_graph
 from heatprop.classify import classification_from_scores, scores_from_fields
-from conftest import barbell_graph, path_graph, random_connected_graph
+from conftest import barbell_graph, count_calls, path_graph, random_connected_graph
 
 EXACT = SolverOptions(mode="exact")
 
@@ -93,6 +93,17 @@ class TestClassify:
         expect[[1, 3], 1] = 1.0
         assert np.array_equal(scores.scores, expect)
         assert np.array_equal(result.labels, [1, 2, 1, 2])
+
+    def test_components_computed_once_per_graph(self, monkeypatch):
+        import heatprop.graph
+
+        calls = count_calls(monkeypatch, heatprop.graph, "connected_components")
+        params = BlockModelParams(sizes=(10, 10, 10), seed_counts=(1, 2, 3), p=2.0, q=1.0)
+        g, _, seeds = build_deterministic_block_graph(params)
+        scores, _ = classify(g, seeds, "vanilla")
+        classify(g, seeds, "centered")
+        assert len(scores.fields) == 3
+        assert calls == [(g,)]
 
     def test_missing_label_errors_before_solving(self):
         g = path_graph(4)

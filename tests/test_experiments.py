@@ -24,7 +24,17 @@ from heatprop import (
     sample_seeds,
 )
 from heatprop.experiments import derive_seed
-from conftest import random_connected_graph, star_graph
+from conftest import count_calls, random_connected_graph, star_graph
+
+
+def count_field_solves(monkeypatch) -> list:
+    """Record every call of ``one_vs_all_fields`` made by the experiment runner."""
+    import heatprop.experiments
+
+    return count_calls(monkeypatch, heatprop.experiments, "one_vs_all_fields")
+
+
+ONE_AND_THREE_VARIANTS = [("centered",), ("vanilla", "weighted", "centered")]
 
 
 def labeled_random_graph(rng, n=60, num_labels=3):
@@ -244,6 +254,21 @@ class TestRunExperiment:
         assert sum(swept.seed_counts) == 1000
         assert swept.seed_counts == (800, 200)
 
+    @pytest.mark.parametrize("variants", ONE_AND_THREE_VARIANTS)
+    def test_fields_solved_once_per_repetition(self, monkeypatch, variants):
+        calls = count_field_solves(monkeypatch)
+        params = BlockModelParams(sizes=(20, 20, 20), seed_counts=(1, 1, 1), p=2.0, q=1.0)
+        cfg = ExperimentConfig(
+            source=BlockSource(params=params),
+            variants=variants,
+            repetitions=3,
+            sweep=Sweep(kind="seed_ratio", values=(1.0, 2.0)),
+        )
+        table = run_experiment(cfg)
+        assert not table.failures
+        assert len(table.rows) == 2 * 3 * len(variants)
+        assert len(calls) == 2 * 3
+
     def test_failed_repetition_recorded_not_dropped(self):
         params = BlockModelParams(sizes=(30, 30), seed_counts=(2, 2), p=0.2, q=0.05)
         cfg = ExperimentConfig(
@@ -318,6 +343,21 @@ class TestBinaryPerLabel:
         centered = np.mean([r.macro_f1 for r in table.rows if r.variant == "centered"])
         vanilla = np.mean([r.macro_f1 for r in table.rows if r.variant == "vanilla"])
         assert centered >= vanilla
+
+    @pytest.mark.parametrize("variants", ONE_AND_THREE_VARIANTS)
+    def test_fields_solved_once_per_repetition(self, monkeypatch, variants):
+        calls = count_field_solves(monkeypatch)
+        g, labels = self.clique_fixture(np.random.default_rng(151))
+        cfg = ExperimentConfig(
+            source=None,
+            variants=variants,
+            repetitions=2,
+            policy=SamplingPolicy(kind="balanced", fraction=0.1),
+        )
+        table = binary_per_label_experiment(g, labels, 3, cfg)
+        assert not table.failures
+        assert len(table.rows) == 3 * 2 * len(variants)
+        assert len(calls) == 3 * 2
 
     def test_too_few_labels_errors(self):
         rng = np.random.default_rng(149)

@@ -157,6 +157,8 @@ class TestConnectedComponents:
         g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         comps = connected_components(g)
         assert [set(c) for c in comps] == [{0, 1}, {2, 3}]
+        assert g.component_ids.tolist() == [0, 0, 1, 1]
+        assert not g.component_ids.flags.writeable
 
     def test_karate_is_one_component(self, karate):
         comps = connected_components(karate.graph)

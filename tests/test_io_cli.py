@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from heatprop import ValidationError, build_graph, load_edge_list, load_labels
 from heatprop.cli import main, parse_config
 from heatprop.io import load_dataset, write_edge_list
 from conftest import random_connected_graph
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 
 class TestLoadEdgeList:
@@ -227,6 +231,14 @@ class TestCli:
         assert self.run("bench", "--config", "karate-uniform", "--out-dir", str(b)) == 0
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
         assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
+
+    @pytest.mark.parametrize("config", ["fig2a-small", "karate-uniform"])
+    def test_bench_matches_golden_outputs(self, tmp_path, config):
+        # results that change on purpose regenerate these files with
+        # `heatprop bench --config <name> --out-dir tests/data/golden/<name>`
+        assert self.run("bench", "--config", config, "--out-dir", str(tmp_path)) == 0
+        for name in ("results.csv", "aggregate.csv"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / config / name).read_bytes(), name
 
     def test_bench_config_with_bad_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -87,6 +87,15 @@ class TestIterative:
             solve_iterative(p)
         with pytest.raises(ValidationError, match="no boundary"):
             solve_exact(p)
+        # two seedless components: the one with the smaller smallest member
+        # is named, whatever the edge order or component sizes
+        g = build_graph(8, [(3, 6, 1.0), (6, 4, 1.0), (4, 5, 1.0), (7, 2, 1.0), (0, 1, 1.0)])
+        p = DirichletProblem.from_dict(g, {1: 1.0})
+        message = "connected component containing node 2 (2 nodes) has no boundary node"
+        for solver in (solve_iterative, solve_exact):
+            with pytest.raises(ValidationError) as exc:
+                solver(p)
+            assert str(exc.value) == message
 
     def test_maximum_principle(self):
         for p in make_fixture_problems():
