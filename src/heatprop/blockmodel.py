@@ -131,9 +131,7 @@ def build_deterministic_block_graph(
     indices = np.tile(np.arange(n, dtype=np.int64), n)
     rows = np.repeat(np.arange(n, dtype=np.int64), n)
     weights = np.where(block_of[rows] == block_of[indices], params.p, params.q)
-    sizes = np.asarray(params.sizes, dtype=np.float64)
-    degrees = sizes[block_of] * params.p + (n - sizes[block_of]) * params.q
-    graph = Graph(n=n, indptr=indptr, indices=indices, weights=weights, degrees=degrees)
+    graph = Graph(n=n, indptr=indptr, indices=indices, weights=weights)
     return graph, block_labels(params), default_seeds(params)
 
 

@@ -20,21 +20,21 @@ from .blockmodel import (
     closed_form_temperatures,
     vanilla_consistency_condition,
 )
-from .classify import SeedSet, classify, one_vs_all_problem
-from .datasets import BUILTIN_DATASETS, config_path, data_path
+from .classify import VARIANTS, SeedSet, classify, one_vs_all_problem
+from .datasets import BUILTIN_DATASETS, config_path
 from .errors import NumericalError, ValidationError
 from .experiments import (
+    DEFAULT_SEED_FRACTION,
     BlockSource,
     DatasetSource,
     ExperimentConfig,
-    ResultTable,
     SamplingPolicy,
     SbmSource,
     Sweep,
     run_experiment,
 )
 from .io import load_dataset
-from .solver import SolverOptions, residual
+from .solver import SOLVER_MODES, SolverOptions, residual, solve_exact
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,17 +60,17 @@ def _add_classify(sub):
     p.add_argument("--labels", help="label file (required with --sample)")
     p.add_argument("--seeds-file", help="seed file of `node label` lines")
     p.add_argument("--sample", choices=["uniform", "degree", "balanced"], help="sample seeds from --labels")
-    p.add_argument("--fraction", type=float, default=0.01, help="seed fraction for --sample")
-    p.add_argument("--variant", choices=["vanilla", "weighted", "centered"], default="centered")
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--mode", choices=["iterative", "exact"], default="iterative")
+    p.add_argument("--fraction", type=float, default=DEFAULT_SEED_FRACTION, help="seed fraction for --sample")
+    p.add_argument("--variant", choices=VARIANTS, default="centered")
+    p.add_argument("--max-iter", type=int, default=SolverOptions.max_iterations)
+    p.add_argument("--tol", type=float, default=SolverOptions.tolerance)
+    p.add_argument("--mode", choices=SOLVER_MODES, default=SolverOptions.mode)
     p.add_argument("--directed", action="store_true", help="treat the edge list as directed arcs")
     p.add_argument("--weighted", action="store_true", help="edge list has a weight column")
     p.add_argument("--use-destination", action="store_true",
                    help="classify destination copies instead of source copies (directed only)")
     p.add_argument("--delimiter", help="override the auto-detected column delimiter")
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    p.add_argument("--seed", type=int, default=SamplingPolicy.rng_seed, help="master RNG seed")
     p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
 
 
@@ -231,6 +231,10 @@ def _float_tuple(raw: str) -> tuple[float, ...]:
     return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
 
 
+def _name_tuple(raw: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in raw.split(","))
+
+
 def _config_params(cfgv: dict[str, str]) -> BlockModelParams:
     for key in ("sizes", "seeds", "p", "q"):
         if key not in cfgv:
@@ -281,38 +285,33 @@ def _config_experiment(cfgv: dict[str, str], master_seed: int | None) -> Experim
                 raise ValidationError("policy=explicit needs the 'seeds' config key")
             policy = SamplingPolicy(kind=kind, counts=_int_tuple(cfgv["seeds"]))
         else:
-            policy = SamplingPolicy(kind=kind, fraction=float(cfgv.get("fraction", 0.01)))
+            policy = SamplingPolicy(kind=kind, fraction=float(cfgv.get("fraction", DEFAULT_SEED_FRACTION)))
     elif isinstance(source, DatasetSource):
-        policy = SamplingPolicy(kind="uniform", fraction=float(cfgv.get("fraction", 0.01)))
+        policy = SamplingPolicy(kind="uniform", fraction=float(cfgv.get("fraction", DEFAULT_SEED_FRACTION)))
 
     sweep = None
     if cfgv.get("sweep", "none") != "none":
         sweep = Sweep(kind=cfgv["sweep"], values=_float_tuple(cfgv.get("sweep_values", "1")))
 
-    solver = SolverOptions(
-        max_iterations=int(cfgv.get("max_iterations", 100)),
-        tolerance=float(cfgv.get("tolerance", 1e-9)),
-        mode=cfgv.get("mode", "iterative"),
-    )
-    return ExperimentConfig(
-        source=source,
-        variants=tuple(v.strip() for v in cfgv.get("variants", "vanilla,centered").split(",")),
-        repetitions=int(cfgv.get("repetitions", 10)),
-        solver=solver,
-        policy=policy,
-        sweep=sweep,
-        master_seed=master_seed if master_seed is not None else int(cfgv.get("master_seed", 0)),
-    )
+    solver = SolverOptions(**_given(cfgv, max_iterations=int, tolerance=float, mode=str))
+    run = _given(cfgv, variants=_name_tuple, repetitions=int, master_seed=int)
+    if master_seed is not None:
+        run["master_seed"] = master_seed
+    return ExperimentConfig(source=source, solver=solver, policy=policy, sweep=sweep, **run)
+
+
+def _given(cfgv: dict[str, str], **decoders) -> dict:
+    """The config keys among ``decoders`` that are present, decoded; an
+    absent key is left out, so the dataclass default applies."""
+    return {key: decode(cfgv[key]) for key, decode in decoders.items() if key in cfgv}
 
 
 def _run_oracle_grid(cfgv: dict[str, str], master_seed: int | None, out_dir: Path) -> int:
     """Agreement report between the closed-form block temperatures and the
     exact solver over random parameter draws."""
-    from .solver import DirichletProblem, solve_exact
-
     points = int(cfgv.get("grid_points", 50))
     max_nodes = int(cfgv.get("max_block_nodes", 200))
-    seed = master_seed if master_seed is not None else int(cfgv.get("master_seed", 0))
+    seed = master_seed if master_seed is not None else int(cfgv.get("master_seed", ExperimentConfig.master_seed))
     rng = np.random.default_rng(seed)
     rows = ["point,num_blocks,n,p,q,hot,max_abs_diff"]
     worst = 0.0
@@ -329,9 +328,7 @@ def _run_oracle_grid(cfgv: dict[str, str], master_seed: int | None, out_dir: Pat
         hot = int(rng.integers(1, kb + 1))
         graph, _, seeds = build_deterministic_block_graph(params)
         oracle = closed_form_temperatures(params, hot=hot)
-        problem = DirichletProblem(
-            graph=graph, boundary=seeds.nodes, boundary_temps=(seeds.labels == hot).astype(float)
-        ) if seeds.nodes.size < graph.n else None
+        problem = one_vs_all_problem(graph, seeds, hot)
         if problem is None:
             continue
         field = solve_exact(problem)
@@ -347,14 +344,10 @@ def _run_oracle_grid(cfgv: dict[str, str], master_seed: int | None, out_dir: Pat
 
 
 def _block_disagreement(params, seeds, values, per_block) -> float:
-    offsets = params.block_offsets()
-    seed_set = set(int(s) for s in seeds.nodes)
-    worst = 0.0
-    for k in range(params.num_blocks):
-        members = [i for i in range(offsets[k], offsets[k + 1]) if i not in seed_set]
-        if members:
-            worst = max(worst, float(np.abs(values[members] - per_block[k]).max()))
-    return worst
+    """Largest gap between a non-seed temperature and its block's closed form."""
+    diff = np.abs(values - np.repeat(per_block, params.sizes))
+    diff[seeds.nodes] = 0.0
+    return float(diff.max())
 
 
 def _add_bench(sub):

@@ -28,7 +28,7 @@ from .blockmodel import (
 from .classify import SeedSet, classification_from_scores, one_vs_all_fields, scores_from_fields
 from .errors import NumericalError, ValidationError
 from .graph import Graph, MultiLabelPartition, NodePartition
-from .solver import DirichletProblem, SolverOptions, jacobi_sweep
+from .solver import SolverOptions
 
 POLICY_KINDS = ("uniform", "degree", "balanced", "explicit_counts")
 SWEEP_KINDS = ("seed_ratio", "size_ratio")
@@ -37,6 +37,8 @@ RAW_CSV_HEADER = ["variant", "sweep", "rep", "macro_f1", "accuracy", "wall_ms", 
 AGG_CSV_HEADER = ["variant", "sweep", "mean", "std"]
 
 MAX_SAMPLING_ATTEMPTS = 100
+# share of the labeled nodes drawn as seeds when no count is given
+DEFAULT_SEED_FRACTION = 0.01
 
 
 def derive_seed(*parts: int) -> int:
@@ -482,7 +484,7 @@ def binary_per_label_experiment(
             f"need {top_labels} distinct labels, ground truth has {distinct.size}"
         )
     order = sorted(distinct, key=lambda lab: (-counts[lab], lab))[:top_labels]
-    fraction = cfg.policy.fraction if cfg.policy is not None else 0.01
+    fraction = cfg.policy.fraction if cfg.policy is not None else DEFAULT_SEED_FRACTION
     # 1 = carries the label, 2 = labeled without it, 0 = unlabeled
     truths = [
         NodePartition(labels=np.array([(lab not in s) + 1 if s else 0 for s in labels.sets]), num_labels=2)
@@ -497,20 +499,3 @@ def binary_per_label_experiment(
 
     return _run_grid([float(lab) for lab in order], cfg.repetitions, run_rep)
 
-
-# ---------------------------------------------------------------------------
-# performance probe
-
-
-def measure_sweep_times(problem: DirichletProblem, num_sweeps: int = 5) -> np.ndarray:
-    """Wall-clock seconds of individual relaxation sweeps on ``problem``."""
-    g = problem.graph
-    mask = problem.boundary_mask()
-    pinned = problem.pinned_vector()
-    t = pinned.copy()
-    times = np.zeros(num_sweeps)
-    for i in range(num_sweeps):
-        start = time.perf_counter()
-        t = jacobi_sweep(g, mask, pinned, t)
-        times[i] = time.perf_counter() - start
-    return times

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -23,29 +23,28 @@ class Graph:
     (row, column) entry is unique.
 
     ``degrees[i]`` is the sum of weights incident to ``i`` and is positive
-    for every node: isolated nodes are rejected at construction time. A
-    given degree vector is checked against the row sums and then replaced by
-    them, computed with the row reduction ``transition_apply`` performs, so
-    every row of the transition operator sums to exactly one.
+    for every node: isolated nodes are rejected at construction time. The
+    degrees are computed, not given: they are the row sums of the weights,
+    taken with the row reduction ``transition_apply`` performs, so every row
+    of the transition operator sums to exactly one.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    degrees: np.ndarray
+    degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "indptr", np.ascontiguousarray(self.indptr, dtype=np.int64))
         object.__setattr__(self, "indices", np.ascontiguousarray(self.indices, dtype=np.int64))
         object.__setattr__(self, "weights", np.ascontiguousarray(self.weights, dtype=np.float64))
-        object.__setattr__(self, "degrees", np.ascontiguousarray(self.degrees, dtype=np.float64))
         object.__setattr__(self, "degrees", self._validate())
         for arr in (self.indptr, self.indices, self.weights, self.degrees):
             arr.setflags(write=False)
 
     def _validate(self) -> np.ndarray:
-        """Check the layout and the given degrees; return the row sums."""
+        """Check the layout; return the row sums of the weights."""
         n, indptr, indices, weights = self.n, self.indptr, self.indices, self.weights
         if n < 1:
             raise ValidationError("graph must have at least one node")
@@ -68,8 +67,6 @@ class Graph:
             if np.any((np.diff(indices) <= 0) & inner[1:-1]):
                 raise ValidationError("column indices must be strictly increasing per row")
         row_sums = _row_sums(indptr, weights)
-        if not np.allclose(row_sums, self.degrees, rtol=0, atol=1e-9 * max(1.0, float(np.abs(self.degrees).max(initial=0)))):
-            raise ValidationError("degree vector does not match row sums")
         if np.any(row_sums <= 0):
             bad = np.flatnonzero(row_sums <= 0)
             raise IsolatedNodeError(
@@ -94,13 +91,6 @@ class Graph:
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         loops = int(np.count_nonzero(rows == self.indices))
         return (self.indices.size + loops) // 2
-
-    @property
-    def total_weight(self) -> float:
-        """Sum of undirected edge weights, self-loops counted once."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        loop_w = float(self.weights[rows == self.indices].sum())
-        return (float(self.weights.sum()) + loop_w) / 2.0
 
     def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         sl = slice(self.indptr[i], self.indptr[i + 1])
@@ -215,8 +205,7 @@ def _assemble(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> G
     rows, cols, vals = rows[order], cols[order], vals[order]
     counts = np.bincount(rows, minlength=n)
     indptr = np.concatenate(([0], np.cumsum(counts)))
-    degrees = np.bincount(rows, weights=vals, minlength=n)
-    return Graph(n=n, indptr=indptr, indices=cols, weights=vals, degrees=degrees)
+    return Graph(n=n, indptr=indptr, indices=cols, weights=vals)
 
 
 def transition_apply(g: Graph, v) -> np.ndarray:

@@ -10,6 +10,7 @@ from .errors import NumericalError, ValidationError
 from .graph import Graph, transition_apply
 
 DEFAULT_MAX_DENSE_UNKNOWNS = 10_000
+SOLVER_MODES = ("iterative", "exact")
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class SolverOptions:
             raise ValidationError("max_iterations must be at least 1")
         if self.tolerance < 0:
             raise ValidationError("tolerance must be nonnegative")
-        if self.mode not in ("iterative", "exact"):
+        if self.mode not in SOLVER_MODES:
             raise ValidationError(f"unknown solver mode {self.mode!r}")
 
 

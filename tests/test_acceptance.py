@@ -29,7 +29,7 @@ from heatprop import (
     solve_iterative,
 )
 from heatprop.cli import main as cli_main
-from heatprop.experiments import measure_sweep_times
+from heatprop.solver import jacobi_sweep
 
 from test_solver import make_fixture_problems
 
@@ -263,6 +263,20 @@ def test_criterion_09_bench_determinism(tmp_path):
     agg_equal = (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
     assert raw_equal and agg_equal
     _report(9, "two bench runs under one master seed produced byte-identical CSVs")
+
+
+def measure_sweep_times(problem, num_sweeps=5):
+    """Wall-clock seconds of individual relaxation sweeps on ``problem``."""
+    g = problem.graph
+    mask = problem.boundary_mask()
+    pinned = problem.pinned_vector()
+    t = pinned.copy()
+    times = np.zeros(num_sweeps)
+    for i in range(num_sweeps):
+        start = time.perf_counter()
+        t = jacobi_sweep(g, mask, pinned, t)
+        times[i] = time.perf_counter() - start
+    return times
 
 
 def test_criterion_10_sweep_cost_scales_with_edges():

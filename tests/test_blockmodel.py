@@ -228,6 +228,10 @@ class TestDeterministicBuilder:
                 assert dense[i, j] == expect
         # self-loops count once, which is exactly the dense row sum here
         assert np.allclose(g.degrees, dense.sum(axis=1))
+        # the analytic degree n_k p + (n - n_k) q of a node in block k
+        sizes = np.asarray(params.sizes, dtype=np.float64)[truth.labels - 1]
+        analytic = sizes * params.p + (g.n - sizes) * params.q
+        np.testing.assert_allclose(g.degrees, analytic, rtol=1e-12, atol=0)
 
     def test_single_block_diffusion_is_all_ones(self):
         params = BlockModelParams(sizes=(6,), seed_counts=(2,), p=1.5, q=1.0)

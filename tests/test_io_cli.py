@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from heatprop import ValidationError, build_graph, load_edge_list, load_labels
-from heatprop.cli import main, parse_config
+from heatprop.blockmodel import BlockModelParams, default_seeds
+from heatprop.cli import _block_disagreement, main, parse_config
 from heatprop.io import load_dataset, write_edge_list
 from conftest import random_connected_graph
 
@@ -232,13 +233,32 @@ class TestCli:
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
         assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
 
-    @pytest.mark.parametrize("config", ["fig2a-small", "karate-uniform"])
+    @pytest.mark.parametrize(
+        "config", ["fig2a-small", "karate-uniform", "blocks2-uniform", "blocks3-uniform"]
+    )
     def test_bench_matches_golden_outputs(self, tmp_path, config):
         # results that change on purpose regenerate these files with
         # `heatprop bench --config <name> --out-dir tests/data/golden/<name>`
         assert self.run("bench", "--config", config, "--out-dir", str(tmp_path)) == 0
         for name in ("results.csv", "aggregate.csv"):
             assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / config / name).read_bytes(), name
+
+    def test_bench_config_defaults(self, tmp_path):
+        # seeded densely enough that the fields converge in 46-52 sweeps, so
+        # another tolerance, iteration cap or mode shows in the iters column
+        model = "sizes = 60,60\nseeds = 20,20\np = 0.3\nq = 0.05\n"
+        spelled_out = model + (
+            "source = sbm\nsweep = none\nvariants = vanilla,centered\nrepetitions = 10\n"
+            "master_seed = 0\nmax_iterations = 100\ntolerance = 1e-9\nmode = iterative\n"
+        )
+        for name, text in (("minimal", model), ("spelled-out", spelled_out)):
+            (tmp_path / f"{name}.cfg").write_text(text)
+            assert self.run(
+                "bench", "--config", str(tmp_path / f"{name}.cfg"), "--out-dir", str(tmp_path / name)
+            ) == 0
+        results = [(tmp_path / name / "results.csv").read_bytes() for name in ("minimal", "spelled-out")]
+        assert results[0] == results[1]
+        assert len(results[0].splitlines()) == 1 + 10 * 2
 
     def test_bench_config_with_bad_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -289,3 +309,17 @@ class TestCli:
         assert lines[0].startswith("point,")
         worst = max(float(line.split(",")[-1]) for line in lines[1:])
         assert worst < 1e-10
+
+    def test_block_disagreement_matches_per_block_loop(self):
+        params = BlockModelParams(sizes=(4, 1, 6), seed_counts=(2, 1, 3), p=2.0, q=0.5)
+        seeds = default_seeds(params)
+        rng = np.random.default_rng(5)
+        values = rng.uniform(size=params.n)
+        per_block = rng.uniform(size=params.num_blocks)
+        offsets = params.block_offsets()
+        expect = 0.0
+        for k in range(params.num_blocks):
+            members = [i for i in range(offsets[k], offsets[k + 1]) if i not in seeds.nodes]
+            if members:
+                expect = max(expect, float(np.abs(values[members] - per_block[k]).max()))
+        assert _block_disagreement(params, seeds, values, per_block) == expect
