@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import SeedSet
+from .classify import SeedSet, one_vs_all_problem
 from .errors import NumericalError, ValidationError
 from .graph import Graph, NodePartition, build_graph
+from .solver import solve_exact
 
 DEFAULT_MAX_DENSE_NODES = 5_000
 
@@ -156,6 +157,42 @@ def vanilla_consistency_condition(params: BlockModelParams, hot: int, other: int
     lhs = seeds[h] * q * (sizes[h] * (p - q) + n * q) / a[h] + seeds[h] * (p - q) * slack
     rhs = seeds[o] * q * (sizes[o] * (p - q) + n * q) / a[o]
     return bool(lhs > rhs)
+
+
+def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[int, BlockModelParams, int, float]]:
+    """Compare ``closed_form_temperatures`` with ``solve_exact`` on ``points``
+    random block models (1-5 blocks, at most ``max_block_nodes`` nodes).
+
+    Returns ``(point, params, hot, gap)`` per draw with non-seed nodes; the gap
+    is the largest distance of a non-seed temperature from its block's value.
+    """
+    rng = np.random.default_rng(rng_seed)
+    rows = []
+    for idx in range(points):
+        kb = int(rng.integers(1, 6))
+        sizes, seeds_c = [], []
+        for _ in range(kb):
+            nk = int(rng.integers(2, max(3, max_block_nodes // kb)))
+            sizes.append(nk)
+            seeds_c.append(int(rng.integers(1, nk + 1)))
+        p, q = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0))
+        params = BlockModelParams(sizes=tuple(sizes), seed_counts=tuple(seeds_c), p=p, q=q)
+        hot = int(rng.integers(1, kb + 1))
+        graph, _, seeds = build_deterministic_block_graph(params)
+        oracle = closed_form_temperatures(params, hot=hot)
+        problem = one_vs_all_problem(graph, seeds, hot)
+        if problem is None:
+            continue
+        values = solve_exact(problem).values
+        rows.append((idx, params, hot, _block_disagreement(params, seeds, values, oracle.per_block)))
+    return rows
+
+
+def _block_disagreement(params, seeds, values, per_block) -> float:
+    """Largest gap between a non-seed temperature and its block's closed form."""
+    diff = np.abs(values - np.repeat(per_block, params.sizes))
+    diff[seeds.nodes] = 0.0
+    return float(diff.max())
 
 
 def sbm_generate(

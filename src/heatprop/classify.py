@@ -123,7 +123,7 @@ def diffuse_one_vs_all(
     if problem is None:
         values = np.zeros(g.n)
         values[seeds.nodes] = (seeds.labels == k).astype(np.float64)
-        info = SolveInfo(mode="trivial", iterations=0, final_change=0.0, stop_reason="exact")
+        info = SolveInfo(iterations=0, final_change=0.0, stop_reason="exact")
         return TemperatureField(values=values, info=info)
     return solve(problem, opts)
 

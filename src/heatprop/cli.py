@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,12 @@ import numpy as np
 from . import __version__
 from .blockmodel import (
     BlockModelParams,
-    build_deterministic_block_graph,
     closed_form_temperatures,
+    oracle_grid,
     vanilla_consistency_condition,
 )
 from .classify import VARIANTS, SeedSet, classify, one_vs_all_problem
-from .datasets import BUILTIN_DATASETS, config_path
+from .datasets import BUILTIN_DATASETS, config_path, load_builtin
 from .errors import NumericalError, ValidationError
 from .experiments import (
     DEFAULT_SEED_FRACTION,
@@ -32,9 +33,11 @@ from .experiments import (
     SbmSource,
     Sweep,
     run_experiment,
+    sample_seeds,
 )
-from .io import load_dataset
-from .solver import SOLVER_MODES, SolverOptions, residual, solve_exact
+from .graph import NodePartition
+from .io import DatasetBundle, load_dataset, load_labels
+from .solver import SOLVER_MODES, SolverOptions, residual
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,32 +77,20 @@ def _add_classify(sub):
     p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
 
 
-def _load_bundle(args):
-    if args.graph in BUILTIN_DATASETS:
-        from .datasets import load_builtin
-
-        bundle = load_builtin(args.graph)
-        if args.labels:
-            raise ValidationError("bundled datasets already carry labels; drop --labels")
-        return bundle
-    return load_dataset(
-        args.graph,
-        labels_path=args.labels,
-        directed=args.directed,
-        weighted=args.weighted,
-        delimiter=args.delimiter,
-    )
+def _load_bundle(graph: str, labels=None, directed=False, weighted=False, delimiter=None) -> DatasetBundle:
+    """A bundled dataset by name, or an edge-list file with an optional label file."""
+    if graph in BUILTIN_DATASETS:
+        if labels:
+            raise ValidationError("bundled datasets already carry labels; drop the label file")
+        return load_builtin(graph)
+    return load_dataset(graph, labels_path=labels, directed=directed, weighted=weighted, delimiter=delimiter)
 
 
 def _copy_index(bundle, original: int, use_destination: bool) -> int:
-    if not bundle.directed:
-        return original
-    return original + bundle.n_original if use_destination else original
+    return original + bundle.n_original if bundle.directed and use_destination else original
 
 
 def _seeds_from_file(path, bundle, label_names, use_destination):
-    from .io import load_labels
-
     parsed, names = load_labels(path, bundle.id_map, bundle.n_original)
     if label_names:
         # remap the seed file's label ids onto the ground-truth naming
@@ -126,25 +117,19 @@ def _cmd_classify(args) -> int:
     if args.sample and args.seeds_file:
         raise ValidationError("--seeds-file and --sample are mutually exclusive")
 
-    bundle = _load_bundle(args)
+    bundle = _load_bundle(args.graph, args.labels, args.directed, args.weighted, args.delimiter)
     label_names = bundle.label_names or {}
     opts = SolverOptions(max_iterations=args.max_iter, tolerance=args.tol, mode=args.mode)
 
     if args.seeds_file:
         seeds, label_names = _seeds_from_file(args.seeds_file, bundle, label_names, args.use_destination)
     else:
-        if bundle.labels is None:
-            raise ValidationError("--sample needs a label file")
-        from .experiments import sample_seeds
-
         policy = SamplingPolicy(kind=args.sample, fraction=args.fraction, rng_seed=args.seed)
         ground = bundle.labels
         if bundle.directed:
             lifted = np.zeros(bundle.graph.n, dtype=np.int64)
             span = slice(bundle.n_original, None) if args.use_destination else slice(0, bundle.n_original)
             lifted[span] = ground.labels
-            from .graph import NodePartition
-
             ground = NodePartition(labels=lifted, num_labels=ground.num_labels)
         seeds = sample_seeds(ground, bundle.graph, policy)
 
@@ -191,17 +176,60 @@ def _cmd_classify(args) -> int:
 # bench
 
 
-CONFIG_KEYS = {
-    "task", "source", "sizes", "seeds", "p", "q", "graph_file", "labels_file",
-    "directed", "weighted", "policy", "fraction", "variants", "repetitions",
-    "sweep", "sweep_values", "master_seed", "max_iterations", "tolerance",
-    "mode", "grid_points", "max_block_nodes",
+# not underscored: argparse names a `type=` function in its error message
+def int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
+
+
+def float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
+
+
+def name_list(raw: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in raw.split(","))
+
+
+def _lookup(table: dict):
+    """Decoder that maps each key of ``table`` to its value and rejects any other text."""
+    def decode(raw: str):
+        if raw not in table:
+            raise ValueError(f"expected one of {', '.join(table)}")
+        return table[raw]
+
+    return decode
+
+
+# every config key and the decoder of its value
+CONFIG_SCHEMA = {
+    "task": _lookup({"experiment": "experiment", "oracle_grid": "oracle_grid"}),
+    "source": str,
+    "sizes": int_list,
+    "seeds": int_list,
+    "p": float,
+    "q": float,
+    "graph_file": str,
+    "labels_file": str,
+    "directed": _lookup({"true": True, "false": False}),
+    "weighted": _lookup({"true": True, "false": False}),
+    "policy": lambda raw: "explicit_counts" if raw == "explicit" else raw,
+    "fraction": float,
+    "variants": name_list,
+    "repetitions": int,
+    "sweep": str,
+    "sweep_values": float_list,
+    "master_seed": int,
+    "max_iterations": int,
+    "tolerance": float,
+    "mode": str,
+    "grid_points": int,
+    "max_block_nodes": int,
 }
 
 
-def parse_config(text: str) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment; keys checked exhaustively."""
-    values: dict[str, str] = {}
+def parse_config(text: str) -> dict:
+    """Flat `key = value` lines; '#' starts a comment; keys checked
+    exhaustively and each value decoded by its ``CONFIG_SCHEMA`` entry."""
+    values = {}
     unknown = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -211,43 +239,33 @@ def parse_config(text: str) -> dict[str, str]:
             raise ValidationError(f"config line {ln}: expected `key = value`")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in CONFIG_KEYS:
+        if key not in CONFIG_SCHEMA:
             unknown.append(key)
             continue
-        values[key] = val
+        try:
+            values[key] = CONFIG_SCHEMA[key](val)
+        except ValueError as exc:
+            raise ValidationError(f"config line {ln}: bad value {val!r} for {key} ({exc})") from None
     if unknown:
         raise ValidationError(
             f"unknown config keys: {', '.join(sorted(set(unknown)))}; "
-            f"valid keys: {', '.join(sorted(CONFIG_KEYS))}"
+            f"valid keys: {', '.join(sorted(CONFIG_SCHEMA))}"
         )
     return values
 
 
-def _int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-
-
-def _float_tuple(raw: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-
-
-def _name_tuple(raw: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in raw.split(","))
-
-
-def _config_params(cfgv: dict[str, str]) -> BlockModelParams:
-    for key in ("sizes", "seeds", "p", "q"):
+def _require(cfgv: dict, what: str, *keys: str):
+    for key in keys:
         if key not in cfgv:
-            raise ValidationError(f"block-model sources need the {key!r} config key")
-    return BlockModelParams(
-        sizes=_int_tuple(cfgv["sizes"]),
-        seed_counts=_int_tuple(cfgv["seeds"]),
-        p=float(cfgv["p"]),
-        q=float(cfgv["q"]),
-    )
+            raise ValidationError(f"{what} needs the {key!r} config key")
 
 
-def _config_experiment(cfgv: dict[str, str], master_seed: int | None) -> ExperimentConfig:
+def _config_params(cfgv: dict) -> BlockModelParams:
+    _require(cfgv, "a block-model source", "sizes", "seeds", "p", "q")
+    return BlockModelParams(sizes=cfgv["sizes"], seed_counts=cfgv["seeds"], p=cfgv["p"], q=cfgv["q"])
+
+
+def _config_experiment(cfgv: dict, master_seed: int | None) -> ExperimentConfig:
     source_kind = cfgv.get("source", "sbm")
     if source_kind == "sbm":
         source = SbmSource(params=_config_params(cfgv))
@@ -255,99 +273,48 @@ def _config_experiment(cfgv: dict[str, str], master_seed: int | None) -> Experim
         source = BlockSource(params=_config_params(cfgv))
     elif source_kind in BUILTIN_DATASETS or source_kind == "files":
         if source_kind == "files":
-            if "graph_file" not in cfgv:
-                raise ValidationError("source=files needs graph_file (and labels_file)")
-            bundle = load_dataset(
-                cfgv["graph_file"],
-                labels_path=cfgv.get("labels_file"),
-                directed=cfgv.get("directed", "false").lower() == "true",
-                weighted=cfgv.get("weighted", "false").lower() == "true",
-            )
-            name = Path(cfgv["graph_file"]).stem
-        else:
-            from .datasets import load_builtin
-
-            bundle = load_builtin(source_kind)
-            name = source_kind
-        if bundle.labels is None:
-            raise ValidationError("benchmark datasets need ground-truth labels")
-        source = DatasetSource(graph=bundle.graph, labels=bundle.labels, name=name)
+            _require(cfgv, "source = files", "graph_file", "labels_file")
+        graph = cfgv["graph_file"] if source_kind == "files" else source_kind
+        flags = {k: cfgv[k] for k in ("directed", "weighted") if k in cfgv}
+        bundle = _load_bundle(graph, cfgv.get("labels_file"), **flags)
+        source = DatasetSource(graph=bundle.graph, labels=bundle.labels)
     else:
         raise ValidationError(f"unknown source {source_kind!r}")
 
     policy = None
-    if "policy" in cfgv:
-        kind = cfgv["policy"]
-        if kind == "explicit":
-            kind = "explicit_counts"
-        if kind == "explicit_counts":
-            if "seeds" not in cfgv:
-                raise ValidationError("policy=explicit needs the 'seeds' config key")
-            policy = SamplingPolicy(kind=kind, counts=_int_tuple(cfgv["seeds"]))
-        else:
-            policy = SamplingPolicy(kind=kind, fraction=float(cfgv.get("fraction", DEFAULT_SEED_FRACTION)))
-    elif isinstance(source, DatasetSource):
-        policy = SamplingPolicy(kind="uniform", fraction=float(cfgv.get("fraction", DEFAULT_SEED_FRACTION)))
+    kind = cfgv.get("policy")
+    if kind == "explicit_counts":
+        _require(cfgv, "policy = explicit", "seeds")
+        policy = SamplingPolicy(kind=kind, counts=cfgv["seeds"])
+    elif kind is not None or isinstance(source, DatasetSource):
+        policy = SamplingPolicy(kind=kind or "uniform", fraction=cfgv.get("fraction", DEFAULT_SEED_FRACTION))
 
     sweep = None
     if cfgv.get("sweep", "none") != "none":
-        sweep = Sweep(kind=cfgv["sweep"], values=_float_tuple(cfgv.get("sweep_values", "1")))
+        _require(cfgv, "a sweep", "sweep_values")
+        sweep = Sweep(kind=cfgv["sweep"], values=cfgv["sweep_values"])
 
-    solver = SolverOptions(**_given(cfgv, max_iterations=int, tolerance=float, mode=str))
-    run = _given(cfgv, variants=_name_tuple, repetitions=int, master_seed=int)
+    # absent keys are left out, so the dataclass defaults apply
+    solver = SolverOptions(**{k: cfgv[k] for k in ("max_iterations", "tolerance", "mode") if k in cfgv})
+    run = {k: cfgv[k] for k in ("variants", "repetitions", "master_seed") if k in cfgv}
     if master_seed is not None:
         run["master_seed"] = master_seed
     return ExperimentConfig(source=source, solver=solver, policy=policy, sweep=sweep, **run)
 
 
-def _given(cfgv: dict[str, str], **decoders) -> dict:
-    """The config keys among ``decoders`` that are present, decoded; an
-    absent key is left out, so the dataclass default applies."""
-    return {key: decode(cfgv[key]) for key, decode in decoders.items() if key in cfgv}
-
-
-def _run_oracle_grid(cfgv: dict[str, str], master_seed: int | None, out_dir: Path) -> int:
-    """Agreement report between the closed-form block temperatures and the
-    exact solver over random parameter draws."""
-    points = int(cfgv.get("grid_points", 50))
-    max_nodes = int(cfgv.get("max_block_nodes", 200))
-    seed = master_seed if master_seed is not None else int(cfgv.get("master_seed", ExperimentConfig.master_seed))
-    rng = np.random.default_rng(seed)
-    rows = ["point,num_blocks,n,p,q,hot,max_abs_diff"]
-    worst = 0.0
-    for idx in range(points):
-        kb = int(rng.integers(1, 6))
-        sizes, seeds_c = [], []
-        for _ in range(kb):
-            nk = int(rng.integers(2, max(3, max_nodes // kb)))
-            sizes.append(nk)
-            seeds_c.append(int(rng.integers(1, nk + 1)))
-        p = float(rng.uniform(0.2, 3.0))
-        q = float(rng.uniform(0.2, 3.0))
-        params = BlockModelParams(sizes=tuple(sizes), seed_counts=tuple(seeds_c), p=p, q=q)
-        hot = int(rng.integers(1, kb + 1))
-        graph, _, seeds = build_deterministic_block_graph(params)
-        oracle = closed_form_temperatures(params, hot=hot)
-        problem = one_vs_all_problem(graph, seeds, hot)
-        if problem is None:
-            continue
-        field = solve_exact(problem)
-        diff = _block_disagreement(params, seeds, field.values, oracle.per_block)
-        worst = max(worst, diff)
-        rows.append(
-            f"{idx},{kb},{params.n},{_fmt(p)},{_fmt(q)},{hot},{repr(diff)}"
-        )
+def _run_oracle_grid(cfgv: dict, master_seed: int | None, out_dir: Path) -> int:
+    """Write the agreement report of ``blockmodel.oracle_grid``."""
+    points = cfgv.get("grid_points", 50)
+    seed = master_seed if master_seed is not None else cfgv.get("master_seed", ExperimentConfig.master_seed)
+    rows = oracle_grid(points, cfgv.get("max_block_nodes", 200), seed)
+    lines = ["point,num_blocks,n,p,q,hot,max_abs_diff"]
+    for idx, params, hot, diff in rows:
+        lines.append(f"{idx},{params.num_blocks},{params.n},{_fmt(params.p)},{_fmt(params.q)},{hot},{diff!r}")
     out = out_dir / "oracle_agreement.csv"
-    out.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    worst = max([0.0, *(diff for *_, diff in rows)])
     print(f"oracle grid: {points} points, worst block disagreement {worst:.3e} -> {out}")
     return 0
-
-
-def _block_disagreement(params, seeds, values, per_block) -> float:
-    """Largest gap between a non-seed temperature and its block's closed form."""
-    diff = np.abs(values - np.repeat(per_block, params.sizes))
-    diff[seeds.nodes] = 0.0
-    return float(diff.max())
 
 
 def _add_bench(sub):
@@ -360,17 +327,11 @@ def _add_bench(sub):
 
 
 def _cmd_bench(args) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        try:
-            path = config_path(args.config)
-        except ValidationError:
-            raise ValidationError(f"config file {args.config!r} not found") from None
-    cfgv = parse_config(path.read_text(encoding="utf-8"))
+    cfgv = parse_config(config_path(args.config).read_text(encoding="utf-8"))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfgv.get("task", "experiment") == "oracle_grid":
+    if cfgv.get("task") == "oracle_grid":
         return _run_oracle_grid(cfgv, args.seed, out_dir)
 
     cfg = _config_experiment(cfgv, args.seed)
@@ -392,31 +353,26 @@ def _cmd_bench(args) -> int:
 def _add_oracle(sub):
     p = sub.add_parser("oracle", help="closed-form block-model temperatures")
     p.add_argument("--K", type=int, required=True, dest="num_blocks")
-    p.add_argument("--sizes", required=True, help="comma-separated block sizes")
-    p.add_argument("--seeds", required=True, help="comma-separated per-block seed counts")
+    p.add_argument("--sizes", type=int_list, required=True, help="comma-separated block sizes")
+    p.add_argument("--seeds", type=int_list, required=True, help="comma-separated per-block seed counts")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--hot", type=int, default=1)
 
 
 def _cmd_oracle(args) -> int:
-    sizes = _int_tuple(args.sizes)
-    seeds = _int_tuple(args.seeds)
-    if len(sizes) != args.num_blocks or len(seeds) != args.num_blocks:
+    if len(args.sizes) != args.num_blocks or len(args.seeds) != args.num_blocks:
         raise ValidationError("--sizes and --seeds must list exactly K values")
-    params = BlockModelParams(sizes=sizes, seed_counts=seeds, p=args.p, q=args.q)
+    params = BlockModelParams(sizes=args.sizes, seed_counts=args.seeds, p=args.p, q=args.q)
     temps = closed_form_temperatures(params, hot=args.hot)
     print(f"mean temperature = {_fmt(temps.mean)}")
     for k in range(params.num_blocks):
         print(
             f"block {k + 1}: T = {_fmt(temps.per_block[k])}  delta = {_fmt(temps.deltas[k])}"
         )
-    for b in range(1, params.num_blocks + 1):
-        for other in range(1, params.num_blocks + 1):
-            if other == b:
-                continue
-            ok = vanilla_consistency_condition(params, hot=b, other=other)
-            print(f"vanilla condition block {b} vs {other}: {'TRUE' if ok else 'FALSE'}")
+    for b, other in permutations(range(1, params.num_blocks + 1), 2):
+        ok = vanilla_consistency_condition(params, hot=b, other=other)
+        print(f"vanilla condition block {b} vs {other}: {'TRUE' if ok else 'FALSE'}")
     return 0
 
 

@@ -28,9 +28,12 @@ def data_path(filename: str) -> Path:
 
 
 def config_path(name: str) -> Path:
+    """``name`` itself when it is a file, else the bundled config of that name."""
+    if Path(name).is_file():
+        return Path(name)
     path = _DATA_DIR / "configs" / f"{name}.cfg"
     if not path.exists():
-        raise ValidationError(f"no bundled config {name!r}")
+        raise ValidationError(f"config file {name!r} not found, and no bundled config has that name")
     return path
 
 

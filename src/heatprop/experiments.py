@@ -25,7 +25,7 @@ from .blockmodel import (
     build_deterministic_block_graph,
     sbm_generate,
 )
-from .classify import SeedSet, classification_from_scores, one_vs_all_fields, scores_from_fields
+from .classify import VARIANTS, SeedSet, classification_from_scores, one_vs_all_fields, scores_from_fields
 from .errors import NumericalError, ValidationError
 from .graph import Graph, MultiLabelPartition, NodePartition
 from .solver import SolverOptions
@@ -198,7 +198,6 @@ class SbmSource:
     """Resample a stochastic block model graph every repetition."""
 
     params: BlockModelParams
-    name: str = "sbm"
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,6 @@ class BlockSource:
     """Deterministic complete block graph (no graph randomness)."""
 
     params: BlockModelParams
-    name: str = "blocks"
 
 
 @dataclass(frozen=True)
@@ -215,7 +213,6 @@ class DatasetSource:
 
     graph: Graph
     labels: NodePartition
-    name: str = "dataset"
 
 
 @dataclass(frozen=True)
@@ -254,7 +251,14 @@ class ExperimentConfig:
             raise ValidationError("repetitions must be at least 1")
         if not self.variants:
             raise ValidationError("need at least one variant")
+        unknown = [v for v in self.variants if v not in VARIANTS]
+        if unknown:
+            raise ValidationError(f"unknown variants {', '.join(unknown)}; expected one of {VARIANTS}")
         object.__setattr__(self, "variants", tuple(self.variants))
+        # a sweep sets the seed counts; a policy that fixes them would override it
+        sweep, policy = self.sweep, self.policy
+        if sweep and policy and (sweep.kind == "seed_ratio" or policy.kind == "explicit_counts"):
+            raise ValidationError(f"policy {policy.kind!r} overrides the seed counts of the {sweep.kind} sweep")
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,6 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolveInfo:
-    mode: str
     iterations: int
     final_change: float
     stop_reason: str  # "tolerance" | "max_iterations" | "exact"
@@ -174,7 +173,7 @@ def solve_iterative(problem: DirichletProblem, opts: SolverOptions | None = None
         if change < opts.tolerance or change == 0.0:
             stop = "tolerance"
             break
-    info = SolveInfo(mode="iterative", iterations=iterations, final_change=change, stop_reason=stop)
+    info = SolveInfo(iterations=iterations, final_change=change, stop_reason=stop)
     return TemperatureField(values=_clip_to_boundary_range(problem, t), info=info)
 
 
@@ -220,7 +219,7 @@ def solve_exact(
 
     t = y.copy()
     t[interior] = x
-    info = SolveInfo(mode="exact", iterations=0, final_change=0.0, stop_reason="exact")
+    info = SolveInfo(iterations=0, final_change=0.0, stop_reason="exact")
     return TemperatureField(values=_clip_to_boundary_range(problem, t), info=info)
 
 

@@ -244,6 +244,27 @@ class TestRunExperiment:
         cfg2 = dataclasses.replace(cfg, policy=SamplingPolicy(kind="uniform", fraction=0.2))
         assert len(run_experiment(cfg2).rows) == 4
 
+    def test_unknown_variant_rejected_at_config_time(self):
+        with pytest.raises(ValidationError, match="unknown variants centred"):
+            self.small_cfg(variants=("vanilla", "centred"))
+
+    @pytest.mark.parametrize(
+        ("sweep", "policy", "rejected"),
+        [
+            ("seed_ratio", SamplingPolicy(kind="uniform", fraction=0.1), True),
+            ("seed_ratio", SamplingPolicy(kind="explicit_counts", counts=(6, 6)), True),
+            ("size_ratio", SamplingPolicy(kind="explicit_counts", counts=(6, 6)), True),
+            ("size_ratio", SamplingPolicy(kind="uniform", fraction=0.1), False),
+        ],
+    )
+    def test_policy_overriding_swept_counts_rejected(self, sweep, policy, rejected):
+        overrides = dict(sweep=Sweep(kind=sweep, values=(1.0, 4.0)), policy=policy)
+        if rejected:
+            with pytest.raises(ValidationError, match="overrides the seed counts"):
+                self.small_cfg(**overrides)
+        else:
+            assert self.small_cfg(**overrides).policy == policy
+
     def test_size_ratio_sweep_reshapes_blocks(self):
         from heatprop.experiments import _swept_params
 

@@ -7,6 +7,8 @@ import pytest
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "heatprop"
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+# each module may import only the modules before it
+LAYER_ORDER = ("errors", "graph", "solver", "classify", "blockmodel", "experiments", "io", "datasets", "cli")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +34,35 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def layering_violations(module: str, source: str, order=LAYER_ORDER) -> list[str]:
+    """Package modules that ``module`` imports (at any depth, function-level
+    imports included) but that do not come before it in ``order``."""
+    targets = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module.split(".")[0]] if node.module else [alias.name for alias in node.names]
+            targets += [(name, node.lineno) for name in names]
+    rank = order.index(module)
+    # names that are not modules (`from . import __version__`) come from __init__
+    return [
+        f"{name} (line {line})"
+        for name, line in targets
+        if (PACKAGE_DIR / f"{name}.py").exists() and (name not in order or order.index(name) >= rank)
+    ]
+
+
+def test_layering_violations_detected():
+    source = "from .cli import main\nfrom .errors import E\n\ndef f():\n    from .io import x\n"
+    assert layering_violations("graph", source) == ["cli (line 1)", "io (line 5)"]
+    assert layering_violations("datasets", source) == ["cli (line 1)"]
+
+
+def test_layer_order_lists_every_module():
+    assert sorted(LAYER_ORDER) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_imports_follow_layer_order(path):
+    assert layering_violations(path.stem, path.read_text(encoding="utf-8")) == []

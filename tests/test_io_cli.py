@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from heatprop import ValidationError, build_graph, load_edge_list, load_labels
-from heatprop.blockmodel import BlockModelParams, default_seeds
-from heatprop.cli import _block_disagreement, main, parse_config
+from heatprop.blockmodel import BlockModelParams, _block_disagreement, default_seeds
+from heatprop.cli import _config_experiment, main, parse_config
+from heatprop.datasets import config_path, data_path
 from heatprop.io import load_dataset, write_edge_list
 from conftest import random_connected_graph
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+BUNDLED_CONFIGS = sorted(path.stem for path in data_path("configs").glob("*.cfg"))
 
 
 class TestLoadEdgeList:
@@ -136,7 +138,7 @@ class TestConfigParsing:
 
     def test_comments_and_values(self):
         got = parse_config("# c\nsizes = 4,4  # inline\np = 1e-3\n")
-        assert got == {"sizes": "4,4", "p": "1e-3"}
+        assert got == {"sizes": (4, 4), "p": 1e-3}
 
     def test_missing_equals(self):
         with pytest.raises(ValidationError, match="line 1"):
@@ -222,9 +224,15 @@ class TestCli:
         sweeps = {row[1] for row in body}
         variants = {row[0] for row in body}
         assert len(sweeps) == 10 and variants == {"vanilla", "centered"}
+        assert len(body) == 10 * 2 * 2  # no repetition failed
         agg = (out_dir / "aggregate.csv").read_text().strip().splitlines()
         assert agg[0] == "variant,sweep,mean,std"
         assert len(agg) == 1 + 10 * 2
+        mean = {(v, float(x)): float(m) for v, x, m, _ in (line.split(",") for line in agg[1:])}
+        # Fig. 2a: vanilla collapses as block 1's seeds outnumber block 2's,
+        # centered does not
+        assert all(mean["centered", float(r)] >= 0.95 for r in range(1, 11))
+        assert mean["vanilla", 10.0] <= mean["centered", 10.0] - 0.5
 
     def test_bench_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -260,10 +268,67 @@ class TestCli:
         assert results[0] == results[1]
         assert len(results[0].splitlines()) == 1 + 10 * 2
 
+    def test_bench_files_source_matches_bundled_dataset(self, tmp_path):
+        common = "policy = uniform\nrepetitions = 3\n"
+        files = (
+            f"source = files\ngraph_file = {data_path('blocks2.edges')}\n"
+            f"labels_file = {data_path('blocks2.labels')}\ndirected = false\nweighted = false\n"
+        )
+        for name, text in (("bundled", "source = blocks2\n"), ("files", files)):
+            (tmp_path / f"{name}.cfg").write_text(common + text)
+            assert self.run(
+                "bench", "--config", str(tmp_path / f"{name}.cfg"), "--out-dir", str(tmp_path / name)
+            ) == 0
+        results = [(tmp_path / name / "results.csv").read_bytes() for name in ("bundled", "files")]
+        assert results[0] == results[1]
+        assert len(results[0].splitlines()) == 1 + 3 * 2
+
     def test_bench_config_with_bad_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = yes\n")
         assert self.run("bench", "--config", str(cfg)) == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "repetitions = ten",
+            "p = abc",
+            "sizes = 4,x",
+            "directed = yes",
+            "grid_points = many",
+            "task = oracle-grid",
+            "sweep = seed_ratio",
+            "variants = centred",
+            "policy = explicit\nsweep = seed_ratio\nsweep_values = 1,2",
+        ],
+    )
+    def test_bench_malformed_config_is_one_error_line(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("sizes = 20,20\nseeds = 2,2\np = 0.3\nq = 0.05\nrepetitions = 1\n" + bad + "\n")
+        assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+    def test_bundled_config_decodes(self, name):
+        cfgv = parse_config(config_path(name).read_text(encoding="utf-8"))
+        if cfgv.get("task") == "oracle_grid":
+            assert isinstance(cfgv["grid_points"], int) and isinstance(cfgv["max_block_nodes"], int)
+            return
+        cfg = _config_experiment(cfgv, None)
+        if cfg.sweep is not None:
+            # the sweep draws the seed counts it sets
+            assert cfg.policy is None and len(cfg.sweep.values) == 10
+
+    @pytest.mark.parametrize("flag", ["--sizes", "--seeds"])
+    def test_oracle_malformed_counts_are_usage_errors(self, capsys, flag):
+        argv = {"--K": "2", "--sizes": "2,2", "--seeds": "1,1", "--p": "2", "--q": "1"}
+        argv[flag] = "2,x"
+        with pytest.raises(SystemExit) as exc:
+            self.run("oracle", *(item for pair in argv.items() for item in pair))
+        assert exc.value.code == 1
+        assert f"argument {flag}" in capsys.readouterr().err
 
     def test_oracle_worked_instance(self, capsys):
         assert self.run("oracle", "--K", "2", "--sizes", "2,2", "--seeds", "1,1",
