@@ -3,7 +3,8 @@
 Three score rules share the same K diffusions: ``vanilla`` uses the raw
 temperatures, ``weighted`` rescales each label's temperatures by that label's
 share of the seeds, and ``centered`` subtracts each diffusion's mean
-temperature before comparing labels.
+temperature before comparing labels. In iterative mode only K-1 diffusions
+are solved; the last follows from the partition of unity.
 """
 
 from __future__ import annotations
@@ -136,11 +137,31 @@ def center(t: TemperatureField) -> TemperatureField:
 def one_vs_all_fields(
     g: Graph, seeds: SeedSet, opts: SolverOptions | None = None
 ) -> tuple[TemperatureField, ...]:
-    """All K diffusions, one per label in label order."""
+    """All K diffusions, one per label in label order.
+
+    In iterative mode only the first K-1 are solved. Converged fields sum to
+    one at every node (partition of unity), so the last is
+    ``clip(1 - sum, 0, 1)`` of the others; its info has stop reason
+    ``"derived"``, 0 iterations and, as final change, the sum of theirs,
+    which bounds its harmonicity defect. ``mode="exact"`` solves all K, so
+    symmetric problems keep bitwise-symmetric fields; so does K=1, which has
+    no other field to derive from.
+    """
     missing = seeds.missing_labels()
     if missing.size:
         raise ValidationError(f"label(s) without seeds: {missing.tolist()}")
-    return tuple(diffuse_one_vs_all(g, seeds, k, opts) for k in range(1, seeds.num_labels + 1))
+    opts = opts or SolverOptions()
+    num_labels = seeds.num_labels
+    if opts.mode == "exact" or num_labels == 1:
+        return tuple(diffuse_one_vs_all(g, seeds, k, opts) for k in range(1, num_labels + 1))
+    solved = tuple(diffuse_one_vs_all(g, seeds, k, opts) for k in range(1, num_labels))
+    last = np.clip(1.0 - sum(f.values for f in solved), 0.0, 1.0)
+    info = SolveInfo(
+        iterations=0,
+        final_change=sum(f.info.final_change for f in solved),
+        stop_reason="derived",
+    )
+    return solved + (TemperatureField(values=last, info=info),)
 
 
 def scores_from_fields(

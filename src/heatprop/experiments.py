@@ -259,13 +259,19 @@ class ExperimentConfig:
         sweep, policy = self.sweep, self.policy
         if sweep and policy and (sweep.kind == "seed_ratio" or policy.kind == "explicit_counts"):
             raise ValidationError(f"policy {policy.kind!r} overrides the seed counts of the {sweep.kind} sweep")
+        if isinstance(self.source, DatasetSource):
+            if sweep:
+                raise ValidationError("parameter sweeps apply to block-model sources only")
+            if policy is None:
+                raise ValidationError("dataset sources need an explicit sampling policy")
 
 
 @dataclass(frozen=True)
 class ResultRow:
     """Metrics of one variant in one repetition. ``wall_ms`` is the time of
     the repetition's shared field solve plus this variant's scoring and
-    labeling; ``iterations`` is the largest iteration count among the fields."""
+    labeling; ``iterations`` is the largest conjugate-gradient iteration count
+    among the fields (0 when every field is solved exactly)."""
 
     variant: str
     sweep: float
@@ -375,8 +381,6 @@ def _digest(graph: Graph, seeds: SeedSet) -> str:
 
 def _realize(source, sweep, value, graph_seed):
     if isinstance(source, DatasetSource):
-        if sweep is not None:
-            raise ValidationError("parameter sweeps apply to block-model sources only")
         return source.graph, source.labels, None
     params = _swept_params(source.params, sweep, value)
     if isinstance(source, SbmSource):
@@ -419,8 +423,6 @@ def _run_one(cfg: ExperimentConfig, pi: int, value: float, rep: int, table: Resu
 
     policy = cfg.policy
     if policy is None:
-        if params is None:
-            raise ValidationError("dataset sources need an explicit sampling policy")
         policy = SamplingPolicy(kind="explicit_counts", counts=params.seed_counts)
     policy = replace(policy, rng_seed=sample_seed)
     seeds = sample_seeds(truth, graph, policy)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import heatprop.solver
 from heatprop import (
     SeedSet,
     SolverOptions,
@@ -12,7 +13,7 @@ from heatprop import (
     diffuse_one_vs_all,
 )
 from heatprop.blockmodel import BlockModelParams, build_deterministic_block_graph
-from heatprop.classify import classification_from_scores, scores_from_fields
+from heatprop.classify import classification_from_scores, one_vs_all_fields, scores_from_fields
 from conftest import barbell_graph, count_calls, path_graph, random_connected_graph
 
 EXACT = SolverOptions(mode="exact")
@@ -155,8 +156,6 @@ class TestClassify:
         g = random_connected_graph(rng, 30, extra_edges=30)
         nodes = rng.choice(30, size=6, replace=False)
         seeds = SeedSet(nodes=nodes, labels=np.repeat([1, 2, 3], 2), num_labels=3)
-        from heatprop.classify import one_vs_all_fields
-
         fields = one_vs_all_fields(g, seeds, EXACT)
         shifted = tuple(
             TemperatureField(values=f.values + c) for f, c in zip(fields, (0.7, -2.0, 13.0))
@@ -171,6 +170,56 @@ class TestClassify:
         scores, result = classify(g, seeds, "centered", EXACT)
         s = np.sort(scores.scores, axis=1)
         assert np.allclose(result.confidence, s[:, -1] - s[:, -2])
+
+
+def three_label_seeds(rng, n):
+    nodes = rng.choice(n, size=9, replace=False)
+    return SeedSet(nodes=nodes, labels=np.repeat([1, 2, 3], 3), num_labels=3)
+
+
+class TestPartitionOfUnity:
+    @pytest.mark.parametrize("num_labels", [1, 2, 3])
+    def test_solves_per_mode(self, monkeypatch, num_labels):
+        iterative = count_calls(monkeypatch, heatprop.solver, "solve_iterative")
+        exact = count_calls(monkeypatch, heatprop.solver, "solve_exact")
+        g = random_connected_graph(np.random.default_rng(41), 30, extra_edges=30)
+        labels = np.arange(1, num_labels + 1)
+        seeds = SeedSet(nodes=labels - 1, labels=labels, num_labels=num_labels)
+        fields = one_vs_all_fields(g, seeds)
+        # K=1 has no other field to derive from
+        assert (len(iterative), len(exact)) == (max(num_labels - 1, 1), 0)
+        iterative.clear()
+        assert len(one_vs_all_fields(g, seeds, EXACT)) == len(fields) == num_labels
+        assert (len(iterative), len(exact)) == (0, num_labels)
+
+    def test_derived_field_matches_solved(self):
+        rng = np.random.default_rng(43)
+        g = random_connected_graph(rng, 200, extra_edges=200)
+        seeds = three_label_seeds(rng, 200)
+        fields = one_vs_all_fields(g, seeds)
+        solved = diffuse_one_vs_all(g, seeds, 3)
+        assert np.abs(fields[2].values - solved.values).max() < 1e-8
+        assert [f.info.stop_reason for f in fields] == ["tolerance", "tolerance", "derived"]
+        assert fields[2].info.iterations == 0
+        assert fields[2].info.final_change == sum(f.info.final_change for f in fields[:2])
+
+    def test_fields_sum_to_one(self):
+        rng = np.random.default_rng(47)
+        opts = SolverOptions()
+        for n in (40, 200):
+            g = random_connected_graph(rng, n, extra_edges=n)
+            fields = one_vs_all_fields(g, three_label_seeds(rng, n), opts)
+            total = sum(f.values for f in fields)
+            assert np.abs(total - 1.0).max() <= len(fields) * opts.tolerance
+
+    def test_maximum_principle_before_convergence(self):
+        # the unclipped 1 - sum leaves [0, 1] after 5 and 8 iterations here
+        rng = np.random.default_rng(0)
+        g = random_connected_graph(rng, 200, extra_edges=200)
+        seeds = three_label_seeds(rng, 200)
+        for cap in (5, 8, 100):
+            fields = one_vs_all_fields(g, seeds, SolverOptions(max_iterations=cap))
+            assert all(f.values.min() >= 0.0 and f.values.max() <= 1.0 for f in fields)
 
 
 class TestClassifyBinary:

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import heatprop.experiments
+import heatprop.solver
 from heatprop import (
     BlockModelParams,
     BlockSource,
@@ -29,8 +31,6 @@ from conftest import count_calls, random_connected_graph, star_graph
 
 def count_field_solves(monkeypatch) -> list:
     """Record every call of ``one_vs_all_fields`` made by the experiment runner."""
-    import heatprop.experiments
-
     return count_calls(monkeypatch, heatprop.experiments, "one_vs_all_fields")
 
 
@@ -236,13 +236,22 @@ class TestRunExperiment:
     def test_dataset_source_requires_policy(self):
         rng = np.random.default_rng(137)
         g, labels = labeled_random_graph(rng)
-        cfg = ExperimentConfig(
-            source=DatasetSource(graph=g, labels=labels), repetitions=2, master_seed=1
-        )
-        table = run_experiment(cfg)
-        assert len(table.rows) == 0 and len(table.failures) == 2
-        cfg2 = dataclasses.replace(cfg, policy=SamplingPolicy(kind="uniform", fraction=0.2))
-        assert len(run_experiment(cfg2).rows) == 4
+        source = DatasetSource(graph=g, labels=labels)
+        with pytest.raises(ValidationError, match="explicit sampling policy"):
+            ExperimentConfig(source=source, repetitions=2, master_seed=1)
+        policy = SamplingPolicy(kind="uniform", fraction=0.2)
+        cfg = ExperimentConfig(source=source, repetitions=2, master_seed=1, policy=policy)
+        assert len(run_experiment(cfg).rows) == 4
+
+    def test_dataset_source_rejects_sweep(self):
+        g, labels = labeled_random_graph(np.random.default_rng(139))
+        policy = SamplingPolicy(kind="uniform", fraction=0.2)
+        with pytest.raises(ValidationError, match="block-model sources only"):
+            ExperimentConfig(
+                source=DatasetSource(graph=g, labels=labels),
+                policy=policy,
+                sweep=Sweep(kind="size_ratio", values=(1.0, 2.0)),
+            )
 
     def test_unknown_variant_rejected_at_config_time(self):
         with pytest.raises(ValidationError, match="unknown variants centred"):
@@ -289,6 +298,23 @@ class TestRunExperiment:
         assert not table.failures
         assert len(table.rows) == 2 * 3 * len(variants)
         assert len(calls) == 2 * 3
+
+    def test_solve_budget_on_sbm_sweep_slot(self, monkeypatch):
+        # one repetition of the benchmark's sbm-sweep slot shape; master seed
+        # 1 draws a graph where every component holds a seed
+        solves = count_calls(monkeypatch, heatprop.solver, "solve_iterative")
+        matvecs = count_calls(monkeypatch, heatprop.solver, "transition_apply")
+        params = BlockModelParams(sizes=(5000, 5000), seed_counts=(250, 250), p=1e-3, q=1e-4)
+        cfg = ExperimentConfig(source=SbmSource(params=params), repetitions=1, master_seed=1)
+        table = run_experiment(cfg)
+        assert not table.failures and len(table.rows) == 2
+        # two labels: one field solved, the other derived
+        assert len(solves) == 1
+        iterations = table.rows[0].iterations
+        # the cap check follows the tolerance check, so fewer iterations than
+        # the cap means the tolerance stopped the solve
+        assert iterations < SolverOptions().max_iterations
+        assert len(matvecs) == 1 + iterations <= 101
 
     def test_failed_repetition_recorded_not_dropped(self):
         params = BlockModelParams(sizes=(30, 30), seed_counts=(2, 2), p=0.2, q=0.05)

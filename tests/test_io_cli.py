@@ -196,6 +196,15 @@ class TestCli:
         )
         assert code == 2
 
+    def test_classify_strict_tolerance_convergence_exits_0(self, tmp_path):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("0\tmr_hi\n33\tofficer\n")
+        code = self.run(
+            "classify", "--graph", "karate", "--seeds-file", str(seeds),
+            "--tol", "0", "--max-iter", "10000", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 0
+
     def test_classify_directed_dataset(self, tmp_path):
         edges = tmp_path / "d.edges"
         edges.write_text("a b\nb a\nb c\nc b\nc a\na c\n")
@@ -252,8 +261,8 @@ class TestCli:
             assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / config / name).read_bytes(), name
 
     def test_bench_config_defaults(self, tmp_path):
-        # seeded densely enough that the fields converge in 46-52 sweeps, so
-        # another tolerance, iteration cap or mode shows in the iters column
+        # the fields take 12-13 conjugate-gradient iterations, so another
+        # tolerance, a cap below that or another mode shows in the iters column
         model = "sizes = 60,60\nseeds = 20,20\np = 0.3\nq = 0.05\n"
         spelled_out = model + (
             "source = sbm\nsweep = none\nvariants = vanilla,centered\nrepetitions = 10\n"
@@ -300,6 +309,7 @@ class TestCli:
             "sweep = seed_ratio",
             "variants = centred",
             "policy = explicit\nsweep = seed_ratio\nsweep_values = 1,2",
+            "source = karate\nsweep = size_ratio\nsweep_values = 1,2",
         ],
     )
     def test_bench_malformed_config_is_one_error_line(self, tmp_path, capsys, bad):

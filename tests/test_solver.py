@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import heatprop.solver
 from heatprop import (
     DirichletProblem,
     NumericalError,
@@ -14,7 +17,7 @@ from heatprop import (
 )
 from heatprop.blockmodel import BlockModelParams, build_deterministic_block_graph
 from heatprop.solver import jacobi_sweep
-from conftest import barbell_graph, path_graph, random_connected_graph, star_graph
+from conftest import barbell_graph, count_calls, path_graph, random_connected_graph, star_graph
 
 TIGHT = SolverOptions(max_iterations=10_000, tolerance=1e-12)
 
@@ -79,6 +82,9 @@ class TestIterative:
         p = DirichletProblem.from_dict(path_graph(5), {0: 0.3, 4: 0.9})
         f = solve_iterative(p, SolverOptions(max_iterations=5))
         assert f.values[0] == 0.3 and f.values[4] == 0.9
+        # a temperature inside the boundary range, which the clip does not pin
+        p = DirichletProblem.from_dict(path_graph(5), {0: 0.3, 2: 0.9, 4: 1.0})
+        assert solve_iterative(p, SolverOptions(max_iterations=5)).values[2] == 0.9
 
     def test_component_without_boundary_named(self):
         g = build_graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
@@ -103,6 +109,54 @@ class TestIterative:
             lo, hi = p.boundary_temps.min(), p.boundary_temps.max()
             for f in (solve_iterative(p, SolverOptions(max_iterations=37)), solve_exact(p)):
                 assert f.values.min() >= lo and f.values.max() <= hi
+
+    @pytest.mark.parametrize("temp", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9])
+    def test_equal_boundary_temperatures_need_no_iteration(self, temp, tolerance):
+        # a zero right-hand side: the constant field at once, with no 0/0
+        p = make_fixture_problems()[7]  # random weighted graph, 50 nodes
+        temps = np.full(p.boundary.size, temp)
+        p = DirichletProblem(graph=p.graph, boundary=p.boundary, boundary_temps=temps)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            f = solve_iterative(p, SolverOptions(tolerance=tolerance))
+        assert np.array_equal(f.values, np.full(p.graph.n, temp))
+        assert (f.info.iterations, f.info.stop_reason, f.info.final_change) == (0, "tolerance", 0.0)
+
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-12])
+    def test_final_change_bounds_residual_at_tolerance_stop(self, tolerance):
+        # final_change is the recursively updated defect; the defect of the
+        # returned field stays within a small multiple of it
+        for p in make_fixture_problems():
+            f = solve_iterative(p, SolverOptions(max_iterations=10_000, tolerance=tolerance))
+            assert f.info.stop_reason == "tolerance"
+            assert f.info.final_change < tolerance
+            assert residual(p, f) <= 10 * tolerance
+
+    def test_tolerance_zero_stops_at_rounding_level(self):
+        # the recursive residual would shrink into underflow and the steps
+        # turn to noise; the solve stops once the defect reaches eps * span
+        tiny = DirichletProblem.from_dict(path_graph(5), {0: 0.0, 4: 1e-200})
+        for p in make_fixture_problems() + [tiny]:
+            span = np.ptp(p.boundary_temps) or 1.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                f = solve_iterative(p, SolverOptions(max_iterations=10_000, tolerance=0.0))
+            assert f.info.stop_reason == "tolerance" and f.info.iterations < 500
+            assert residual(p, f) <= 1e-14 * span
+
+    def test_one_matvec_per_iteration(self, monkeypatch):
+        calls = count_calls(monkeypatch, heatprop.solver, "transition_apply")
+        for p in make_fixture_problems()[7:9]:  # the random graphs
+            calls.clear()
+            f = solve_iterative(p, SolverOptions(max_iterations=3))
+            assert (f.info.iterations, f.info.stop_reason) == (3, "max_iterations")
+            assert f.info.final_change >= SolverOptions().tolerance
+            assert len(calls) == 1 + 3
+            calls.clear()
+            f = solve_iterative(p)
+            assert f.info.stop_reason == "tolerance"
+            assert len(calls) == 1 + f.info.iterations
 
     def test_sweep_change_is_nonincreasing(self):
         for p in make_fixture_problems():
