@@ -17,7 +17,7 @@ import numpy as np
 
 from .classify import SeedSet, one_vs_all_problem
 from .errors import NumericalError, ValidationError
-from .graph import Graph, NodePartition, build_graph
+from .graph import Graph, NodePartition, _sorted_unique, build_graph
 from .solver import solve_exact
 
 DEFAULT_MAX_DENSE_NODES = 5_000
@@ -269,7 +269,7 @@ def _repair_isolated(rng, params: BlockModelParams, src, dst) -> tuple[np.ndarra
     # resampled rows may duplicate each other (two repaired nodes drawing the
     # same pair); edges are unit weight, so merge duplicates by de-duplication
     lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    key = np.unique(lo * n + hi)
+    key = _sorted_unique(lo * n + hi)
     return key // n, key % n
 
 
@@ -284,10 +284,10 @@ def _distinct_integers(rng, total: int, count: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if count > total:
         raise ValidationError("cannot sample more distinct integers than the population")
-    pick = np.unique(rng.integers(0, total, size=count))
+    pick = _sorted_unique(rng.integers(0, total, size=count))
     while pick.size < count:
         extra = rng.integers(0, total, size=2 * (count - pick.size) + 8)
-        pick = np.unique(np.concatenate([pick, extra]))
+        pick = _sorted_unique(np.concatenate([pick, extra]))
     if pick.size > count:
         pick = rng.choice(pick, size=count, replace=False)
         pick.sort()

@@ -27,7 +27,7 @@ from .blockmodel import (
 )
 from .classify import VARIANTS, SeedSet, classification_from_scores, one_vs_all_fields, scores_from_fields
 from .errors import NumericalError, ValidationError
-from .graph import Graph, MultiLabelPartition, NodePartition
+from .graph import Graph, MultiLabelPartition, NodePartition, _sorted_unique
 from .solver import SolverOptions
 
 POLICY_KINDS = ("uniform", "degree", "balanced", "explicit_counts")
@@ -89,7 +89,7 @@ def sample_seeds(labels: NodePartition, g: Graph, policy: SamplingPolicy) -> See
     if labeled.size == 0:
         raise ValidationError("no labeled nodes to sample from")
     labeled_labels = labels.labels[labeled]
-    present = np.unique(labeled_labels)
+    present = _sorted_unique(labeled_labels)
 
     if policy.kind == "explicit_counts":
         nodes = _sample_explicit(rng, labels, labeled, labeled_labels, present, policy.counts)
@@ -115,7 +115,7 @@ def _sample_by_count(rng, g, labels, labeled, labeled_labels, present, policy) -
         else:  # degree: exponential race == sequential weighted draws
             keys = rng.exponential(size=labeled.size) / g.degrees[labeled]
             pick = labeled[np.argsort(keys)[:target]]
-        if np.unique(labels.labels[pick]).size == present.size:
+        if _sorted_unique(labels.labels[pick]).size == present.size:
             return pick
     raise ValidationError(
         f"failed to cover all {present.size} labels after {MAX_SAMPLING_ATTEMPTS} draws"

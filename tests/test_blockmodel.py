@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -303,6 +304,33 @@ class TestSbm:
         g, _, _ = sbm_generate(params, rng_seed=4)
         rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
         assert not np.any(rows == g.indices)
+
+    @pytest.mark.parametrize(
+        "params, seed, digest",
+        [
+            # the sbm-sweep slot: 32 isolated nodes repaired
+            (
+                BlockModelParams(sizes=(5000, 5000), seed_counts=(250, 250), p=1e-3, q=1e-4),
+                1,
+                "25522c65499870b5aa64624eebf3e0bfb599be80593e04389a89468f5f61e80d",
+            ),
+            # three blocks: 56 isolated nodes repaired
+            (
+                BlockModelParams(sizes=(3000, 2000, 1000), seed_counts=(60, 40, 20), p=2e-3, q=3e-4),
+                3,
+                "b5a4e5f4054d0d5df4dacc67034d413197e634280a5c253e0b1203eecaf63298",
+            ),
+        ],
+        ids=["two-block", "three-block"],
+    )
+    def test_csr_bytes_pinned(self, params, seed, digest):
+        # SHA-256 of indptr, indices and weights as first drawn; a change in
+        # any draw, the repair or the assembly order changes it
+        g, _, _ = sbm_generate(params, rng_seed=seed)
+        h = hashlib.sha256()
+        for arr in (g.indptr, g.indices, g.weights):
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestSamplingHelpers:

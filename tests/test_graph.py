@@ -11,6 +11,7 @@ from heatprop import (
     directed_to_bipartite,
     transition_apply,
 )
+from heatprop.graph import _sorted_unique
 from conftest import dense_from_edges, path_graph, random_connected_graph
 
 
@@ -171,3 +172,57 @@ class TestConnectedComponents:
         comps = connected_components(karate.graph)
         assert len(comps) == 1
         assert comps[0].size == 34
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.empty(0, dtype=np.int64),
+            np.array([7]),
+            np.full(5, 3),
+            np.arange(10),
+            np.array([-3, 5, -3, 0, -8, 5]),
+            np.random.default_rng(5).integers(-50, 50, size=1000),
+        ],
+        ids=["empty", "one", "all-equal", "sorted", "negative", "random"],
+    )
+    def test_matches_np_unique(self, values):
+        out, expect = _sorted_unique(values), np.unique(values)
+        assert out.dtype == expect.dtype
+        assert np.array_equal(out, expect)
+
+
+def lexsort_reference(n, src, dst, w):
+    """CSR arrays of ``build_graph(n, (src, dst, w))``: the same merge of
+    duplicate pairs, then assembly by ``np.lexsort`` on (row, column)."""
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    order = np.argsort(lo * n + hi, kind="stable")
+    lo, hi, w = lo[order], hi[order], w[order]
+    key = lo * n + hi
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    lo, hi, w = lo[starts], hi[starts], np.add.reduceat(w, starts)
+    off = lo != hi
+    rows, cols, vals = (np.concatenate(pair) for pair in ((lo, hi[off]), (hi, lo[off]), (w, w[off])))
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return indptr, cols[order], vals[order]
+
+
+def test_assembly_matches_lexsort_reference():
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        n = int(rng.integers(2, 200))
+        m = int(rng.integers(n, 4 * n))
+        # a cover of every node (self-loops included), random pairs, and
+        # copies of some pairs in both orientations
+        src = np.concatenate([np.arange(n), rng.integers(0, n, size=m)])
+        dst = np.concatenate([rng.permutation(n), rng.integers(0, n, size=m)])
+        dup = rng.integers(0, src.size, size=src.size // 3)
+        flip = rng.random(dup.size) < 0.5
+        a, b = np.where(flip, dst[dup], src[dup]), np.where(flip, src[dup], dst[dup])
+        src, dst = np.concatenate([src, a]), np.concatenate([dst, b])
+        w = rng.uniform(0.1, 3.0, size=src.size)
+        g = build_graph(n, (src, dst, w))
+        for got, expect in zip((g.indptr, g.indices, g.weights), lexsort_reference(n, src, dst, w)):
+            assert got.tobytes() == np.asarray(expect, dtype=got.dtype).tobytes()

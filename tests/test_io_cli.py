@@ -262,7 +262,9 @@ class TestCli:
 
     def test_bench_config_defaults(self, tmp_path):
         # the fields take 12-13 conjugate-gradient iterations, so another
-        # tolerance, a cap below that or another mode shows in the iters column
+        # tolerance, a cap below that or another mode shows in the iters
+        # column; the decoded configs must also be equal, so that any other
+        # changed default in SolverOptions or ExperimentConfig shows
         model = "sizes = 60,60\nseeds = 20,20\np = 0.3\nq = 0.05\n"
         spelled_out = model + (
             "source = sbm\nsweep = none\nvariants = vanilla,centered\nrepetitions = 10\n"
@@ -276,6 +278,7 @@ class TestCli:
         results = [(tmp_path / name / "results.csv").read_bytes() for name in ("minimal", "spelled-out")]
         assert results[0] == results[1]
         assert len(results[0].splitlines()) == 1 + 10 * 2
+        assert _config_experiment(parse_config(model), None) == _config_experiment(parse_config(spelled_out), None)
 
     def test_bench_files_source_matches_bundled_dataset(self, tmp_path):
         common = "policy = uniform\nrepetitions = 3\n"
