@@ -86,7 +86,9 @@ def _load_bundle(graph: str, labels=None, directed=False, weighted=False, delimi
     return load_dataset(graph, labels_path=labels, directed=directed, weighted=weighted, delimiter=delimiter)
 
 
-def _copy_index(bundle, original: int, use_destination: bool) -> int:
+def _copy_index(bundle, original, use_destination: bool):
+    """Graph index of the copy of an original node (or array of nodes) that
+    seeds and output refer to."""
     return original + bundle.n_original if bundle.directed and use_destination else original
 
 
@@ -146,15 +148,21 @@ def _cmd_classify(args) -> int:
         if args.tol == 0 and fld.info.stop_reason == "max_iterations" and fld.info.final_change > 0:
             strict_failure = True
 
-    seed_set = set(int(s) for s in seeds.nodes)
-    lines = ["node_id,label,confidence"]
-    for original in range(bundle.n_original):
-        idx = _copy_index(bundle, original, args.use_destination)
-        if idx in seed_set:
-            continue
-        name = label_names.get(int(result.labels[idx]), str(int(result.labels[idx])))
-        lines.append(f"{bundle.external_id(original)},{name},{_fmt(float(result.confidence[idx]))}")
-    text = "\n".join(lines) + "\n"
+    index = _copy_index(bundle, np.arange(bundle.n_original), args.use_destination)
+    is_seed = np.zeros(bundle.graph.n, dtype=bool)
+    is_seed[seeds.nodes] = True
+    originals = np.flatnonzero(~is_seed[index])
+    index = index[originals]
+    labels = result.labels[index].tolist()
+    names = {lab: label_names.get(lab, str(lab)) for lab in set(labels)}
+    external = list(bundle.id_map)
+    rows = map(
+        "{},{},{}\n".format,
+        map(external.__getitem__, originals.tolist()),
+        map(names.__getitem__, labels),
+        map(_fmt, result.confidence[index].tolist()),
+    )
+    text = "node_id,label,confidence\n" + "".join(rows)
     if args.out == "-":
         sys.stdout.write(text)
     else:
@@ -162,7 +170,7 @@ def _cmd_classify(args) -> int:
 
     iters = max(f.info.iterations for f in scores.fields)
     print(
-        f"classified {len(lines) - 1} nodes | variant={args.variant} "
+        f"classified {originals.size} nodes | variant={args.variant} "
         f"iterations={iters} residual={_fmt(max_residual)} wall={wall:.3f}s",
         file=sys.stderr,
     )

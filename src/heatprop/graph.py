@@ -56,7 +56,7 @@ class Graph:
             raise ValidationError("indices and weights must have equal length")
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise ValidationError("column index out of range")
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):  # also false for NaN
             raise ValidationError("all edge weights must be positive")
         # unique, sorted columns within each row
         if indices.size:
@@ -66,7 +66,11 @@ class Graph:
             inner[indptr[1:-1]] = False
             if np.any((np.diff(indices) <= 0) & inner[1:-1]):
                 raise ValidationError("column indices must be strictly increasing per row")
-        row_sums = _row_sums(indptr, weights)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            row_sums = _row_sums(indptr, weights)
+        # one check per node catches infinite weights and sums that overflow
+        if not np.all(np.isfinite(row_sums)):
+            raise ValidationError("edge weights and their row sums must be finite")
         if np.any(row_sums <= 0):
             bad = np.flatnonzero(row_sums <= 0)
             raise IsolatedNodeError(
@@ -171,24 +175,25 @@ def build_graph(n: int, edges) -> Graph:
     Parameters
     ----------
     n : total node count; ids must lie in ``[0, n)``.
-    edges : sequence of ``(i, j, w)`` triples with ``w > 0``, or a tuple of
+    edges : sequence of ``(i, j, w)`` triples with finite ``w > 0``, or a tuple of
         three aligned arrays. Input is treated as undirected; duplicate pairs
         (in either orientation) have their weights summed. Self-loops are
         permitted.
 
     Raises
     ------
-    ValidationError : on out-of-range ids or nonpositive weights.
+    ValidationError : on out-of-range ids, or weights that are not positive
+        and finite.
     IsolatedNodeError : if any node ends up with zero degree.
     """
     src, dst, w = _edge_arrays(edges)
     if src.size and (src.min() < 0 or dst.min() < 0 or max(src.max(), dst.max()) >= n):
         raise ValidationError(f"edge endpoint out of range [0, {n})")
-    if np.any(w <= 0):
-        bad = np.flatnonzero(w <= 0)[0]
-        raise ValidationError(
-            f"nonpositive weight {w[bad]} on edge ({src[bad]}, {dst[bad]})"
-        )
+    invalid = np.flatnonzero(~((w > 0) & (w < np.inf)))
+    if invalid.size:
+        bad = invalid[0]
+        kind = "nonpositive" if w[bad] <= 0 else "non-finite"
+        raise ValidationError(f"{kind} weight {w[bad]} on edge ({src[bad]}, {dst[bad]})")
 
     # canonical orientation, then merge duplicates
     lo = np.minimum(src, dst)

@@ -1,23 +1,42 @@
-"""Dataset ingestion: edge lists and label files with external string ids."""
+"""Dataset ingestion: edge lists and label files with external string ids.
+
+Both loaders run on one array tokenizer, ``_tokenize``. It reads a file once,
+classifies every character through a lookup table and finds lines, fields and
+their counts with whole-array operations; ``_first_seen`` then numbers the
+fields by value with one sort. No Python code runs per line or per token,
+except to parse weights with ``float``, to name each distinct id once and to
+settle overlapping matches of a multi-character delimiter.
+"""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, MultiLabelPartition, NodePartition, build_graph, directed_to_bipartite
+from .graph import Graph, NodePartition, _concat_ranges, build_graph, directed_to_bipartite
+
+# every character str.isspace() accepts lies below U+3001 (a test checks the
+# whole code space); the line breaks of str.splitlines() are all whitespace
+_WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+_LINE_BREAKS = "".join(c for c in _WHITESPACE if len(f"x{c}x".splitlines()) == 2)
+_SPACE, _BREAK = 1, 2
+# _LOW_BITS[b] has the low b of 64 bits set
+_LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
 
 
 @dataclass
 class DatasetBundle:
     """A loaded graph plus the bookkeeping to map back to external ids.
 
-    For directed inputs the graph is the bipartite lift on ``2 * n_original``
-    nodes: index ``i`` is the source copy of external node ``i`` and
-    ``n_original + i`` its destination copy.
+    ``id_map`` numbers the external ids 0, 1, ... in insertion order (the
+    order of first appearance in the edge list). For directed inputs the
+    graph is the bipartite lift on ``2 * n_original`` nodes: index ``i`` is
+    the source copy of external node ``i`` and ``n_original + i`` its
+    destination copy.
     """
 
     graph: Graph
@@ -25,35 +44,239 @@ class DatasetBundle:
     directed: bool
     n_original: int
     labels: NodePartition | None = None
-    multi_labels: MultiLabelPartition | None = None
     label_names: dict[int, str] | None = None
 
-    def external_id(self, index: int) -> str:
-        if not hasattr(self, "_reverse"):
-            self._reverse = {v: k for k, v in self.id_map.items()}
-        return self._reverse[index]
+
+@dataclass
+class _Fields:
+    """The fields of a text file's data lines (neither blank nor comment),
+    in file order, each stripped of surrounding whitespace."""
+
+    text: str
+    codes: np.ndarray  # the code units of ``text``, one per character
+    starts: np.ndarray  # field i is text[starts[i]:ends[i]]
+    ends: np.ndarray
+    line_numbers: np.ndarray  # 1-based line number of each data line
+    counts: np.ndarray  # fields per data line
 
 
-def _detect_delimiter(line: str) -> str | None:
-    if "\t" in line:
-        return "\t"
-    if "," in line:
-        return ","
-    return None  # whitespace split
+def _code_units(text: str) -> np.ndarray:
+    """One array element per character: 1-byte units for ASCII text, 4-byte
+    units otherwise."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
 
 
-def _split(line: str, delimiter: str | None) -> list[str]:
-    parts = line.split(delimiter) if delimiter else line.split()
-    return [p for p in (s.strip() for s in parts) if p]
+def _substrings(text: str, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    return [text[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
 
 
-def _data_lines(path, comment_prefix: str):
+def _tokenize(path, delimiter: str | None, comment_prefix: str) -> _Fields:
+    """Split a file as ``str.splitlines``, ``str.strip`` and ``str.split``
+    would, line by line.
+
+    A line whose stripped text is empty or starts with ``comment_prefix`` is
+    skipped. With a delimiter, each line is split at its occurrences and the
+    parts are stripped; without one (or with ``""``) it is split at
+    whitespace. Empty parts are dropped. Unless a delimiter is given, lines
+    are split at whitespace up to the first data line that holds a tab or a
+    comma, which sets the delimiter (tab first) for the rest of the file.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or (comment_prefix and line.startswith(comment_prefix)):
-            continue
-        yield ln, line
+    codes = _code_units(text)
+    space, breaks = _classify(codes)
+    # runs of non-space characters; line i starts at line_bound[i], holds the
+    # runs bounds[i]:bounds[i + 1] (no run starts at a break) and, stripped,
+    # spans them
+    run_start = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+    run_end = np.flatnonzero(~space & np.append(space[1:], True)) + 1
+    line_bound = np.concatenate(([0], breaks + 1, [codes.size + 1]))
+    bounds = np.searchsorted(run_start, line_bound)
+    lines = np.flatnonzero(bounds[1:] > bounds[:-1])  # nonblank lines
+    content_start = run_start[bounds[lines]]
+    content_end = run_end[bounds[lines + 1] - 1]
+    if comment_prefix:
+        comment = np.ones(lines.size, dtype=bool)
+        for k, char in enumerate(comment_prefix):
+            at = content_start + k
+            comment &= (at < content_end) & (codes[np.minimum(at, codes.size - 1)] == ord(char))
+        lines, content_start, content_end = lines[~comment], content_start[~comment], content_end[~comment]
+    if not lines.size:
+        empty = np.empty(0, dtype=np.int64)
+        return _Fields(text, codes, empty, empty, empty, empty)
+
+    switch = 0  # lines from here on are split at the delimiter, lines before at whitespace
+    if delimiter is None:
+        delimiter, switch = _detect_delimiter(text, codes, content_start, content_end)
+    if delimiter:
+        # one cut character at each end, so that every field lies between two
+        cut = np.zeros(codes.size + 2, dtype=bool)
+        cut[[0, -1]] = True
+        cut[breaks + 1] = True
+        if len(delimiter) == 1:
+            cut[1:-1] |= codes == ord(delimiter)
+        else:
+            cut[_delimiter_units(codes, delimiter, content_start, content_end) + 1] = True
+        cut[1 : switch + 1] = space[:switch]
+        starts, ends = _stripped_fields(cut, space, run_start, run_end)
+        bounds = np.searchsorted(starts, line_bound)
+    else:
+        starts, ends = run_start, run_end
+    # the fields of line i are bounds[i]:bounds[i + 1]
+    counts = np.diff(bounds)[lines]
+    if counts.sum() < starts.size:  # fields on comment lines
+        keep = _concat_ranges(bounds, lines)
+        starts, ends = starts[keep], ends[keep]
+    return _Fields(text, codes, starts, ends, line_numbers=lines + 1, counts=counts)
+
+
+def _classify(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A mask of the whitespace characters and the positions of the line
+    breaks, found through one lookup table."""
+    table = np.zeros(256 if codes.itemsize == 1 else sys.maxunicode + 1, dtype=np.uint8)
+    table[[ord(c) for c in _WHITESPACE if ord(c) < table.size]] = _SPACE
+    table[[ord(c) for c in _LINE_BREAKS if ord(c) < table.size]] |= _BREAK
+    kind = table[codes]
+    return kind != 0, np.flatnonzero(kind & _BREAK)
+
+
+def _detect_delimiter(text: str, codes: np.ndarray, content_start, content_end) -> tuple[str | None, int]:
+    """The delimiter set by the first data line that holds a tab or a comma
+    (tab first), and where that line starts; None and 0 without one."""
+    hits = np.flatnonzero((codes == ord("\t")) | (codes == ord(",")))
+    line = np.searchsorted(content_start, hits, side="right") - 1
+    inside = np.flatnonzero((line >= 0) & (hits < content_end[np.maximum(line, 0)]))
+    if not inside.size:
+        return None, 0
+    first = line[inside[0]]
+    return ("\t" if "\t" in text[content_start[first] : content_end[first]] else ","), content_start[first]
+
+
+def _stripped_fields(cut: np.ndarray, space: np.ndarray, run_start, run_end) -> tuple[np.ndarray, np.ndarray]:
+    """The spans between the characters that ``cut[1:-1]`` marks, stripped of
+    whitespace, that are not empty."""
+    bounds = np.flatnonzero(cut)
+    bounds -= 1
+    keep = np.diff(bounds) > 1
+    starts = bounds[:-1][keep]
+    starts += 1
+    ends = bounds[1:][keep]
+    # a start on a space moves to the next run's start, an end after a space
+    # back to the previous run's end
+    lead = np.flatnonzero(space[starts])
+    run = np.searchsorted(run_start, starts[lead])
+    starts[lead] = np.where(run < run_start.size, run_start[np.minimum(run, run_start.size - 1)], space.size)
+    trail = np.flatnonzero(space[ends - 1])
+    run = np.searchsorted(run_end, ends[trail] - 1, side="right") - 1
+    ends[trail] = np.where(run >= 0, run_end[run], 0)
+    keep = ends > starts
+    return (starts, ends) if keep.all() else (starts[keep], ends[keep])
+
+
+def _delimiter_units(codes, delimiter: str, content_start, content_end) -> np.ndarray:
+    """Positions of the characters of the occurrences of a multi-character
+    ``delimiter`` that ``str.split`` finds in the stripped data lines:
+    non-overlapping, taken from left to right."""
+    size = len(delimiter)
+    count = max(codes.size - size + 1, 0)
+    hit = np.ones(count, dtype=bool)
+    for k, char in enumerate(delimiter):
+        hit &= codes[k : k + count] == ord(char)
+    at = np.flatnonzero(hit)
+    line = np.searchsorted(content_start, at, side="right") - 1
+    inside = (line >= 0) & (at + size <= content_end[np.maximum(line, 0)])
+    at = at[inside]
+    if np.any(np.diff(at) < size):
+        kept, free = [], 0
+        for position in at.tolist():
+            if position >= free:
+                kept.append(position)
+                free = position + size
+        at = np.array(kept, dtype=np.int64)
+    return (at[:, None] + np.arange(size)).ravel()
+
+
+def _first_seen(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the tokens ``codes[starts[i]:ends[i]]`` by value, 0, 1, ... in
+    order of first appearance. Returns each token's number and, per number,
+    the index of its first token.
+
+    Tokens are compared by 64-bit words of their code units, each plus one so
+    that zero pads unambiguously: one sort when every token fits one word.
+    """
+    if not starts.size:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    unit_bits = 8 * codes.itemsize
+    padded = np.zeros(codes.size + 8 // codes.itemsize, dtype=codes.dtype.newbyteorder("<"))
+    padded[: codes.size] = codes
+    padded[: codes.size] += 1
+    # words[i]: the 64 bits from unit i on
+    words = np.ndarray((codes.size + 1,), dtype="<u8", buffer=padded, strides=(codes.itemsize,))
+    lengths = ends - starts
+    order, new = _sorted_groups(_unit_words(words, starts, lengths, 64 // unit_bits, unit_bits))
+    if lengths.max() > 64 // unit_bits:
+        order, new = _refined_groups(words, starts, lengths, order, new, unit_bits)
+    firsts = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_appearance = np.argsort(firsts)
+    number = np.empty(firsts.size, dtype=np.int64)
+    number[by_appearance] = np.arange(firsts.size)
+    group = np.cumsum(new)
+    group -= 1
+    ids = np.empty(starts.size, dtype=np.int64)
+    ids[order] = number[group]
+    return ids, firsts[by_appearance]
+
+
+def _unit_words(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray, units: int, unit_bits: int) -> np.ndarray:
+    """The first ``units`` code units from each start as a 64-bit word, zero
+    past the token's length."""
+    key = words[starts]
+    shift = np.minimum(lengths, units)
+    shift *= unit_bits
+    key &= _LOW_BITS[shift]
+    return key
+
+
+def _refined_groups(words, starts, lengths, order, new, unit_bits) -> tuple[np.ndarray, np.ndarray]:
+    """``_sorted_groups`` of the tokens by value, from their groups by the
+    first word: each further sort splits the classes of the tokens with units
+    left by their next units."""
+    cls = np.empty(starts.size, dtype=np.int64)  # tokens equal so far share a class
+    cls[order] = np.cumsum(new) - 1
+    classes = int(np.count_nonzero(new))
+    done = 64 // unit_bits
+    tokens = np.flatnonzero(lengths > done)
+    while tokens.size:
+        # fewer classes than code units in the file, so a unit fits beside them
+        units = (64 - classes.bit_length()) // unit_bits
+        key = _unit_words(words[done:], starts[tokens], lengths[tokens] - done, units, unit_bits)
+        key |= cls[tokens].astype(np.uint64) << np.uint64(unit_bits * units)
+        order, new = _sorted_groups(key)
+        cls[tokens[order]] = classes + np.cumsum(new) - 1
+        classes += int(np.count_nonzero(new))
+        done += units
+        tokens = tokens[lengths[tokens] > done]
+    return _sorted_groups(cls)
+
+
+def _sorted_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorting permutation of ``key`` and, in sorted order, a mask of the
+    entries that differ from their predecessor."""
+    order = np.argsort(key)
+    ranked = key[order]
+    return order, np.concatenate(([True], ranked[1:] != ranked[:-1]))
+
+
+def _float_prefix(texts: list[str]) -> list[float]:
+    """``float`` of each text up to, not including, the first one it rejects."""
+    values = []
+    try:
+        for text in texts:
+            values.append(float(text))
+    except ValueError:
+        pass
+    return values
 
 
 def load_edge_list(
@@ -65,47 +288,85 @@ def load_edge_list(
 ) -> DatasetBundle:
     """Parse ``src dst [weight]`` lines into a graph.
 
-    The delimiter is auto-detected (tab, comma, then whitespace) unless given.
-    Unknown tokens become new dense node ids in first-seen order. With
+    Unless a delimiter is given, lines are split at whitespace up to the
+    first line that holds a tab or a comma, which sets the delimiter (tab
+    first). Tokens become dense node ids in first-seen order. With
     ``weighted`` a third column is required per line; without it a third
     column is rejected so that a wrong delimiter cannot silently corrupt the
-    weights. Directed inputs are lifted to their bipartite form.
+    weights. Weights must be positive and finite. Directed inputs are lifted
+    to their bipartite form. The first bad line is reported by number.
     """
-    id_map: dict[str, int] = {}
-    src, dst, w = [], [], []
-    for ln, line in _data_lines(path, comment_prefix):
-        if delimiter is None:
-            delimiter = _detect_delimiter(line)
-        parts = _split(line, delimiter)
-        if len(parts) == 2:
-            if weighted:
-                raise ValidationError(f"{path}: line {ln}: expected a weight column")
-            weight = 1.0
-        elif len(parts) == 3:
-            if not weighted:
-                raise ValidationError(
-                    f"{path}: line {ln}: unexpected third column (use weighted=True)"
-                )
-            try:
-                weight = float(parts[2])
-            except ValueError:
-                raise ValidationError(f"{path}: line {ln}: bad weight {parts[2]!r}") from None
-        else:
-            raise ValidationError(f"{path}: line {ln}: expected 2 or 3 columns, got {len(parts)}")
-        if weight <= 0:
-            raise ValidationError(f"{path}: line {ln}: nonpositive weight {weight}")
-        for token in parts[:2]:
-            if token not in id_map:
-                id_map[token] = len(id_map)
-        src.append(id_map[parts[0]])
-        dst.append(id_map[parts[1]])
-        w.append(weight)
-    if not src:
-        raise ValidationError(f"{path}: no edges found")
+    id_map, arrays = _read_edges(path, weighted, comment_prefix, delimiter)
     n = len(id_map)
-    arrays = (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), np.asarray(w))
     graph = directed_to_bipartite(n, arrays) if directed else build_graph(n, arrays)
     return DatasetBundle(graph=graph, id_map=id_map, directed=directed, n_original=n)
+
+
+def _read_edges(path, weighted: bool, comment_prefix: str, delimiter: str | None):
+    """The id map and the ``(src, dst, weight)`` arrays of an edge-list file.
+    A function of its own, so that the file's fields are freed before the
+    graph is built."""
+    fields = _tokenize(path, delimiter, comment_prefix)
+    width = 3 if weighted else 2
+    bad = np.flatnonzero(fields.counts != width)
+    rows = int(bad[0]) if bad.size else fields.counts.size  # lines before the first bad count
+    starts = fields.starts[: rows * width].reshape(rows, width)
+    ends = fields.ends[: rows * width].reshape(rows, width)
+    weights = np.ones(rows)
+    if weighted:
+        texts = _substrings(fields.text, starts[:, 2], ends[:, 2])
+        weights = np.array(_float_prefix(texts), dtype=np.float64)
+        invalid = np.flatnonzero(~((weights > 0) & (weights < np.inf)))
+        row = int(invalid[0]) if invalid.size else weights.size
+        if row < rows:
+            where = f"{path}: line {fields.line_numbers[row]}"
+            if row == weights.size:
+                raise ValidationError(f"{where}: bad weight {texts[row]!r}")
+            kind = "nonpositive" if weights[row] <= 0 else "non-finite"
+            raise ValidationError(f"{where}: {kind} weight {float(weights[row])}")
+    if bad.size:
+        where = f"{path}: line {fields.line_numbers[rows]}"
+        count = int(fields.counts[rows])
+        if count == 2:
+            raise ValidationError(f"{where}: expected a weight column")
+        if count == 3:
+            raise ValidationError(f"{where}: unexpected third column (use weighted=True)")
+        raise ValidationError(f"{where}: expected 2 or 3 columns, got {count}")
+    if not rows:
+        raise ValidationError(f"{path}: no edges found")
+    starts, ends = starts[:, :2].ravel(), ends[:, :2].ravel()
+    ids, firsts = _first_seen(fields.codes, starts, ends)
+    names = _substrings(fields.text, starts[firsts], ends[firsts])
+    return dict(zip(names, range(len(names)))), (ids[0::2], ids[1::2], weights)
+
+
+def _lookup(id_map: dict[str, int], codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The ``id_map`` value of each token, and a mask of the tokens it holds."""
+    keys = list(id_map)
+    key_codes = _code_units("".join(keys))
+    key_lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+    key_ends = np.cumsum(key_lengths)
+    ids, _ = _first_seen(
+        np.concatenate((key_codes, codes)),
+        np.concatenate((key_ends - key_lengths, starts + key_codes.size)),
+        np.concatenate((key_ends, ends + key_codes.size)),
+    )
+    # the keys are distinct and come first, so key i is number i
+    number = ids[len(keys) :]
+    known = number < len(keys)
+    values = np.fromiter(id_map.values(), dtype=np.int64, count=len(keys))
+    return values[number[known]], known
+
+
+def _first_conflict(nodes: np.ndarray, labels: np.ndarray) -> int | None:
+    """Index of the first entry whose label differs from the label of the
+    first entry of its node, or None."""
+    order = np.argsort(nodes, kind="stable")
+    ranked = nodes[order]
+    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))[: order.size]
+    first_label = labels[order[first]][np.cumsum(first) - 1]
+    clash = order[labels[order] != first_label]
+    return int(clash.min()) if clash.size else None
 
 
 def load_labels(
@@ -114,52 +375,46 @@ def load_labels(
     num_nodes: int,
     comment_prefix: str = "#",
     delimiter: str | None = None,
-    multi: bool = False,
-) -> tuple[NodePartition | MultiLabelPartition, dict[int, str]]:
+) -> tuple[NodePartition, dict[int, str]]:
     """Parse ``node label`` lines against an existing id map.
 
     Label strings map to dense ids 1..K in first-seen order. Partial
-    labelings are fine. A node repeated with a different label is an error
-    unless ``multi`` is set, in which case label sets are retained.
+    labelings are fine. A node repeated with a different label is an error.
+    Errors name the first bad line: a conflicting label or a wrong column
+    count. Lines with ids missing from ``id_map`` are reported after that.
     """
-    name_to_id: dict[str, int] = {}
-    assigned: dict[int, set[int]] = {}
-    unknown: list[str] = []
-    for ln, line in _data_lines(path, comment_prefix):
-        if delimiter is None:
-            delimiter = _detect_delimiter(line)
-        parts = _split(line, delimiter)
-        if len(parts) != 2:
-            raise ValidationError(f"{path}: line {ln}: expected 2 columns, got {len(parts)}")
-        token, name = parts
-        if token not in id_map:
-            unknown.append(token)
-            continue
-        if name not in name_to_id:
-            name_to_id[name] = len(name_to_id) + 1
-        lab = name_to_id[name]
-        node = id_map[token]
-        current = assigned.setdefault(node, set())
-        if not multi and current and lab not in current:
-            raise ValidationError(
-                f"{path}: line {ln}: conflicting label for node {token!r}"
-            )
-        current.add(lab)
-    if unknown:
+    fields = _tokenize(path, delimiter, comment_prefix)
+    bad = np.flatnonzero(fields.counts != 2)
+    rows = int(bad[0]) if bad.size else fields.counts.size  # lines before the first bad count
+    token_starts, token_ends = fields.starts[0 : 2 * rows : 2], fields.ends[0 : 2 * rows : 2]
+    name_starts, name_ends = fields.starts[1 : 2 * rows : 2], fields.ends[1 : 2 * rows : 2]
+    nodes, known = _lookup(id_map, fields.codes, token_starts, token_ends)
+    name_starts, name_ends = name_starts[known], name_ends[known]
+    labels, firsts = _first_seen(fields.codes, name_starts, name_ends)
+    labels += 1
+
+    clash = _first_conflict(nodes, labels)
+    if clash is not None:
+        row = np.flatnonzero(known)[clash]
+        token = fields.text[token_starts[row] : token_ends[row]]
+        raise ValidationError(f"{path}: line {fields.line_numbers[row]}: conflicting label for node {token!r}")
+    if bad.size:
+        raise ValidationError(
+            f"{path}: line {fields.line_numbers[rows]}: expected 2 columns, got {fields.counts[rows]}"
+        )
+    if not known.all():
+        unknown = _substrings(fields.text, token_starts[~known], token_ends[~known])
         raise ValidationError(
             f"{path}: labels for unknown node ids: {', '.join(sorted(set(unknown))[:10])}"
         )
-    if not assigned:
+    if not rows:
         raise ValidationError(f"{path}: no labels found")
-    label_names = {v: k for k, v in name_to_id.items()}
-    num_labels = len(name_to_id)
-    if multi:
-        sets = tuple(frozenset(assigned.get(i, ())) for i in range(num_nodes))
-        return MultiLabelPartition(sets=sets, num_labels=num_labels), label_names
-    labels = np.zeros(num_nodes, dtype=np.int64)
-    for node, labs in assigned.items():
-        labels[node] = next(iter(labs))
-    return NodePartition(labels=labels, num_labels=num_labels), label_names
+    label_names = dict(
+        enumerate(_substrings(fields.text, name_starts[firsts], name_ends[firsts]), start=1)
+    )
+    partition = np.zeros(num_nodes, dtype=np.int64)
+    partition[nodes] = labels
+    return NodePartition(labels=partition, num_labels=len(label_names)), label_names
 
 
 def load_dataset(
@@ -168,19 +423,13 @@ def load_dataset(
     directed: bool = False,
     weighted: bool = False,
     delimiter: str | None = None,
-    multi: bool = False,
 ) -> DatasetBundle:
     """Load an edge list and (optionally) its label file into one bundle."""
     bundle = load_edge_list(graph_path, directed=directed, weighted=weighted, delimiter=delimiter)
     if labels_path is not None:
-        parsed, names = load_labels(
-            labels_path, bundle.id_map, bundle.n_original, delimiter=delimiter, multi=multi
+        bundle.labels, bundle.label_names = load_labels(
+            labels_path, bundle.id_map, bundle.n_original, delimiter=delimiter
         )
-        bundle.label_names = names
-        if multi:
-            bundle.multi_labels = parsed
-        else:
-            bundle.labels = parsed
     return bundle
 
 
@@ -188,10 +437,10 @@ def write_edge_list(path, graph: Graph, id_of=None, delimiter: str = "\t", weigh
     """Emit the canonical (i <= j) edge list; inverse of ``load_edge_list``
     up to node renaming."""
     src, dst, w = graph.edges()
-    id_of = id_of or (lambda i: str(i))
+    id_of = id_of or str
+    columns = [map(id_of, src.tolist()), map(id_of, dst.tolist())]
+    if weighted:
+        columns.append(map(repr, w.tolist()))
+    text = "".join(map("{}\n".format, map(delimiter.join, zip(*columns))))
     with open(path, "w", encoding="utf-8") as handle:
-        for i, j, weight in zip(src, dst, w):
-            row = [id_of(int(i)), id_of(int(j))]
-            if weighted:
-                row.append(repr(float(weight)))
-            handle.write(delimiter.join(row) + "\n")
+        handle.write(text)

@@ -3,6 +3,7 @@ import pytest
 
 from heatprop import (
     BlockModelParams,
+    Graph,
     IsolatedNodeError,
     ValidationError,
     build_deterministic_block_graph,
@@ -42,6 +43,23 @@ class TestBuildGraph:
             build_graph(2, [(0, 1, 0.0)])
         with pytest.raises(ValidationError, match="weight"):
             build_graph(2, [(0, 1, -1.0)])
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValidationError, match="non-finite weight"):
+            build_graph(3, [(0, 1, weight), (1, 2, 1.0)])
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [([np.nan, np.nan], "must be positive"), ([np.inf, np.inf], "must be finite"),
+         ([1e308, 1e308, 1e308, 1e308], "must be finite")],
+        ids=["nan", "inf", "row-sum-overflow"],
+    )
+    def test_graph_rejects_non_finite_weights_and_row_sums(self, weights, message):
+        # two nodes joined by one edge, or by two parallel entries whose sum overflows
+        indptr, indices = ([0, 1, 2], [1, 0]) if len(weights) == 2 else ([0, 2, 4], [0, 1, 0, 1])
+        with pytest.raises(ValidationError, match=message):
+            Graph(n=2, indptr=np.array(indptr), indices=np.array(indices), weights=np.array(weights))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):

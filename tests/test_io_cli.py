@@ -5,9 +5,11 @@ import pytest
 
 from heatprop import ValidationError, build_graph, load_edge_list, load_labels
 from heatprop.blockmodel import BlockModelParams, _block_disagreement, default_seeds
-from heatprop.cli import _config_experiment, main, parse_config
+from heatprop.classify import classify
+from heatprop.cli import _config_experiment, _fmt, _seeds_from_file, main, parse_config
 from heatprop.datasets import config_path, data_path
 from heatprop.io import load_dataset, write_edge_list
+from heatprop.solver import SolverOptions
 from conftest import random_connected_graph
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -55,6 +57,13 @@ class TestLoadEdgeList:
         with pytest.raises(ValidationError, match="line 2"):
             load_edge_list(f, weighted=True)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-NaN", "Infinity", "1e999"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        f = tmp_path / "g.edges"
+        f.write_text(f"0\t1\t2.5\n1\t2\t{weight}\n")
+        with pytest.raises(ValidationError, match="line 2: non-finite weight"):
+            load_edge_list(f, weighted=True)
+
     def test_unexpected_weight_column(self, tmp_path):
         f = tmp_path / "g.edges"
         f.write_text("0\t1\t2.5\n")
@@ -82,6 +91,34 @@ class TestLoadEdgeList:
                 assert dense_out[bundle.id_map[str(i)], bundle.id_map[str(j)]] == pytest.approx(
                     dense_in[i, j]
                 )
+
+
+def per_row_write_edge_list(path, graph, id_of=None, delimiter="\t", weighted=False):
+    """Reference: one write per edge."""
+    src, dst, w = graph.edges()
+    id_of = id_of or (lambda i: str(i))
+    with open(path, "w", encoding="utf-8") as handle:
+        for i, j, weight in zip(src, dst, w):
+            row = [id_of(int(i)), id_of(int(j))]
+            if weighted:
+                row.append(repr(float(weight)))
+            handle.write(delimiter.join(row) + "\n")
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"weighted": True}, {"id_of": lambda i: f"n{i}é", "delimiter": " {} "},
+     {"id_of": lambda i: f"v{i:03d}", "weighted": True, "delimiter": ","}],
+    ids=["unweighted", "weighted", "id_of", "id_of-weighted"],
+)
+def test_write_edge_list_matches_per_row_writer(tmp_path, options):
+    rng = np.random.default_rng(152)
+    g = random_connected_graph(rng, 40, extra_edges=60)
+    src, dst, w = g.edges()
+    g = build_graph(g.n, (np.append(src, 3), np.append(dst, 3), np.append(w, 0.1)))  # with a self-loop
+    write_edge_list(tmp_path / "bulk", g, **options)
+    per_row_write_edge_list(tmp_path / "per_row", g, **options)
+    assert (tmp_path / "bulk").read_bytes() == (tmp_path / "per_row").read_bytes()
 
 
 class TestLoadLabels:
@@ -119,15 +156,6 @@ class TestLoadLabels:
         lf.write_text("a\tx\na\tx\nb\ty\n")
         labels, _ = load_labels(lf, bundle.id_map, bundle.n_original)
         assert labels.labels[bundle.id_map["a"]] == 1
-
-    def test_multi_label_sets_retained(self, tmp_path):
-        bundle = self.make_bundle(tmp_path)
-        lf = tmp_path / "g.labels"
-        lf.write_text("a\tx\na\ty\nb\ty\n")
-        multi, names = load_labels(lf, bundle.id_map, bundle.n_original, multi=True)
-        assert multi.sets[bundle.id_map["a"]] == frozenset({1, 2})
-        assert multi.sets[bundle.id_map["b"]] == frozenset({2})
-        assert multi.sets[bundle.id_map["c"]] == frozenset()
 
 
 class TestConfigParsing:
@@ -220,6 +248,36 @@ class TestCli:
         assert code == 0
         rows = out.read_text().strip().splitlines()[1:]
         assert len(rows) == 1 and rows[0].startswith("c,")
+
+    @pytest.mark.parametrize("use_destination", [False, True])
+    def test_classify_rows_match_per_node_reference(self, tmp_path, use_destination):
+        rng = np.random.default_rng(153)
+        names = [f"v{i}é" for i in rng.permutation(30)]
+        arcs = [(i, (i + k) % 30) for i in range(30) for k in (1, 2)] + [tuple(rng.integers(0, 30, 2)) for _ in range(20)]
+        edges = tmp_path / "d.edges"
+        edges.write_text("".join(f"{names[i]}\t{names[j]}\n" for i, j in arcs), encoding="utf-8")
+        seeds = tmp_path / "d.seeds"
+        seeds.write_text(f"{names[3]}\tred\n{names[17]}\tblue\n{names[25]}\tred\n", encoding="utf-8")
+        out = tmp_path / "d.csv"
+        flags = ["--use-destination"] if use_destination else []
+        assert self.run(
+            "classify", "--graph", str(edges), "--directed", "--seeds-file", str(seeds),
+            "--out", str(out), *flags,
+        ) == 0
+
+        # reference: the per-node output loop
+        bundle = load_dataset(edges, directed=True)
+        seed_set, label_names = _seeds_from_file(seeds, bundle, {}, use_destination)
+        _, result = classify(bundle.graph, seed_set, "centered", SolverOptions())
+        reverse = {v: k for k, v in bundle.id_map.items()}
+        lines = ["node_id,label,confidence"]
+        for original in range(bundle.n_original):
+            idx = original + bundle.n_original if use_destination else original
+            if idx in set(int(s) for s in seed_set.nodes):
+                continue
+            name = label_names.get(int(result.labels[idx]), str(int(result.labels[idx])))
+            lines.append(f"{reverse[original]},{name},{_fmt(float(result.confidence[idx]))}")
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_bench_missing_config_exits_1(self, tmp_path):
         assert self.run("bench", "--config", str(tmp_path / "nope.cfg")) == 1

@@ -1,0 +1,311 @@
+"""The array tokenizer behind ``load_edge_list`` and ``load_labels`` against
+the per-line loaders it replaced, kept here verbatim as the reference.
+
+Random files mix every delimiter mode, the line breaks ``str.splitlines``
+knows, blank and comment lines, padding with Unicode whitespace, doubled and
+trailing delimiters, non-ASCII ids and malformed lines. Both loaders must
+give the same id map (in order), CSR bytes, labels, names, or the same first
+error message. The weights drawn are finite: non-finite weights, which the
+reference accepted, are now rejected (tested in test_io_cli.py).
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from heatprop import ValidationError
+from heatprop.graph import MultiLabelPartition, NodePartition, build_graph, directed_to_bipartite
+from heatprop.io import _LINE_BREAKS, _WHITESPACE, DatasetBundle, load_edge_list, load_labels
+
+# ---------------------------------------------------------------------------
+# reference: the per-line loaders, verbatim
+
+
+def _detect_delimiter(line: str) -> str | None:
+    if "\t" in line:
+        return "\t"
+    if "," in line:
+        return ","
+    return None  # whitespace split
+
+
+def _split(line: str, delimiter: str | None) -> list[str]:
+    parts = line.split(delimiter) if delimiter else line.split()
+    return [p for p in (s.strip() for s in parts) if p]
+
+
+def _data_lines(path, comment_prefix: str):
+    text = Path(path).read_text(encoding="utf-8")
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or (comment_prefix and line.startswith(comment_prefix)):
+            continue
+        yield ln, line
+
+
+def reference_load_edge_list(
+    path,
+    directed: bool = False,
+    weighted: bool = False,
+    comment_prefix: str = "#",
+    delimiter: str | None = None,
+) -> DatasetBundle:
+    """Parse ``src dst [weight]`` lines into a graph.
+
+    The delimiter is auto-detected (tab, comma, then whitespace) unless given.
+    Unknown tokens become new dense node ids in first-seen order. With
+    ``weighted`` a third column is required per line; without it a third
+    column is rejected so that a wrong delimiter cannot silently corrupt the
+    weights. Directed inputs are lifted to their bipartite form.
+    """
+    id_map: dict[str, int] = {}
+    src, dst, w = [], [], []
+    for ln, line in _data_lines(path, comment_prefix):
+        if delimiter is None:
+            delimiter = _detect_delimiter(line)
+        parts = _split(line, delimiter)
+        if len(parts) == 2:
+            if weighted:
+                raise ValidationError(f"{path}: line {ln}: expected a weight column")
+            weight = 1.0
+        elif len(parts) == 3:
+            if not weighted:
+                raise ValidationError(
+                    f"{path}: line {ln}: unexpected third column (use weighted=True)"
+                )
+            try:
+                weight = float(parts[2])
+            except ValueError:
+                raise ValidationError(f"{path}: line {ln}: bad weight {parts[2]!r}") from None
+        else:
+            raise ValidationError(f"{path}: line {ln}: expected 2 or 3 columns, got {len(parts)}")
+        if weight <= 0:
+            raise ValidationError(f"{path}: line {ln}: nonpositive weight {weight}")
+        for token in parts[:2]:
+            if token not in id_map:
+                id_map[token] = len(id_map)
+        src.append(id_map[parts[0]])
+        dst.append(id_map[parts[1]])
+        w.append(weight)
+    if not src:
+        raise ValidationError(f"{path}: no edges found")
+    n = len(id_map)
+    arrays = (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), np.asarray(w))
+    graph = directed_to_bipartite(n, arrays) if directed else build_graph(n, arrays)
+    return DatasetBundle(graph=graph, id_map=id_map, directed=directed, n_original=n)
+
+
+def reference_load_labels(
+    path,
+    id_map: dict[str, int],
+    num_nodes: int,
+    comment_prefix: str = "#",
+    delimiter: str | None = None,
+    multi: bool = False,
+) -> tuple[NodePartition | MultiLabelPartition, dict[int, str]]:
+    """Parse ``node label`` lines against an existing id map.
+
+    Label strings map to dense ids 1..K in first-seen order. Partial
+    labelings are fine. A node repeated with a different label is an error
+    unless ``multi`` is set, in which case label sets are retained.
+    """
+    name_to_id: dict[str, int] = {}
+    assigned: dict[int, set[int]] = {}
+    unknown: list[str] = []
+    for ln, line in _data_lines(path, comment_prefix):
+        if delimiter is None:
+            delimiter = _detect_delimiter(line)
+        parts = _split(line, delimiter)
+        if len(parts) != 2:
+            raise ValidationError(f"{path}: line {ln}: expected 2 columns, got {len(parts)}")
+        token, name = parts
+        if token not in id_map:
+            unknown.append(token)
+            continue
+        if name not in name_to_id:
+            name_to_id[name] = len(name_to_id) + 1
+        lab = name_to_id[name]
+        node = id_map[token]
+        current = assigned.setdefault(node, set())
+        if not multi and current and lab not in current:
+            raise ValidationError(
+                f"{path}: line {ln}: conflicting label for node {token!r}"
+            )
+        current.add(lab)
+    if unknown:
+        raise ValidationError(
+            f"{path}: labels for unknown node ids: {', '.join(sorted(set(unknown))[:10])}"
+        )
+    if not assigned:
+        raise ValidationError(f"{path}: no labels found")
+    label_names = {v: k for k, v in name_to_id.items()}
+    num_labels = len(name_to_id)
+    if multi:
+        sets = tuple(frozenset(assigned.get(i, ())) for i in range(num_nodes))
+        return MultiLabelPartition(sets=sets, num_labels=num_labels), label_names
+    labels = np.zeros(num_nodes, dtype=np.int64)
+    for node, labs in assigned.items():
+        labels[node] = next(iter(labs))
+    return NodePartition(labels=labels, num_labels=num_labels), label_names
+
+
+# ---------------------------------------------------------------------------
+# random files
+
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"]
+PADDING = [" ", "  ", "\t", "\x1f", "\u00a0", "\u3000", "\u2009"]
+ASCII = "abcxyz0123456789_"
+WIDE = "éßΩж東京😀"
+# (delimiter argument, separator written between fields)
+MODES = [
+    (None, "\t"),
+    (None, ","),
+    (None, " "),
+    (None, " \u3000 "),
+    (",", ","),
+    (";", ";"),
+    ("\t", "\t"),
+    (" ", " "),
+    ("::", "::"),
+    ("||", "||"),
+    (" | ", " | "),
+    ("", " "),
+]
+
+
+def random_token(rng, alphabet):
+    # up to 20 units, so that some tokens take more than one 64-bit word
+    length = int(rng.choice([1, 2, 3, 5, 8, 9, 12, 20]))
+    return "".join(rng.choice(list(alphabet), size=length))
+
+
+def random_weight(rng, bad=False):
+    if bad:
+        return str(rng.choice(["abc", "-1", "0", "1..2", "-0.5"]))
+    return str(rng.choice([repr(float(rng.uniform(0.1, 5))), "1", "2.5e-1", "1_0", "+3"]))
+
+
+def random_lines(rng, rows, fields_of, sep, comment_prefix, fault):
+    """Lines of ``fields_of(i)`` fields each, with blank and comment lines,
+    padding, doubled and trailing separators and, if ``fault``, one line
+    with a field too few or too many.
+
+    Half the files use only ASCII padding and line breaks."""
+    wide = rng.random() < 0.5
+    breaks = BREAKS if wide else ["\n", "\r\n", "\r", "\v", "\f", "\x1c"]
+    padding = PADDING if wide else PADDING[:4]
+    bad_row = int(rng.integers(rows)) if fault and rows else -1
+    lines = []
+    for i in range(rows):
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(["", "   ", "\t ", padding[-1]])))
+        if comment_prefix and rng.random() < 0.1:
+            lines.append(str(rng.choice(["", "  ", "\t"])) + comment_prefix + " note\tx,y")
+        fields = fields_of(i)
+        if i == bad_row:
+            fields = fields[:-1] if rng.random() < 0.5 else fields + ["extra"]
+        fields = [
+            str(rng.choice(padding)) + f + str(rng.choice(padding)) if rng.random() < 0.2 else f
+            for f in fields
+        ]
+        line = (sep * 2 if rng.random() < 0.1 else sep).join(fields)
+        if rng.random() < 0.1:
+            line += sep
+        if rng.random() < 0.1:
+            line = str(rng.choice(padding)) + line
+        lines.append(line)
+    text = "".join(line + str(rng.choice(breaks)) for line in lines)
+    return text if rng.random() < 0.8 else text.rstrip("\n")
+
+
+def random_case(rng):
+    delimiter, sep = MODES[int(rng.integers(len(MODES)))]
+    alphabet = ASCII + (WIDE if rng.random() < 0.4 else "") + (":|" if rng.random() < 0.2 else "")
+    comment_prefix = str(rng.choice(["#", "#", "//", ""]))
+    weighted = bool(rng.random() < 0.4)
+    ids = [random_token(rng, alphabet) for _ in range(int(rng.integers(2, 25)))]
+    rows = int(rng.integers(0, 40))
+    bad_weight = int(rng.integers(rows)) if weighted and rows and rng.random() < 0.1 else -1
+
+    def edge(i):
+        fields = [str(rng.choice(ids)), str(rng.choice(ids))]
+        return fields + [random_weight(rng, bad=i == bad_weight)] if weighted else fields
+
+    text = random_lines(rng, rows, edge, sep, comment_prefix, fault=rng.random() < 0.2)
+    options = dict(directed=bool(rng.random() < 0.2), weighted=weighted, delimiter=delimiter,
+                   comment_prefix=comment_prefix)
+    return text, options, ids, alphabet, sep
+
+
+def outcome(loader, *args, **kwargs):
+    try:
+        return loader(*args, **kwargs)
+    except ValidationError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def edge_summary(result):
+    if isinstance(result, tuple):
+        return result
+    g = result.graph
+    return (
+        list(result.id_map.items()), result.directed, result.n_original,
+        [a.tobytes() for a in (g.indptr, g.indices, g.weights, g.degrees)],
+    )
+
+
+def label_summary(result):
+    if isinstance(result, tuple) and isinstance(result[0], str):
+        return result
+    partition, names = result
+    return partition.labels.tobytes(), partition.num_labels, list(names.items())
+
+
+def write(path: Path, text: str) -> Path:
+    path.write_bytes(text.encode("utf-8"))  # no newline translation on the way out
+    return path
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_loaders_match_reference(tmp_path, seed):
+    rng = np.random.default_rng([20081194, seed])
+    text, options, ids, alphabet, sep = random_case(rng)
+    edges = write(tmp_path / "g.edges", text)
+    expected = outcome(reference_load_edge_list, edges, **options)
+    assert edge_summary(outcome(load_edge_list, edges, **options)) == edge_summary(expected)
+    if isinstance(expected, tuple):
+        return
+
+    names = [random_token(rng, alphabet) for _ in range(int(rng.integers(1, 4)))]
+    unknown = rng.random() < 0.15
+    conflict = rng.random() < 0.15
+    node_of = {}
+
+    def label_line(i):
+        node = random_token(rng, alphabet) if unknown and rng.random() < 0.2 else str(rng.choice(ids))
+        if not conflict:
+            return [node, node_of.setdefault(node, str(rng.choice(names)))]
+        return [node, str(rng.choice(names))]
+
+    rows = int(rng.integers(0, 30))
+    labels_text = random_lines(rng, rows, label_line, sep, options["comment_prefix"], fault=rng.random() < 0.15)
+    labels = write(tmp_path / "g.labels", labels_text)
+    args = (labels, expected.id_map, expected.n_original, options["comment_prefix"], options["delimiter"])
+    assert label_summary(outcome(load_labels, *args)) == label_summary(outcome(reference_load_labels, *args))
+
+
+def test_conflict_reported_before_unknown_ids(tmp_path):
+    edges = write(tmp_path / "g.edges", "a\tb\nb\tc\n")
+    labels = write(tmp_path / "g.labels", "zz\tx\na\tx\nb\ty\na\ty\nqq\tx\n")
+    bundle = load_edge_list(edges)
+    with pytest.raises(ValidationError, match=r"line 4: conflicting label for node 'a'"):
+        load_labels(labels, bundle.id_map, bundle.n_original)
+    with pytest.raises(ValidationError, match=r"line 4: conflicting label for node 'a'"):
+        reference_load_labels(labels, bundle.id_map, bundle.n_original)
+
+
+def test_whitespace_and_line_break_tables_cover_every_character():
+    chars = list(map(chr, range(0x110000)))
+    assert _WHITESPACE == "".join(c for c in chars if c.isspace())
+    assert _LINE_BREAKS == "".join(c for c in chars if len(f"x{c}x".splitlines()) == 2)
