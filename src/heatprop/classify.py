@@ -129,11 +129,6 @@ def diffuse_one_vs_all(
     return solve(problem, opts)
 
 
-def center(t: TemperatureField) -> TemperatureField:
-    """Subtract the mean over all nodes (seeds included)."""
-    return TemperatureField(values=t.values - t.mean)
-
-
 def one_vs_all_fields(
     g: Graph, seeds: SeedSet, opts: SolverOptions | None = None
 ) -> tuple[TemperatureField, ...]:

@@ -1,5 +1,8 @@
 """Seed-sampling policies, evaluation metrics, and repeatable benchmark runs.
 
+One loop, ``run_experiment``, runs every (sweep point, repetition) cell of
+an ``ExperimentConfig`` and records a cell that raises as a failure.
+
 Randomness is derived from a single master seed through a documented
 splittable scheme: the stream for (sweep point ``i``, repetition ``r``) is
 seeded with ``SeedSequence([master_seed, i, r, stream_id])`` where stream 0
@@ -16,7 +19,6 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .blockmodel import (
 )
 from .classify import VARIANTS, SeedSet, classification_from_scores, one_vs_all_fields, scores_from_fields
 from .errors import NumericalError, ValidationError
-from .graph import Graph, MultiLabelPartition, NodePartition, _sorted_unique
+from .graph import Graph, NodePartition, _sorted_unique
 from .solver import SolverOptions
 
 POLICY_KINDS = ("uniform", "degree", "balanced", "explicit_counts")
@@ -231,14 +233,18 @@ class Sweep:
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
             raise ValidationError(f"unknown sweep kind {self.kind!r}; expected one of {SWEEP_KINDS}")
-        if not self.values:
+        values = tuple(float(v) for v in self.values)
+        if not values:
             raise ValidationError("sweep needs at least one value")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        bad = [v for v in values if not 0 < v < math.inf]
+        if bad:
+            raise ValidationError(f"sweep values must be finite and positive, got {bad[0]!r}")
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    source: SbmSource | BlockSource | DatasetSource | None
+    source: SbmSource | BlockSource | DatasetSource
     variants: tuple[str, ...] = ("vanilla", "centered")
     repetitions: int = 10
     solver: SolverOptions = field(default_factory=SolverOptions)
@@ -247,6 +253,8 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.source, (SbmSource, BlockSource, DatasetSource)):
+            raise ValidationError(f"experiment config needs a graph source, got {type(self.source).__name__}")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be at least 1")
         if not self.variants:
@@ -397,20 +405,12 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     fields; scoring is restricted to labeled non-seed nodes. A repetition
     that raises is recorded under ``failures`` and skipped.
     """
-    if cfg.source is None:
-        raise ValidationError("experiment config needs a graph source")
-    points = cfg.sweep.values if cfg.sweep is not None else (0.0,)
-    return _run_grid(points, cfg.repetitions, partial(_run_one, cfg))
-
-
-def _run_grid(points, repetitions: int, run_rep) -> ResultTable:
-    """Call ``run_rep(point_index, value, rep, table)`` for every cell and
-    record the repetitions that raise as failures."""
     table = ResultTable()
+    points = cfg.sweep.values if cfg.sweep is not None else (0.0,)
     for pi, value in enumerate(points):
-        for rep in range(repetitions):
+        for rep in range(cfg.repetitions):
             try:
-                run_rep(pi, value, rep, table)
+                _run_one(cfg, pi, value, rep, table)
             except (ValidationError, NumericalError) as exc:
                 table.failures.append(RunFailure(sweep=value, rep=rep, message=str(exc)))
     return table
@@ -429,10 +429,9 @@ def _run_one(cfg: ExperimentConfig, pi: int, value: float, rep: int, table: Resu
     _append_rows(table, cfg, graph, truth, seeds, value, rep)
 
 
-def _append_rows(table, cfg, graph, truth, seeds, sweep, rep, positive_class=False):
+def _append_rows(table, cfg, graph, truth, seeds, sweep, rep):
     """Solve the fields of one repetition once, then score and evaluate every
-    variant on the labeled non-seed nodes. ``macro_f1`` holds the F1 of label
-    1 instead of the macro average when ``positive_class`` is set."""
+    variant on the labeled non-seed nodes."""
     digest = _digest(graph, seeds)
     eval_mask = truth.labels > 0
     eval_mask[seeds.nodes] = False
@@ -454,7 +453,7 @@ def _append_rows(table, cfg, graph, truth, seeds, sweep, rep, positive_class=Fal
                 variant=variant,
                 sweep=sweep,
                 rep=rep,
-                macro_f1=float(f1[0] if positive_class else f1.mean()),
+                macro_f1=float(f1.mean()),
                 per_class_f1=tuple(f1),
                 accuracy=accuracy(pred, truth_eval),
                 wall_ms=wall_ms,
@@ -462,46 +461,3 @@ def _append_rows(table, cfg, graph, truth, seeds, sweep, rep, positive_class=Fal
                 input_digest=digest,
             )
         )
-
-
-# ---------------------------------------------------------------------------
-# per-label binary tasks on multi-label ground truth
-
-
-def binary_per_label_experiment(
-    g: Graph,
-    labels: MultiLabelPartition,
-    top_labels: int,
-    cfg: ExperimentConfig,
-) -> ResultTable:
-    """Independent one-vs-rest tasks for the most frequent labels.
-
-    For each of the ``top_labels`` dominant labels, labeled nodes are split
-    into positives (carrying that label) and the rest; seeds are sampled with
-    per-class quotas proportional to the two class frequencies
-    (``cfg.policy.fraction`` of labeled nodes overall). The reported score is
-    the F1 of the positive class on labeled non-seed nodes; the table's sweep
-    column holds the label id.
-    """
-    counts = labels.label_counts()
-    distinct = np.flatnonzero(counts[1:] > 0) + 1
-    if distinct.size < top_labels:
-        raise ValidationError(
-            f"need {top_labels} distinct labels, ground truth has {distinct.size}"
-        )
-    order = sorted(distinct, key=lambda lab: (-counts[lab], lab))[:top_labels]
-    fraction = cfg.policy.fraction if cfg.policy is not None else DEFAULT_SEED_FRACTION
-    # 1 = carries the label, 2 = labeled without it, 0 = unlabeled
-    truths = [
-        NodePartition(labels=np.array([(lab not in s) + 1 if s else 0 for s in labels.sets]), num_labels=2)
-        for lab in order
-    ]
-
-    def run_rep(ti, value, rep, table):
-        rng_seed = derive_seed(cfg.master_seed, ti, rep, 1)
-        policy = SamplingPolicy(kind="balanced", fraction=fraction, rng_seed=rng_seed)
-        seeds = sample_seeds(truths[ti], g, policy)
-        _append_rows(table, cfg, g, truths[ti], seeds, value, rep, positive_class=True)
-
-    return _run_grid([float(lab) for lab in order], cfg.repetitions, run_rep)
-

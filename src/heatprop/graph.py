@@ -318,27 +318,3 @@ class NodePartition:
 
     def labeled_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.labels > 0)
-
-    def label_counts(self) -> np.ndarray:
-        """Count per label id; entry 0 counts unlabeled nodes."""
-        return np.bincount(self.labels, minlength=self.num_labels + 1)
-
-
-@dataclass(frozen=True)
-class MultiLabelPartition:
-    """Ground truth where a node may carry several labels (or none)."""
-
-    sets: tuple[frozenset[int], ...]
-    num_labels: int
-
-    def labeled_nodes(self) -> np.ndarray:
-        return np.fromiter(
-            (i for i, s in enumerate(self.sets) if s), dtype=np.int64
-        )
-
-    def label_counts(self) -> np.ndarray:
-        counts = np.zeros(self.num_labels + 1, dtype=np.int64)
-        for s in self.sets:
-            for lab in s:
-                counts[lab] += 1
-        return counts

@@ -79,9 +79,9 @@ def _tokenize(path, delimiter: str | None, comment_prefix: str) -> _Fields:
     A line whose stripped text is empty or starts with ``comment_prefix`` is
     skipped. With a delimiter, each line is split at its occurrences and the
     parts are stripped; without one (or with ``""``) it is split at
-    whitespace. Empty parts are dropped. Unless a delimiter is given, lines
-    are split at whitespace up to the first data line that holds a tab or a
-    comma, which sets the delimiter (tab first) for the rest of the file.
+    whitespace. Empty parts are dropped. Unless a delimiter is given, the
+    first data line picks it for the whole file: tab if it holds one, else
+    comma, else whitespace.
     """
     text = Path(path).read_text(encoding="utf-8")
     codes = _code_units(text)
@@ -106,9 +106,8 @@ def _tokenize(path, delimiter: str | None, comment_prefix: str) -> _Fields:
         empty = np.empty(0, dtype=np.int64)
         return _Fields(text, codes, empty, empty, empty, empty)
 
-    switch = 0  # lines from here on are split at the delimiter, lines before at whitespace
     if delimiter is None:
-        delimiter, switch = _detect_delimiter(text, codes, content_start, content_end)
+        delimiter = _detect_delimiter(text[content_start[0] : content_end[0]])
     if delimiter:
         # one cut character at each end, so that every field lies between two
         cut = np.zeros(codes.size + 2, dtype=bool)
@@ -118,7 +117,6 @@ def _tokenize(path, delimiter: str | None, comment_prefix: str) -> _Fields:
             cut[1:-1] |= codes == ord(delimiter)
         else:
             cut[_delimiter_units(codes, delimiter, content_start, content_end) + 1] = True
-        cut[1 : switch + 1] = space[:switch]
         starts, ends = _stripped_fields(cut, space, run_start, run_end)
         bounds = np.searchsorted(starts, line_bound)
     else:
@@ -141,16 +139,12 @@ def _classify(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kind != 0, np.flatnonzero(kind & _BREAK)
 
 
-def _detect_delimiter(text: str, codes: np.ndarray, content_start, content_end) -> tuple[str | None, int]:
-    """The delimiter set by the first data line that holds a tab or a comma
-    (tab first), and where that line starts; None and 0 without one."""
-    hits = np.flatnonzero((codes == ord("\t")) | (codes == ord(",")))
-    line = np.searchsorted(content_start, hits, side="right") - 1
-    inside = np.flatnonzero((line >= 0) & (hits < content_end[np.maximum(line, 0)]))
-    if not inside.size:
-        return None, 0
-    first = line[inside[0]]
-    return ("\t" if "\t" in text[content_start[first] : content_end[first]] else ","), content_start[first]
+def _detect_delimiter(line: str) -> str | None:
+    """The delimiter a data line picks: tab if it holds one, else comma, else
+    None (whitespace)."""
+    if "\t" in line:
+        return "\t"
+    return "," if "," in line else None
 
 
 def _stripped_fields(cut: np.ndarray, space: np.ndarray, run_start, run_end) -> tuple[np.ndarray, np.ndarray]:
@@ -288,12 +282,11 @@ def load_edge_list(
 ) -> DatasetBundle:
     """Parse ``src dst [weight]`` lines into a graph.
 
-    Unless a delimiter is given, lines are split at whitespace up to the
-    first line that holds a tab or a comma, which sets the delimiter (tab
-    first). Tokens become dense node ids in first-seen order. With
-    ``weighted`` a third column is required per line; without it a third
-    column is rejected so that a wrong delimiter cannot silently corrupt the
-    weights. Weights must be positive and finite. Directed inputs are lifted
+    Unless a delimiter is given, the first data line picks it for the whole
+    file: tab if it holds one, else comma, else whitespace. Tokens become
+    dense node ids in first-seen order. With ``weighted`` a third column is
+    required per line; without it a third column is rejected so that a wrong
+    delimiter cannot silently corrupt the weights. Weights must be positive and finite. Directed inputs are lifted
     to their bipartite form. The first bad line is reported by number.
     """
     id_map, arrays = _read_edges(path, weighted, comment_prefix, delimiter)

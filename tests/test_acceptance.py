@@ -20,7 +20,6 @@ from heatprop import (
     SolverOptions,
     Sweep,
     build_deterministic_block_graph,
-    classify,
     classify_binary,
     closed_form_temperatures,
     run_experiment,
@@ -28,6 +27,7 @@ from heatprop import (
     solve_exact,
     solve_iterative,
 )
+from heatprop.classify import classify
 from heatprop.cli import main as cli_main
 from heatprop.solver import jacobi_sweep
 

@@ -11,13 +11,13 @@ from heatprop import (
     SolverOptions,
     ValidationError,
     build_deterministic_block_graph,
-    classify,
     closed_form_temperatures,
     sbm_generate,
     solve_exact,
     vanilla_consistency_condition,
 )
 from heatprop.blockmodel import _distinct_integers, _upper_triangle_decode
+from heatprop.classify import classify
 
 EXACT = SolverOptions(mode="exact")
 

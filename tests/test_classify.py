@@ -7,13 +7,11 @@ from heatprop import (
     SolverOptions,
     TemperatureField,
     ValidationError,
-    center,
-    classify,
     classify_binary,
     diffuse_one_vs_all,
 )
 from heatprop.blockmodel import BlockModelParams, build_deterministic_block_graph
-from heatprop.classify import classification_from_scores, one_vs_all_fields, scores_from_fields
+from heatprop.classify import classification_from_scores, classify, one_vs_all_fields, scores_from_fields
 from conftest import barbell_graph, count_calls, path_graph, random_connected_graph
 
 EXACT = SolverOptions(mode="exact")
@@ -53,19 +51,22 @@ class TestDiffuse:
 
 
 class TestCenter:
+    @staticmethod
+    def centered(values):
+        """The centered score column of one field."""
+        field = TemperatureField(values=np.array(values))
+        return scores_from_fields((field,), SeedSet.from_dict({0: 1}), "centered").scores[:, 0]
+
     def test_simple_shift(self):
-        f = TemperatureField(values=np.array([1.0, 0.5, 0.0]))
-        assert np.allclose(center(f).values, [0.5, 0.0, -0.5], atol=1e-15)
+        assert np.allclose(self.centered([1.0, 0.5, 0.0]), [0.5, 0.0, -0.5], atol=1e-15)
 
     def test_constant_becomes_zero(self):
-        f = TemperatureField(values=np.full(7, 0.42))
-        assert np.abs(center(f).values).max() < 1e-15
+        assert np.abs(self.centered(np.full(7, 0.42))).max() < 1e-15
 
     def test_block_instance_centering(self):
-        f = TemperatureField(values=np.array([1.0, 3 / 5, 0.0, 2 / 5]))
-        out = center(f)
-        assert np.allclose(out.values, [0.5, 0.1, -0.5, -0.1], atol=1e-15)
-        assert abs(out.mean) < 1e-12
+        out = self.centered([1.0, 3 / 5, 0.0, 2 / 5])
+        assert np.allclose(out, [0.5, 0.1, -0.5, -0.1], atol=1e-15)
+        assert abs(out.mean()) < 1e-12
 
 
 class TestClassify:

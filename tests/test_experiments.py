@@ -10,7 +10,6 @@ from heatprop import (
     BlockSource,
     DatasetSource,
     ExperimentConfig,
-    MultiLabelPartition,
     NodePartition,
     SamplingPolicy,
     SbmSource,
@@ -18,8 +17,6 @@ from heatprop import (
     Sweep,
     ValidationError,
     accuracy,
-    binary_per_label_experiment,
-    build_graph,
     macro_f1,
     per_class_f1,
     run_experiment,
@@ -253,6 +250,11 @@ class TestRunExperiment:
                 sweep=Sweep(kind="size_ratio", values=(1.0, 2.0)),
             )
 
+    @pytest.mark.parametrize("source", [None, "karate"])
+    def test_source_type_checked_at_config_time(self, source):
+        with pytest.raises(ValidationError, match="needs a graph source"):
+            ExperimentConfig(source=source)
+
     def test_unknown_variant_rejected_at_config_time(self):
         with pytest.raises(ValidationError, match="unknown variants centred"):
             self.small_cfg(variants=("vanilla", "centred"))
@@ -328,90 +330,6 @@ class TestRunExperiment:
         assert len(table.rows) == 0
         assert len(table.failures) == 2
         assert "seed count 40" in table.failures[0].message
-
-
-class TestBinaryPerLabel:
-    @staticmethod
-    def clique_fixture(rng, sizes=(40, 40, 40), overlap=0):
-        n = sum(sizes)
-        edges = []
-        start = 0
-        blocks = []
-        for size in sizes:
-            members = list(range(start, start + size))
-            blocks.append(members)
-            for x in range(size):
-                for y in range(x + 1, size):
-                    edges.append((members[x], members[y], 1.0))
-            start += size
-        g = build_graph(n, edges)
-        sets = []
-        for i in range(n):
-            block = next(b for b, members in enumerate(blocks) if i in set(members))
-            labs = {block + 1}
-            if overlap and i % overlap == 0:
-                labs.add((block + 1) % len(sizes) + 1)
-            sets.append(frozenset(labs))
-        return g, MultiLabelPartition(sets=tuple(sets), num_labels=len(sizes))
-
-    def test_disjoint_cliques_perfectly_separable(self):
-        rng = np.random.default_rng(139)
-        g, labels = self.clique_fixture(rng)
-        cfg = ExperimentConfig(
-            source=None,
-            variants=("centered",),
-            repetitions=3,
-            solver=SolverOptions(max_iterations=200),
-            policy=SamplingPolicy(kind="balanced", fraction=0.1),
-            master_seed=11,
-        )
-        table = binary_per_label_experiment(g, labels, 3, cfg)
-        assert table.rows, "every repetition failed"
-        assert all(r.macro_f1 == 1.0 for r in table.rows)
-
-    def test_multi_label_fixture_centered_at_least_vanilla(self):
-        from heatprop import sbm_generate
-
-        params = BlockModelParams(sizes=(200, 200, 200), seed_counts=(1, 1, 1), p=0.06, q=0.005)
-        g, part, _ = sbm_generate(params, rng_seed=21)
-        sets = [frozenset({int(v)}) for v in part.labels]
-        for i in range(0, 30):  # some nodes carry a second label
-            sets[i] = sets[i] | {2}
-        labels = MultiLabelPartition(sets=tuple(sets), num_labels=3)
-        cfg = ExperimentConfig(
-            source=None,
-            variants=("vanilla", "centered"),
-            repetitions=5,
-            solver=SolverOptions(max_iterations=100),
-            policy=SamplingPolicy(kind="balanced", fraction=0.01),
-            master_seed=5,
-        )
-        table = binary_per_label_experiment(g, labels, 3, cfg)
-        centered = np.mean([r.macro_f1 for r in table.rows if r.variant == "centered"])
-        vanilla = np.mean([r.macro_f1 for r in table.rows if r.variant == "vanilla"])
-        assert centered >= vanilla
-
-    @pytest.mark.parametrize("variants", ONE_AND_THREE_VARIANTS)
-    def test_fields_solved_once_per_repetition(self, monkeypatch, variants):
-        calls = count_field_solves(monkeypatch)
-        g, labels = self.clique_fixture(np.random.default_rng(151))
-        cfg = ExperimentConfig(
-            source=None,
-            variants=variants,
-            repetitions=2,
-            policy=SamplingPolicy(kind="balanced", fraction=0.1),
-        )
-        table = binary_per_label_experiment(g, labels, 3, cfg)
-        assert not table.failures
-        assert len(table.rows) == 3 * 2 * len(variants)
-        assert len(calls) == 3 * 2
-
-    def test_too_few_labels_errors(self):
-        rng = np.random.default_rng(149)
-        g, labels = self.clique_fixture(rng, sizes=(30, 30))
-        cfg = ExperimentConfig(source=None, repetitions=1)
-        with pytest.raises(ValidationError, match="distinct"):
-            binary_per_label_experiment(g, labels, 3, cfg)
 
 
 class TestSeedDerivation:

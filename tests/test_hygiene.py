@@ -1,9 +1,13 @@
 """Static checks on the package sources."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
+
+import heatprop
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "heatprop"
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -98,3 +102,20 @@ SOURCES = sorted(PACKAGE_DIR.glob("*.py"))
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_np_unique_calls(path):
     assert np_unique_calls(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("name", LAYER_ORDER)
+def test_module_bound_under_its_name(name):
+    # a re-export named like its module would shadow the module
+    module = importlib.import_module(f"heatprop.{name}")
+    assert isinstance(getattr(heatprop, name), types.ModuleType)
+    assert getattr(heatprop, name) is module
+
+
+def test_all_lists_the_imported_names():
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert len(set(heatprop.__all__)) == len(heatprop.__all__)
+    assert set(heatprop.__all__) == imported

@@ -36,6 +36,16 @@ class TestLoadEdgeList:
         assert bundle.graph.n == 3
         assert bundle.id_map == {"a": 0, "b": 1, "c": 2}
 
+    def test_first_data_line_picks_delimiter(self, tmp_path):
+        # a comma further down does not switch a whitespace-separated file
+        f = tmp_path / "g.edges"
+        f.write_text("a b\nc,x d\nf,g\n")
+        with pytest.raises(ValidationError, match="line 3: expected 2 or 3 columns, got 1"):
+            load_edge_list(f)
+        # nor does a comment line above the first data line
+        f.write_text("# src,dst\na b\nb c\n")
+        assert load_edge_list(f).id_map == {"a": 0, "b": 1, "c": 2}
+
     def test_directed_two_cycle_becomes_bipartite(self, tmp_path):
         f = tmp_path / "g.edges"
         f.write_text("a\tb\nb\ta\n")
@@ -371,6 +381,10 @@ class TestCli:
             "variants = centred",
             "policy = explicit\nsweep = seed_ratio\nsweep_values = 1,2",
             "source = karate\nsweep = size_ratio\nsweep_values = 1,2",
+            "sweep = seed_ratio\nsweep_values = 1,nan",
+            "sweep = seed_ratio\nsweep_values = 1,inf",
+            "sweep = seed_ratio\nsweep_values = 0,1",
+            "sweep = size_ratio\nsweep_values = -1,1",
         ],
     )
     def test_bench_malformed_config_is_one_error_line(self, tmp_path, capsys, bad):

@@ -1,5 +1,8 @@
 """The array tokenizer behind ``load_edge_list`` and ``load_labels`` against
-the per-line loaders it replaced, kept here verbatim as the reference.
+the per-line loaders it replaced, kept here as the reference. They differ
+from the originals in one rule: without a given delimiter the first data
+line alone picks it (the originals detected it again on every line until one
+held a tab or a comma).
 
 Random files mix every delimiter mode, the line breaks ``str.splitlines``
 knows, blank and comment lines, padding with Unicode whitespace, doubled and
@@ -15,11 +18,11 @@ import numpy as np
 import pytest
 
 from heatprop import ValidationError
-from heatprop.graph import MultiLabelPartition, NodePartition, build_graph, directed_to_bipartite
+from heatprop.graph import NodePartition, build_graph, directed_to_bipartite
 from heatprop.io import _LINE_BREAKS, _WHITESPACE, DatasetBundle, load_edge_list, load_labels
 
 # ---------------------------------------------------------------------------
-# reference: the per-line loaders, verbatim
+# reference: the per-line loaders
 
 
 def _detect_delimiter(line: str) -> str | None:
@@ -53,17 +56,18 @@ def reference_load_edge_list(
 ) -> DatasetBundle:
     """Parse ``src dst [weight]`` lines into a graph.
 
-    The delimiter is auto-detected (tab, comma, then whitespace) unless given.
-    Unknown tokens become new dense node ids in first-seen order. With
-    ``weighted`` a third column is required per line; without it a third
-    column is rejected so that a wrong delimiter cannot silently corrupt the
-    weights. Directed inputs are lifted to their bipartite form.
+    Unless given, the first data line picks the delimiter (tab, comma, then
+    whitespace). Unknown tokens become new dense node ids in first-seen
+    order. With ``weighted`` a third column is required per line; without it
+    a third column is rejected so that a wrong delimiter cannot silently
+    corrupt the weights. Directed inputs are lifted to their bipartite form.
     """
     id_map: dict[str, int] = {}
     src, dst, w = [], [], []
+    detect = delimiter is None
     for ln, line in _data_lines(path, comment_prefix):
-        if delimiter is None:
-            delimiter = _detect_delimiter(line)
+        if detect:
+            delimiter, detect = _detect_delimiter(line), False
         parts = _split(line, delimiter)
         if len(parts) == 2:
             if weighted:
@@ -102,20 +106,19 @@ def reference_load_labels(
     num_nodes: int,
     comment_prefix: str = "#",
     delimiter: str | None = None,
-    multi: bool = False,
-) -> tuple[NodePartition | MultiLabelPartition, dict[int, str]]:
+) -> tuple[NodePartition, dict[int, str]]:
     """Parse ``node label`` lines against an existing id map.
 
     Label strings map to dense ids 1..K in first-seen order. Partial
-    labelings are fine. A node repeated with a different label is an error
-    unless ``multi`` is set, in which case label sets are retained.
+    labelings are fine. A node repeated with a different label is an error.
     """
     name_to_id: dict[str, int] = {}
-    assigned: dict[int, set[int]] = {}
+    assigned: dict[int, int] = {}
     unknown: list[str] = []
+    detect = delimiter is None
     for ln, line in _data_lines(path, comment_prefix):
-        if delimiter is None:
-            delimiter = _detect_delimiter(line)
+        if detect:
+            delimiter, detect = _detect_delimiter(line), False
         parts = _split(line, delimiter)
         if len(parts) != 2:
             raise ValidationError(f"{path}: line {ln}: expected 2 columns, got {len(parts)}")
@@ -126,13 +129,10 @@ def reference_load_labels(
         if name not in name_to_id:
             name_to_id[name] = len(name_to_id) + 1
         lab = name_to_id[name]
-        node = id_map[token]
-        current = assigned.setdefault(node, set())
-        if not multi and current and lab not in current:
+        if assigned.setdefault(id_map[token], lab) != lab:
             raise ValidationError(
                 f"{path}: line {ln}: conflicting label for node {token!r}"
             )
-        current.add(lab)
     if unknown:
         raise ValidationError(
             f"{path}: labels for unknown node ids: {', '.join(sorted(set(unknown))[:10])}"
@@ -140,14 +140,10 @@ def reference_load_labels(
     if not assigned:
         raise ValidationError(f"{path}: no labels found")
     label_names = {v: k for k, v in name_to_id.items()}
-    num_labels = len(name_to_id)
-    if multi:
-        sets = tuple(frozenset(assigned.get(i, ())) for i in range(num_nodes))
-        return MultiLabelPartition(sets=sets, num_labels=num_labels), label_names
     labels = np.zeros(num_nodes, dtype=np.int64)
-    for node, labs in assigned.items():
-        labels[node] = next(iter(labs))
-    return NodePartition(labels=labels, num_labels=num_labels), label_names
+    for node, lab in assigned.items():
+        labels[node] = lab
+    return NodePartition(labels=labels, num_labels=len(name_to_id)), label_names
 
 
 # ---------------------------------------------------------------------------
