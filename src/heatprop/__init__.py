@@ -1,7 +1,7 @@
 """Semi-supervised node classification by heat diffusion on sparse graphs.
 
 The package solves discrete Dirichlet problems on weighted undirected graphs
-(iteratively or exactly), classifies nodes from one-vs-all diffusions with
+(by conjugate gradients), classifies nodes from one-vs-all diffusions with
 vanilla, weighted, or mean-centered score rules, and ships an analytic block
 model plus a benchmark harness for validating the centered rule.
 """

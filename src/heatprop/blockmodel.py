@@ -5,7 +5,8 @@ The deterministic model is the complete weighted graph whose intra-block
 pairs (self-loops included) carry weight ``p`` and whose inter-block pairs
 carry weight ``q``. On that graph the one-vs-all equilibrium temperature is
 constant on the non-seed nodes of each block and has a closed form, which
-makes the model an exact oracle for the solver and the classifiers.
+makes the model an exact oracle for the classifiers and for the
+conjugate-gradient solver that every classification runs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .classify import SeedSet, one_vs_all_problem
 from .errors import NumericalError, ValidationError
 from .graph import Graph, NodePartition, _sorted_unique, build_graph
-from .solver import solve_exact
+from .solver import SolverOptions, solve_iterative
 
 DEFAULT_MAX_DENSE_NODES = 5_000
 
@@ -42,8 +43,8 @@ class BlockModelParams:
                 raise ValidationError("every block needs at least one node")
             if not 0 < sk <= nk:
                 raise ValidationError(f"seed count {sk} must satisfy 0 < s <= block size {nk}")
-        if self.p <= 0 or self.q <= 0:
-            raise ValidationError("edge weights p and q must be positive")
+        if not (0 < self.p < np.inf and 0 < self.q < np.inf):
+            raise ValidationError("edge weights p and q must be positive and finite")
 
     @property
     def num_blocks(self) -> int:
@@ -160,12 +161,16 @@ def vanilla_consistency_condition(params: BlockModelParams, hot: int, other: int
 
 
 def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[int, BlockModelParams, int, float]]:
-    """Compare ``closed_form_temperatures`` with ``solve_exact`` on ``points``
-    random block models (1-5 blocks, at most ``max_block_nodes`` nodes).
+    """Compare ``closed_form_temperatures`` with ``solve_iterative`` on
+    ``points`` random block models (1-5 blocks, at most ``max_block_nodes``
+    nodes). Each draw is solved at tolerance 0, which runs conjugate
+    gradients to the rounding level.
 
     Returns ``(point, params, hot, gap)`` per draw with non-seed nodes; the gap
     is the largest distance of a non-seed temperature from its block's value.
     """
+    if points < 1:
+        raise ValidationError(f"the oracle grid needs at least 1 point, got {points}")
     rng = np.random.default_rng(rng_seed)
     rows = []
     for idx in range(points):
@@ -183,7 +188,7 @@ def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[int, 
         problem = one_vs_all_problem(graph, seeds, hot)
         if problem is None:
             continue
-        values = solve_exact(problem).values
+        values = solve_iterative(problem, SolverOptions(tolerance=0.0)).values
         rows.append((idx, params, hot, _block_disagreement(params, seeds, values, oracle.per_block)))
     return rows
 

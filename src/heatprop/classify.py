@@ -3,8 +3,8 @@
 Three score rules share the same K diffusions: ``vanilla`` uses the raw
 temperatures, ``weighted`` rescales each label's temperatures by that label's
 share of the seeds, and ``centered`` subtracts each diffusion's mean
-temperature before comparing labels. In iterative mode only K-1 diffusions
-are solved; the last follows from the partition of unity.
+temperature before comparing labels. Only K-1 diffusions are solved; the
+last follows from the partition of unity.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .solver import (
     SolveInfo,
     SolverOptions,
     TemperatureField,
-    solve,
+    solve_iterative,
 )
 
 VARIANTS = ("vanilla", "weighted", "centered")
@@ -126,7 +126,7 @@ def diffuse_one_vs_all(
         values[seeds.nodes] = (seeds.labels == k).astype(np.float64)
         info = SolveInfo(iterations=0, final_change=0.0, stop_reason="exact")
         return TemperatureField(values=values, info=info)
-    return solve(problem, opts)
+    return solve_iterative(problem, opts)
 
 
 def one_vs_all_fields(
@@ -134,21 +134,18 @@ def one_vs_all_fields(
 ) -> tuple[TemperatureField, ...]:
     """All K diffusions, one per label in label order.
 
-    In iterative mode only the first K-1 are solved. Converged fields sum to
-    one at every node (partition of unity), so the last is
-    ``clip(1 - sum, 0, 1)`` of the others; its info has stop reason
-    ``"derived"``, 0 iterations and, as final change, the sum of theirs,
-    which bounds its harmonicity defect. ``mode="exact"`` solves all K, so
-    symmetric problems keep bitwise-symmetric fields; so does K=1, which has
-    no other field to derive from.
+    Only the first K-1 are solved. Converged fields sum to one at every node
+    (partition of unity), so the last is ``clip(1 - sum, 0, 1)`` of the
+    others; its info has stop reason ``"derived"``, 0 iterations and, as
+    final change, the sum of theirs, which bounds its harmonicity defect.
+    K=1 solves its one field: there is no other to derive it from.
     """
     missing = seeds.missing_labels()
     if missing.size:
         raise ValidationError(f"label(s) without seeds: {missing.tolist()}")
-    opts = opts or SolverOptions()
     num_labels = seeds.num_labels
-    if opts.mode == "exact" or num_labels == 1:
-        return tuple(diffuse_one_vs_all(g, seeds, k, opts) for k in range(1, num_labels + 1))
+    if num_labels == 1:
+        return (diffuse_one_vs_all(g, seeds, 1, opts),)
     solved = tuple(diffuse_one_vs_all(g, seeds, k, opts) for k in range(1, num_labels))
     last = np.clip(1.0 - sum(f.values for f in solved), 0.0, 1.0)
     info = SolveInfo(

@@ -37,7 +37,7 @@ from .experiments import (
 )
 from .graph import NodePartition
 from .io import DatasetBundle, load_dataset, load_labels
-from .solver import SOLVER_MODES, SolverOptions, residual
+from .solver import SolverOptions, residual
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,7 +67,6 @@ def _add_classify(sub):
     p.add_argument("--variant", choices=VARIANTS, default="centered")
     p.add_argument("--max-iter", type=int, default=SolverOptions.max_iterations)
     p.add_argument("--tol", type=float, default=SolverOptions.tolerance)
-    p.add_argument("--mode", choices=SOLVER_MODES, default=SolverOptions.mode)
     p.add_argument("--directed", action="store_true", help="treat the edge list as directed arcs")
     p.add_argument("--weighted", action="store_true", help="edge list has a weight column")
     p.add_argument("--use-destination", action="store_true",
@@ -121,7 +120,7 @@ def _cmd_classify(args) -> int:
 
     bundle = _load_bundle(args.graph, args.labels, args.directed, args.weighted, args.delimiter)
     label_names = bundle.label_names or {}
-    opts = SolverOptions(max_iterations=args.max_iter, tolerance=args.tol, mode=args.mode)
+    opts = SolverOptions(max_iterations=args.max_iter, tolerance=args.tol)
 
     if args.seeds_file:
         seeds, label_names = _seeds_from_file(args.seeds_file, bundle, label_names, args.use_destination)
@@ -228,7 +227,6 @@ CONFIG_SCHEMA = {
     "master_seed": int,
     "max_iterations": int,
     "tolerance": float,
-    "mode": str,
     "grid_points": int,
     "max_block_nodes": int,
 }
@@ -303,7 +301,7 @@ def _config_experiment(cfgv: dict, master_seed: int | None) -> ExperimentConfig:
         sweep = Sweep(kind=cfgv["sweep"], values=cfgv["sweep_values"])
 
     # absent keys are left out, so the dataclass defaults apply
-    solver = SolverOptions(**{k: cfgv[k] for k in ("max_iterations", "tolerance", "mode") if k in cfgv})
+    solver = SolverOptions(**{k: cfgv[k] for k in ("max_iterations", "tolerance") if k in cfgv})
     run = {k: cfgv[k] for k in ("variants", "repetitions", "master_seed") if k in cfgv}
     if master_seed is not None:
         run["master_seed"] = master_seed

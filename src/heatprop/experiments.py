@@ -279,7 +279,8 @@ class ResultRow:
     """Metrics of one variant in one repetition. ``wall_ms`` is the time of
     the repetition's shared field solve plus this variant's scoring and
     labeling; ``iterations`` is the largest conjugate-gradient iteration count
-    among the fields (0 when every field is solved exactly)."""
+    among the fields (0 when no field needs an iteration, as when every
+    node is a seed)."""
 
     variant: str
     sweep: float

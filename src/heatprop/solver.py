@@ -11,7 +11,6 @@ from .graph import Graph, transition_apply
 
 DEFAULT_MAX_DENSE_UNKNOWNS = 10_000
 EPS = float(np.finfo(np.float64).eps)
-SOLVER_MODES = ("iterative", "exact")
 
 
 @dataclass(frozen=True)
@@ -75,19 +74,16 @@ class DirichletProblem:
 @dataclass(frozen=True)
 class SolverOptions:
     """Iteration budget and stopping tolerance of the conjugate-gradient
-    solver (``solve_iterative``), and which solver ``solve`` runs."""
+    solver (``solve_iterative``)."""
 
     max_iterations: int = 100
     tolerance: float = 1e-9
-    mode: str = "iterative"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
-        if self.tolerance < 0:
-            raise ValidationError("tolerance must be nonnegative")
-        if self.mode not in SOLVER_MODES:
-            raise ValidationError(f"unknown solver mode {self.mode!r}")
+        if not 0 <= self.tolerance < np.inf:
+            raise ValidationError("tolerance must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -228,11 +224,12 @@ def solve_exact(
 ) -> TemperatureField:
     """Solve the interior linear system directly (dense LU with partial pivoting).
 
-    Intended for auditing the iterative path when the number of interior
-    nodes is modest; guarded by ``max_dense_unknowns`` because the assembled
-    system is dense. The returned field is clipped to the boundary range
-    (see ``_clip_to_boundary_range``), which removes the rounding error of
-    the factorisation at the range's ends.
+    No package path calls it: the tests use it as the direct reference that
+    ``solve_iterative`` is checked against, on systems with a modest number
+    of interior nodes; guarded by ``max_dense_unknowns`` because the
+    assembled system is dense. The returned field is clipped to the boundary
+    range (see ``_clip_to_boundary_range``), which removes the rounding
+    error of the factorisation at the range's ends.
     """
     _check_boundary_cover(problem)
     g = problem.graph
@@ -241,7 +238,7 @@ def solve_exact(
     if k > max_dense_unknowns:
         raise ValidationError(
             f"{k} interior unknowns exceed the dense-solve guard "
-            f"({max_dense_unknowns}); use the iterative mode"
+            f"({max_dense_unknowns}); use solve_iterative"
         )
     y = problem.pinned_vector()
     pos = np.full(g.n, -1, dtype=np.int64)
@@ -266,14 +263,6 @@ def solve_exact(
     t[interior] = x
     info = SolveInfo(iterations=0, final_change=0.0, stop_reason="exact")
     return TemperatureField(values=_clip_to_boundary_range(problem, t), info=info)
-
-
-def solve(problem: DirichletProblem, opts: SolverOptions | None = None) -> TemperatureField:
-    """Dispatch on ``opts.mode``."""
-    opts = opts or SolverOptions()
-    if opts.mode == "exact":
-        return solve_exact(problem)
-    return solve_iterative(problem, opts)
 
 
 def residual(problem: DirichletProblem, field: TemperatureField) -> float:

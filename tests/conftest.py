@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ def dense_from_edges(n, edges):
 
 
 def count_calls(monkeypatch, module, name) -> list:
-    """Replace ``module.name`` by a wrapper that records each call's
+    """Replace ``module.name``, and every ``from module import name`` copy
+    that a heatprop module holds, by a wrapper that records each call's
     positional arguments; returns the list of records."""
     calls = []
     original = getattr(module, name)
@@ -28,6 +31,11 @@ def count_calls(monkeypatch, module, name) -> list:
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "heatprop" or mod_name.startswith("heatprop."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
     return calls
 
 

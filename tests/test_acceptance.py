@@ -144,7 +144,7 @@ def _theorem_grid():
 
 def test_criterion_03_theorem_consistency_grid():
     start = time.perf_counter()
-    opts = SolverOptions(mode="exact")
+    opts = SolverOptions()
     points = list(_theorem_grid())
     assert len(points) >= 200
     for params in points[:200]:
@@ -164,7 +164,7 @@ def test_criterion_04_vanilla_failure_witness():
 
     assert not vanilla_consistency_condition(params, hot=2, other=1)
     graph, truth, seeds = build_deterministic_block_graph(params)
-    opts = SolverOptions(mode="exact")
+    opts = SolverOptions()
     _, vanilla = classify(graph, seeds, "vanilla", opts)
     _, centered = classify(graph, seeds, "centered", opts)
     non_seed = vanilla.non_seed_nodes()
@@ -235,7 +235,7 @@ def test_criterion_07_karate_two_seeds(karate):
     i33 = karate.id_map["33"]  # administrator
     truth = karate.labels.labels
     seeds = SeedSet.from_dict({i0: int(truth[i0]), i33: int(truth[i33])}, num_labels=2)
-    result = classify_binary(karate.graph, seeds, "mean", SolverOptions(mode="exact"))
+    result = classify_binary(karate.graph, seeds, "mean", SolverOptions())
     non_seed = result.non_seed_nodes()
     wrong = int((result.labels[non_seed] != truth[non_seed]).sum())
     elapsed = time.perf_counter() - start

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import heatprop.solver
 from heatprop import (
     BlockModelParams,
     DirichletProblem,
@@ -16,10 +17,9 @@ from heatprop import (
     solve_exact,
     vanilla_consistency_condition,
 )
-from heatprop.blockmodel import _distinct_integers, _upper_triangle_decode
+from heatprop.blockmodel import _distinct_integers, _upper_triangle_decode, oracle_grid
 from heatprop.classify import classify
-
-EXACT = SolverOptions(mode="exact")
+from conftest import count_calls
 
 
 def random_params(rng, max_nodes=200, require_p_gt_q=False):
@@ -120,6 +120,17 @@ class TestOracleAgreement:
             assert np.abs(solved[mask] - oracle.per_block[mask]).max() < 1e-10
 
 
+class TestOracleGrid:
+    def test_checks_the_conjugate_gradient_solver(self, monkeypatch):
+        iterative = count_calls(monkeypatch, heatprop.solver, "solve_iterative")
+        exact = count_calls(monkeypatch, heatprop.solver, "solve_exact")
+        rows = oracle_grid(30, 60, 0)
+        # one solve per draw with non-seed nodes, run to the rounding level
+        assert len(rows) > 0 and len(iterative) == len(rows) and exact == []
+        assert all(opts.tolerance == 0.0 for _, opts in iterative)
+        assert max(gap for *_, gap in rows) < 1e-13
+
+
 class TestTheoremConsistency:
     def test_centered_classification_exact_on_random_grid(self):
         rng = np.random.default_rng(59)
@@ -128,7 +139,7 @@ class TestTheoremConsistency:
             if params.num_blocks < 2:
                 continue
             graph, truth, seeds = build_deterministic_block_graph(params)
-            _, result = classify(graph, seeds, "centered", EXACT)
+            _, result = classify(graph, seeds, "centered", SolverOptions())
             assert np.array_equal(result.labels, truth.labels)
 
     def test_delta_signs(self):
@@ -165,8 +176,8 @@ class TestVanillaCondition:
             if params.num_blocks < 2:
                 continue
             graph, truth, seeds = build_deterministic_block_graph(params)
-            _, vanilla = classify(graph, seeds, "vanilla", EXACT)
-            _, centered = classify(graph, seeds, "centered", EXACT)
+            _, vanilla = classify(graph, seeds, "vanilla", SolverOptions())
+            _, centered = classify(graph, seeds, "centered", SolverOptions())
             assert np.array_equal(centered.labels, truth.labels)
             offsets = params.block_offsets()
             for b in range(1, params.num_blocks + 1):
@@ -239,7 +250,7 @@ class TestDeterministicBuilder:
         g, _, seeds = build_deterministic_block_graph(params)
         from heatprop import diffuse_one_vs_all
 
-        f = diffuse_one_vs_all(g, seeds, 1, EXACT)
+        f = diffuse_one_vs_all(g, seeds, 1, SolverOptions())
         assert np.allclose(f.values, 1.0, atol=1e-12)
 
     def test_guard(self):
@@ -250,7 +261,7 @@ class TestDeterministicBuilder:
     def test_equal_weights_degenerate_to_tiebreak(self):
         params = BlockModelParams(sizes=(4, 4), seed_counts=(1, 1), p=1.0, q=1.0)
         g, _, seeds = build_deterministic_block_graph(params)
-        scores, result = classify(g, seeds, "centered", EXACT)
+        scores, result = classify(g, seeds, "centered", SolverOptions())
         assert np.abs(scores.scores[result.non_seed_nodes()]).max() < 1e-12
         assert np.all(result.labels[result.non_seed_nodes()] == 1)
         # seed rows hold the centered pinned temperatures: 1 or 0 minus the
@@ -371,3 +382,6 @@ class TestParams:
             BlockModelParams(sizes=(4, 4), seed_counts=(1, 1), p=0.0, q=1.0)
         with pytest.raises(ValidationError):
             BlockModelParams(sizes=(), seed_counts=(), p=1.0, q=1.0)
+        for p, q in ((np.nan, 1.0), (1.0, np.inf)):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                BlockModelParams(sizes=(4, 4), seed_counts=(1, 1), p=p, q=q)

@@ -14,9 +14,6 @@ from heatprop.blockmodel import BlockModelParams, build_deterministic_block_grap
 from heatprop.classify import classification_from_scores, classify, one_vs_all_fields, scores_from_fields
 from conftest import barbell_graph, count_calls, path_graph, random_connected_graph
 
-EXACT = SolverOptions(mode="exact")
-
-
 def karate_two_seeds(karate):
     i0 = karate.id_map["0"]
     i33 = karate.id_map["33"]
@@ -27,7 +24,7 @@ def karate_two_seeds(karate):
 class TestDiffuse:
     def test_karate_field_bounded_with_hot_seed(self, karate):
         seeds = karate_two_seeds(karate)
-        f = diffuse_one_vs_all(karate.graph, seeds, 1, EXACT)
+        f = diffuse_one_vs_all(karate.graph, seeds, 1, SolverOptions())
         assert f.values.min() >= 0.0 and f.values.max() <= 1.0
         assert f.values[karate.id_map["0"]] == 1.0
 
@@ -40,7 +37,7 @@ class TestDiffuse:
     def test_single_label_extends_to_all_ones(self):
         g = path_graph(5)
         seeds = SeedSet.from_dict({0: 1, 4: 1})
-        f = diffuse_one_vs_all(g, seeds, 1, EXACT)
+        f = diffuse_one_vs_all(g, seeds, 1, SolverOptions())
         assert np.allclose(f.values, 1.0, atol=1e-12)
 
     def test_unseeded_label_rejected(self):
@@ -73,14 +70,14 @@ class TestClassify:
     def test_block_model_centered_recovers_blocks(self):
         params = BlockModelParams(sizes=(2, 2), seed_counts=(1, 1), p=2.0, q=1.0)
         g, truth, seeds = build_deterministic_block_graph(params)
-        _, result = classify(g, seeds, "centered", EXACT)
+        _, result = classify(g, seeds, "centered", SolverOptions())
         assert np.array_equal(result.labels, truth.labels)
 
     def test_seed_asymmetry_vanilla_fails_centered_does_not(self):
         params = BlockModelParams(sizes=(50, 50), seed_counts=(10, 2), p=2.0, q=1.0)
         g, truth, seeds = build_deterministic_block_graph(params)
-        _, vanilla = classify(g, seeds, "vanilla", EXACT)
-        _, centered = classify(g, seeds, "centered", EXACT)
+        _, vanilla = classify(g, seeds, "vanilla", SolverOptions())
+        _, centered = classify(g, seeds, "centered", SolverOptions())
         block2_interior = [i for i in centered.non_seed_nodes() if truth.labels[i] == 2]
         assert np.all(vanilla.labels[block2_interior] == 1)
         assert np.array_equal(centered.labels, truth.labels)
@@ -115,18 +112,18 @@ class TestClassify:
 
     def test_centered_columns_have_zero_mean(self, karate):
         seeds = karate_two_seeds(karate)
-        scores, _ = classify(karate.graph, seeds, "centered", EXACT)
+        scores, _ = classify(karate.graph, seeds, "centered", SolverOptions())
         assert np.abs(scores.scores.mean(axis=0)).max() < 1e-10
 
     def test_vanilla_columns_in_unit_interval(self, karate):
         seeds = karate_two_seeds(karate)
-        scores, _ = classify(karate.graph, seeds, "vanilla", EXACT)
+        scores, _ = classify(karate.graph, seeds, "vanilla", SolverOptions())
         assert scores.scores.min() >= 0.0 and scores.scores.max() <= 1.0
 
     def test_weighted_rescales_by_seed_share(self, karate):
         seeds = karate_two_seeds(karate)
-        raw, _ = classify(karate.graph, seeds, "vanilla", EXACT)
-        weighted, _ = classify(karate.graph, seeds, "weighted", EXACT)
+        raw, _ = classify(karate.graph, seeds, "vanilla", SolverOptions())
+        weighted, _ = classify(karate.graph, seeds, "weighted", SolverOptions())
         assert np.allclose(weighted.scores, raw.scores * 0.5)
 
     def test_deterministic_bitwise(self, karate):
@@ -148,8 +145,8 @@ class TestClassify:
         seeds_p = SeedSet(
             nodes=nodes, labels=np.array([perm[v] for v in labels]), num_labels=3
         )
-        _, res = classify(g, seeds, "centered", EXACT)
-        _, res_p = classify(g, seeds_p, "centered", EXACT)
+        _, res = classify(g, seeds, "centered", SolverOptions())
+        _, res_p = classify(g, seeds_p, "centered", SolverOptions())
         assert np.array_equal(np.vectorize(perm.get)(res.labels), res_p.labels)
 
     def test_column_shift_does_not_change_centered_labels(self):
@@ -157,7 +154,7 @@ class TestClassify:
         g = random_connected_graph(rng, 30, extra_edges=30)
         nodes = rng.choice(30, size=6, replace=False)
         seeds = SeedSet(nodes=nodes, labels=np.repeat([1, 2, 3], 2), num_labels=3)
-        fields = one_vs_all_fields(g, seeds, EXACT)
+        fields = one_vs_all_fields(g, seeds, SolverOptions())
         shifted = tuple(
             TemperatureField(values=f.values + c) for f, c in zip(fields, (0.7, -2.0, 13.0))
         )
@@ -168,7 +165,7 @@ class TestClassify:
     def test_confidence_is_score_gap(self):
         params = BlockModelParams(sizes=(3, 3), seed_counts=(1, 1), p=3.0, q=1.0)
         g, _, seeds = build_deterministic_block_graph(params)
-        scores, result = classify(g, seeds, "centered", EXACT)
+        scores, result = classify(g, seeds, "centered", SolverOptions())
         s = np.sort(scores.scores, axis=1)
         assert np.allclose(result.confidence, s[:, -1] - s[:, -2])
 
@@ -189,9 +186,7 @@ class TestPartitionOfUnity:
         fields = one_vs_all_fields(g, seeds)
         # K=1 has no other field to derive from
         assert (len(iterative), len(exact)) == (max(num_labels - 1, 1), 0)
-        iterative.clear()
-        assert len(one_vs_all_fields(g, seeds, EXACT)) == len(fields) == num_labels
-        assert (len(iterative), len(exact)) == (0, num_labels)
+        assert len(fields) == num_labels
 
     def test_derived_field_matches_solved(self):
         rng = np.random.default_rng(43)
@@ -226,7 +221,7 @@ class TestPartitionOfUnity:
 class TestClassifyBinary:
     def test_karate_mean_threshold(self, karate):
         seeds = karate_two_seeds(karate)
-        res = classify_binary(karate.graph, seeds, "mean", EXACT)
+        res = classify_binary(karate.graph, seeds, "mean", SolverOptions())
         truth = karate.labels.labels
         non = res.non_seed_nodes()
         wrong = int((res.labels[non] != truth[non]).sum())
@@ -237,27 +232,27 @@ class TestClassifyBinary:
         g, a, b = barbell_graph(5)
         seeds = SeedSet.from_dict({int(a[0]): 1, int(b[-1]): 2})
         for threshold in ("half", "mean"):
-            res = classify_binary(g, seeds, threshold, EXACT)
+            res = classify_binary(g, seeds, threshold, SolverOptions())
             assert np.all(res.labels[a] == 1)
             assert np.all(res.labels[b] == 2)
 
     def test_barbell_symmetry_forces_mean_half(self):
         g, a, b = barbell_graph(5)
         seeds = SeedSet.from_dict({int(a[0]): 1, int(b[-1]): 2})
-        f = diffuse_one_vs_all(g, seeds, 1, EXACT)
+        f = diffuse_one_vs_all(g, seeds, 1, SolverOptions())
         assert f.mean == pytest.approx(0.5, abs=1e-12)
 
     def test_path_tie_goes_to_label_two(self):
         g = path_graph(3)
         seeds = SeedSet.from_dict({0: 1, 2: 2})
-        res = classify_binary(g, seeds, "mean", EXACT)
+        res = classify_binary(g, seeds, "mean", SolverOptions())
         # node 1 sits exactly at the mean temperature: not above, so label 2
         assert res.labels[1] == 2
 
     def test_confidence_distance_to_threshold(self):
         g = path_graph(4)
         seeds = SeedSet.from_dict({0: 1, 3: 2})
-        res = classify_binary(g, seeds, "half", EXACT)
+        res = classify_binary(g, seeds, "half", SolverOptions())
         assert np.allclose(res.confidence, np.abs([1.0, 2 / 3, 1 / 3, 0.0] - np.float64(0.5)))
 
     def test_requires_two_labels(self):
@@ -281,9 +276,9 @@ class TestClassifyBinary:
                 (gr, SeedSet(nodes=nodes, labels=np.array([1, 1, 2, 2]), num_labels=2))
             )
         for g, seeds in fixtures:
-            binary = classify_binary(g, seeds, "mean", EXACT)
-            _, multi = classify(g, seeds, "centered", EXACT)
-            f = diffuse_one_vs_all(g, seeds, 1, EXACT)
+            binary = classify_binary(g, seeds, "mean", SolverOptions())
+            _, multi = classify(g, seeds, "centered", SolverOptions())
+            f = diffuse_one_vs_all(g, seeds, 1, SolverOptions())
             off_tie = np.abs(f.values - f.mean) > 1e-9
             assert np.array_equal(binary.labels[off_tie], multi.labels[off_tie])
             assert not np.array_equal(binary.labels, 3 - binary.labels)  # sanity: both labels used

@@ -207,7 +207,7 @@ class TestRunExperiment:
             source=BlockSource(params=params),
             variants=("vanilla", "centered"),
             repetitions=1,
-            solver=SolverOptions(mode="exact"),
+            solver=SolverOptions(),
             master_seed=0,
         )
         t1, t2 = run_experiment(cfg), run_experiment(cfg)

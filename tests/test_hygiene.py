@@ -119,3 +119,39 @@ def test_all_lists_the_imported_names():
     }
     assert len(set(heatprop.__all__)) == len(heatprop.__all__)
     assert set(heatprop.__all__) == imported
+
+
+REFERENCE_SOLVERS = ("solve_exact", "jacobi_sweep")
+
+
+def reference_solver_calls(source: str) -> list[str]:
+    """Calls of the reference solvers ``solve_exact`` and ``jacobi_sweep``,
+    by plain name or as a module attribute, by line.
+
+    Every package path solves with ``solve_iterative``; the references stay
+    in ``solver.py`` only for the tests to compare against.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in REFERENCE_SOLVERS:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_reference_solver_calls_detected():
+    source = (
+        "from .solver import solve_exact\nx = solve_exact(p)\n"
+        "y = solver.jacobi_sweep(g, m, t, u)\nz = solve_iterative(p)\n"
+    )
+    assert reference_solver_calls(source) == ["solve_exact (line 2)", "jacobi_sweep (line 3)"]
+
+
+CALLERS = [p for p in SOURCES if p.name != "solver.py"]
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=[p.name for p in CALLERS])
+def test_one_solver_in_every_path(path):
+    assert reference_solver_calls(path.read_text(encoding="utf-8")) == []

@@ -243,6 +243,26 @@ class TestCli:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_classify_non_finite_tolerance_exits_1(self, tmp_path, capsys, tol):
+        code = self.run(
+            "classify", "--graph", "karate", "--sample", "uniform", "--fraction", "0.1",
+            "--tol", tol, "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: tolerance must be finite and nonnegative"]
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_classify_mode_flag_is_usage_error(self, tmp_path, capsys):
+        # classify has no solver choice: the flag must fail, not be ignored
+        with pytest.raises(SystemExit) as exc:
+            self.run(
+                "classify", "--graph", "karate", "--sample", "uniform", "--mode", "exact",
+                "--out", str(tmp_path / "x.csv"),
+            )
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --mode exact" in capsys.readouterr().err
+
     def test_classify_directed_dataset(self, tmp_path):
         edges = tmp_path / "d.edges"
         edges.write_text("a b\nb a\nb c\nc b\nc a\na c\n")
@@ -330,13 +350,13 @@ class TestCli:
 
     def test_bench_config_defaults(self, tmp_path):
         # the fields take 12-13 conjugate-gradient iterations, so another
-        # tolerance, a cap below that or another mode shows in the iters
-        # column; the decoded configs must also be equal, so that any other
-        # changed default in SolverOptions or ExperimentConfig shows
+        # tolerance or a cap below that shows in the iters column; the
+        # decoded configs must also be equal, so that any other changed
+        # default in SolverOptions or ExperimentConfig shows
         model = "sizes = 60,60\nseeds = 20,20\np = 0.3\nq = 0.05\n"
         spelled_out = model + (
             "source = sbm\nsweep = none\nvariants = vanilla,centered\nrepetitions = 10\n"
-            "master_seed = 0\nmax_iterations = 100\ntolerance = 1e-9\nmode = iterative\n"
+            "master_seed = 0\nmax_iterations = 100\ntolerance = 1e-9\n"
         )
         for name, text in (("minimal", model), ("spelled-out", spelled_out)):
             (tmp_path / f"{name}.cfg").write_text(text)
@@ -385,6 +405,10 @@ class TestCli:
             "sweep = seed_ratio\nsweep_values = 1,inf",
             "sweep = seed_ratio\nsweep_values = 0,1",
             "sweep = size_ratio\nsweep_values = -1,1",
+            "p = nan",
+            "source = blocks\np = inf",
+            "tolerance = inf",
+            "mode = exact",
         ],
     )
     def test_bench_malformed_config_is_one_error_line(self, tmp_path, capsys, bad):
@@ -445,6 +469,14 @@ class TestCli:
         assert self.run("oracle", "--K", "2", "--sizes", "2,2", "--seeds", "3,1",
                         "--p", "2", "--q", "1") == 1
 
+    @pytest.mark.parametrize("weights", [("nan", "1"), ("1", "inf")])
+    def test_oracle_non_finite_weights_exit_1(self, capsys, weights):
+        p, q = weights
+        assert self.run("oracle", "--K", "2", "--sizes", "2,2", "--seeds", "1,1", "--p", p, "--q", q) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: edge weights p and q must be positive and finite"]
+
     def test_usage_error_exit_code_1(self):
         with pytest.raises(SystemExit) as exc:
             self.run("bench")  # missing required --config
@@ -459,6 +491,14 @@ class TestCli:
         assert lines[0].startswith("point,")
         worst = max(float(line.split(",")[-1]) for line in lines[1:])
         assert worst < 1e-10
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_oracle_grid_without_points_exits_1(self, tmp_path, capsys, points):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"task = oracle_grid\ngrid_points = {points}\n")
+        assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "grid")) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: the oracle grid needs at least 1 point, got {points}"]
+        assert not (tmp_path / "grid" / "oracle_agreement.csv").exists()
 
     def test_block_disagreement_matches_per_block_loop(self):
         params = BlockModelParams(sizes=(4, 1, 6), seed_counts=(2, 1, 3), p=2.0, q=0.5)
