@@ -15,7 +15,7 @@ from .blockmodel import (
     sbm_generate,
     vanilla_consistency_condition,
 )
-from .classify import SeedSet, classify_binary, diffuse_one_vs_all
+from .classify import SeedSet, diffuse_one_vs_all
 from .errors import IsolatedNodeError, NumericalError, ValidationError
 from .experiments import (
     BlockSource,
@@ -68,7 +68,6 @@ __all__ = [
     "accuracy",
     "build_deterministic_block_graph",
     "build_graph",
-    "classify_binary",
     "closed_form_temperatures",
     "connected_components",
     "diffuse_one_vs_all",

@@ -11,6 +11,7 @@ conjugate-gradient solver that every classification runs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -78,13 +79,17 @@ def closed_form_temperatures(params: BlockModelParams, hot: int = 1) -> BlockTem
                / (1 - sum_k (n_k - s_k) q / a_k)
 
     and the per-block values follow from ``a_h T_h = s_h (p-q) + n q mean``
-    (hot block) and ``a_k T_k = n q mean`` (all others).
+    (hot block) and ``a_k T_k = n q mean`` (all others). Every term is
+    homogeneous in ``(p, q)``, so the result depends only on ``p / q``; both
+    weights are first divided by the largest power of two not above the
+    larger one, which keeps ``n q`` finite and changes no rounding.
     """
     if not 1 <= hot <= params.num_blocks:
         raise ValidationError(f"hot label {hot} out of range [1, {params.num_blocks}]")
     sizes = np.asarray(params.sizes, dtype=np.float64)
     seeds = np.asarray(params.seed_counts, dtype=np.float64)
-    p, q, n = params.p, params.q, float(params.n)
+    scale = math.ldexp(1.0, math.frexp(max(params.p, params.q))[1] - 1)
+    p, q, n = params.p / scale, params.q / scale, float(params.n)
     h = hot - 1
 
     a = seeds * (p - q) + n * q  # equals s_k p + (n - s_k) q > 0
@@ -140,37 +145,35 @@ def build_deterministic_block_graph(
 def vanilla_consistency_condition(params: BlockModelParams, hot: int, other: int) -> bool:
     """Whether uncentered scores classify block ``hot``'s interior correctly
     against label ``other``: true iff the hot block's non-seed temperature in
-    its own diffusion exceeds its temperature in ``other``'s diffusion.
+    its own diffusion exceeds its temperature in ``other``'s diffusion, both
+    taken from ``closed_form_temperatures``.
 
-    Evaluated in closed form; can be false even when ``p > q``, which is the
-    failure mode that temperature centering removes.
+    Can be false even when ``p > q``, which is the failure mode that
+    temperature centering removes.
     """
     kb = params.num_blocks
     if not (1 <= hot <= kb and 1 <= other <= kb) or hot == other:
         raise ValidationError("hot and other must be distinct labels in range")
-    sizes = np.asarray(params.sizes, dtype=np.float64)
-    seeds = np.asarray(params.seed_counts, dtype=np.float64)
-    p, q, n = params.p, params.q, float(params.n)
-    h, o = hot - 1, other - 1
-
-    a = seeds * (p - q) + n * q
-    slack = 1.0 - float(np.sum((sizes - seeds) * q / a))
-    lhs = seeds[h] * q * (sizes[h] * (p - q) + n * q) / a[h] + seeds[h] * (p - q) * slack
-    rhs = seeds[o] * q * (sizes[o] * (p - q) + n * q) / a[o]
-    return bool(lhs > rhs)
+    own = closed_form_temperatures(params, hot).per_block[hot - 1]
+    rival = closed_form_temperatures(params, other).per_block[hot - 1]
+    return bool(own > rival)
 
 
 def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[int, BlockModelParams, int, float]]:
     """Compare ``closed_form_temperatures`` with ``solve_iterative`` on
-    ``points`` random block models (1-5 blocks, at most ``max_block_nodes``
-    nodes). Each draw is solved at tolerance 0, which runs conjugate
-    gradients to the rounding level.
+    ``points`` random block models. A draw has 1-5 blocks; with ``kb``
+    blocks, each has 2 to ``max(2, max_block_nodes // kb - 1)`` nodes, so
+    a draw has fewer than ``max_block_nodes`` nodes whenever
+    ``max_block_nodes // kb`` is at least 3. Each draw is solved at
+    tolerance 0, which runs conjugate gradients to the rounding level.
 
     Returns ``(point, params, hot, gap)`` per draw with non-seed nodes; the gap
     is the largest distance of a non-seed temperature from its block's value.
     """
     if points < 1:
         raise ValidationError(f"the oracle grid needs at least 1 point, got {points}")
+    if max_block_nodes < 2:
+        raise ValidationError(f"the oracle grid needs max_block_nodes of at least 2, got {max_block_nodes}")
     rng = np.random.default_rng(rng_seed)
     rows = []
     for idx in range(points):

@@ -4,7 +4,8 @@ Three score rules share the same K diffusions: ``vanilla`` uses the raw
 temperatures, ``weighted`` rescales each label's temperatures by that label's
 share of the seeds, and ``centered`` subtracts each diffusion's mean
 temperature before comparing labels. Only K-1 diffusions are solved; the
-last follows from the partition of unity.
+last follows from the partition of unity. With K=2, ``vanilla`` is the
+0.5 threshold on label 1's temperature and ``centered`` its mean threshold.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class SeedSet:
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """Per-node, per-label scores plus the raw diffusion fields behind them.
+    """Per-node, per-label scores under the variant the caller chose, plus
+    the raw diffusion fields behind them.
 
     Every row, seeds included, holds the variant applied to that node's
     temperatures; a seed's temperatures are its pinned 0/1 values, so its
@@ -83,7 +85,6 @@ class ScoreMatrix:
     """
 
     scores: np.ndarray  # (n, num_labels)
-    variant: str
     fields: tuple[TemperatureField, ...]
 
 
@@ -95,11 +96,6 @@ class Classification:
     labels: np.ndarray
     confidence: np.ndarray
     seed_nodes: np.ndarray
-
-    def non_seed_nodes(self) -> np.ndarray:
-        mask = np.ones(self.labels.size, dtype=bool)
-        mask[self.seed_nodes] = False
-        return np.flatnonzero(mask)
 
 
 def one_vs_all_problem(g: Graph, seeds: SeedSet, k: int) -> DirichletProblem | None:
@@ -169,7 +165,7 @@ def scores_from_fields(
     else:  # weighted: rescale by each label's share of the seeds
         counts = seeds.seed_counts()[1:].astype(np.float64)
         scores = raw * (counts / counts.sum())
-    return ScoreMatrix(scores=scores, variant=variant, fields=fields)
+    return ScoreMatrix(scores=scores, fields=fields)
 
 
 def classification_from_scores(scores: ScoreMatrix, seeds: SeedSet) -> Classification:
@@ -200,29 +196,3 @@ def classify(
     fields = one_vs_all_fields(g, seeds, opts)
     score_matrix = scores_from_fields(fields, seeds, variant)
     return score_matrix, classification_from_scores(score_matrix, seeds)
-
-
-def classify_binary(
-    g: Graph,
-    seeds: SeedSet,
-    threshold: str = "mean",
-    opts: SolverOptions | None = None,
-) -> Classification:
-    """Two-label rule from a single diffusion (label-1 seeds hot, label-2 cold).
-
-    ``threshold="half"`` assigns label 1 above 0.5; ``threshold="mean"``
-    uses the mean temperature of the diffusion. Values at or below the
-    threshold get label 2. Confidence is the distance to the threshold.
-    """
-    if seeds.num_labels != 2:
-        raise ValidationError("binary classification requires exactly 2 labels")
-    if threshold not in ("half", "mean"):
-        raise ValidationError(f"unknown threshold {threshold!r}; expected 'half' or 'mean'")
-    if seeds.missing_labels().size:
-        raise ValidationError(f"label(s) without seeds: {seeds.missing_labels().tolist()}")
-    field = diffuse_one_vs_all(g, seeds, 1, opts)
-    theta = 0.5 if threshold == "half" else field.mean
-    labels = np.where(field.values > theta, 1, 2).astype(np.int64)
-    labels[seeds.nodes] = seeds.labels
-    confidence = np.abs(field.values - theta)
-    return Classification(labels=labels, confidence=confidence, seed_nodes=seeds.nodes)

@@ -16,9 +16,6 @@ BUILTIN_DATASETS = {
     "blocks3": ("blocks3.edges", "blocks3.labels"),
 }
 
-KARATE_INSTRUCTOR = "0"
-KARATE_ADMINISTRATOR = "33"
-
 
 def data_path(filename: str) -> Path:
     path = _DATA_DIR / filename
@@ -44,8 +41,3 @@ def load_builtin(name: str) -> DatasetBundle:
         )
     edges, labels = BUILTIN_DATASETS[name]
     return load_dataset(data_path(edges), data_path(labels))
-
-
-def karate_club() -> DatasetBundle:
-    """Zachary's karate club with the two-faction ground truth."""
-    return load_builtin("karate")

@@ -325,16 +325,6 @@ class ResultTable:
             out.append(AggregateRow(variant=variant, sweep=sweep, mean=float(arr.mean()), std=float(arr.std())))
         return out
 
-    def mean_macro_f1(self, variant: str, sweep: float | None = None) -> float:
-        vals = [
-            r.macro_f1
-            for r in self.rows
-            if r.variant == variant and (sweep is None or r.sweep == sweep)
-        ]
-        if not vals:
-            raise ValidationError(f"no rows for variant {variant!r}")
-        return float(np.mean(vals))
-
     def write_csv(self, path, include_timing: bool = False):
         """Raw per-run rows. Wall-clock times are written as 0.0 unless
         ``include_timing`` is set, so that output files are byte-reproducible

@@ -9,9 +9,6 @@ import numpy as np
 
 from .errors import IsolatedNodeError, ValidationError
 
-EdgeInput = "sequence of (i, j, w) triples, or a (src, dst, w) tuple of arrays"
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable weighted undirected graph in compressed-row layout.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heatprop import Graph, build_graph
-from heatprop.datasets import karate_club
+from heatprop.datasets import load_builtin
 
 
 def dense_from_edges(n, edges):
@@ -79,4 +79,4 @@ def star_graph(leaves=3):
 
 @pytest.fixture(scope="session")
 def karate():
-    return karate_club()
+    return load_builtin("karate")

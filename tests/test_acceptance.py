@@ -20,7 +20,6 @@ from heatprop import (
     SolverOptions,
     Sweep,
     build_deterministic_block_graph,
-    classify_binary,
     closed_form_temperatures,
     run_experiment,
     sbm_generate,
@@ -151,7 +150,7 @@ def test_criterion_03_theorem_consistency_grid():
         assert params.p > params.q
         graph, truth, seeds = build_deterministic_block_graph(params)
         _, result = classify(graph, seeds, "centered", opts)
-        non_seed = result.non_seed_nodes()
+        non_seed = np.setdiff1d(np.arange(graph.n), seeds.nodes)
         assert np.array_equal(result.labels[non_seed], truth.labels[non_seed]), params
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -167,7 +166,7 @@ def test_criterion_04_vanilla_failure_witness():
     opts = SolverOptions()
     _, vanilla = classify(graph, seeds, "vanilla", opts)
     _, centered = classify(graph, seeds, "centered", opts)
-    non_seed = vanilla.non_seed_nodes()
+    non_seed = np.setdiff1d(np.arange(graph.n), seeds.nodes)
     block2 = non_seed[truth.labels[non_seed] == 2]
     assert block2.size == 48
     assert np.all(vanilla.labels[block2] == 1)  # every block-2 interior node wrong
@@ -215,8 +214,9 @@ def test_criterion_06_sbm_seed_asymmetry_protocol():
         master_seed=0,
     )
     table = run_experiment(cfg)
-    gap = table.mean_macro_f1("centered", 10.0) - table.mean_macro_f1("vanilla", 10.0)
-    centered_at_1 = table.mean_macro_f1("centered", 1.0)
+    means = {(agg.variant, agg.sweep): agg.mean for agg in table.aggregate()}
+    gap = means["centered", 10.0] - means["vanilla", 10.0]
+    centered_at_1 = means["centered", 1.0]
     elapsed = time.perf_counter() - start
     assert gap >= 0.10
     assert centered_at_1 >= 0.90
@@ -235,8 +235,8 @@ def test_criterion_07_karate_two_seeds(karate):
     i33 = karate.id_map["33"]  # administrator
     truth = karate.labels.labels
     seeds = SeedSet.from_dict({i0: int(truth[i0]), i33: int(truth[i33])}, num_labels=2)
-    result = classify_binary(karate.graph, seeds, "mean", SolverOptions())
-    non_seed = result.non_seed_nodes()
+    _, result = classify(karate.graph, seeds, "centered", SolverOptions())
+    non_seed = np.setdiff1d(np.arange(karate.graph.n), seeds.nodes)
     wrong = int((result.labels[non_seed] != truth[non_seed]).sum())
     elapsed = time.perf_counter() - start
     assert non_seed.size == 32

@@ -200,12 +200,17 @@ class TestVanillaCondition:
         # s_b (n_b (p-q) + n q) vs s_o (n_o (p-q) + n q) matches the full
         # condition on draws separated by more than its error bound.
         #
-        # Bound: write d = p - q and a_k = s_k d + n q >= n q. For the lhs and
-        # rhs of vanilla_consistency_condition, n (lhs - rhs) is the
+        # Bound: write d = p - q, a_k = s_k d + n q >= n q and
+        # slack = 1 - sum (n_k - s_k) q / a_k > 0. By the closed form, block
+        # 1's temperature in its own diffusion minus its temperature in block
+        # 2's diffusion is (lhs - rhs) / (a1 slack), with
+        #   lhs = s1 q (n1 d + n q) / a1 + s1 d slack,
+        #   rhs = s2 q (n2 d + n q) / a2,
+        # so the condition holds iff lhs > rhs. n (lhs - rhs) is the
         # surrogate S plus
         #   - s1^2 d (n1 d + n q) / a1 + s2^2 d (n2 d + n q) / a2 + n s1 d slack.
         # Each ratio (n_k d + n q) / a_k lies in (0, p/q]. Since
-        # 1 / (1 + x) >= 1 - x, slack = 1 - sum (n_k - s_k) q / a_k lies in
+        # 1 / (1 + x) >= 1 - x, slack lies in
         # [(s1 + s2) / n, (s1 + s2) p / (n q)]. So with s = max(s1, s2) the
         # correction lies in [-s^2 d p/q, 3 s^2 d p/q], and |S| above
         # 3 s^2 d p/q fixes the sign of lhs - rhs.
@@ -262,8 +267,9 @@ class TestDeterministicBuilder:
         params = BlockModelParams(sizes=(4, 4), seed_counts=(1, 1), p=1.0, q=1.0)
         g, _, seeds = build_deterministic_block_graph(params)
         scores, result = classify(g, seeds, "centered", SolverOptions())
-        assert np.abs(scores.scores[result.non_seed_nodes()]).max() < 1e-12
-        assert np.all(result.labels[result.non_seed_nodes()] == 1)
+        non_seed = np.setdiff1d(np.arange(g.n), seeds.nodes)
+        assert np.abs(scores.scores[non_seed]).max() < 1e-12
+        assert np.all(result.labels[non_seed] == 1)
         # seed rows hold the centered pinned temperatures: 1 or 0 minus the
         # mean temperature 1/2
         assert np.array_equal(seeds.nodes, [0, 4])

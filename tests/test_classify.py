@@ -7,11 +7,10 @@ from heatprop import (
     SolverOptions,
     TemperatureField,
     ValidationError,
-    classify_binary,
     diffuse_one_vs_all,
 )
 from heatprop.blockmodel import BlockModelParams, build_deterministic_block_graph
-from heatprop.classify import classification_from_scores, classify, one_vs_all_fields, scores_from_fields
+from heatprop.classify import VARIANTS, classification_from_scores, classify, one_vs_all_fields, scores_from_fields
 from conftest import barbell_graph, count_calls, path_graph, random_connected_graph
 
 def karate_two_seeds(karate):
@@ -78,7 +77,8 @@ class TestClassify:
         g, truth, seeds = build_deterministic_block_graph(params)
         _, vanilla = classify(g, seeds, "vanilla", SolverOptions())
         _, centered = classify(g, seeds, "centered", SolverOptions())
-        block2_interior = [i for i in centered.non_seed_nodes() if truth.labels[i] == 2]
+        non_seed = np.setdiff1d(np.arange(g.n), seeds.nodes)
+        block2_interior = non_seed[truth.labels[non_seed] == 2]
         assert np.all(vanilla.labels[block2_interior] == 1)
         assert np.array_equal(centered.labels, truth.labels)
 
@@ -86,7 +86,7 @@ class TestClassify:
         g = path_graph(4)
         seeds = SeedSet.from_dict({0: 1, 1: 2, 2: 1, 3: 2})
         scores, result = classify(g, seeds, "vanilla")
-        assert result.non_seed_nodes().size == 0
+        assert np.array_equal(result.seed_nodes, np.arange(4))
         expect = np.zeros((4, 2))
         expect[[0, 2], 0] = 1.0
         expect[[1, 3], 1] = 1.0
@@ -219,11 +219,14 @@ class TestPartitionOfUnity:
 
 
 class TestClassifyBinary:
+    """``classify`` with K=2: ``vanilla`` thresholds label 1's temperature at
+    0.5, ``centered`` at its mean."""
+
     def test_karate_mean_threshold(self, karate):
         seeds = karate_two_seeds(karate)
-        res = classify_binary(karate.graph, seeds, "mean", SolverOptions())
+        _, res = classify(karate.graph, seeds, "centered", SolverOptions())
         truth = karate.labels.labels
-        non = res.non_seed_nodes()
+        non = np.setdiff1d(np.arange(karate.graph.n), seeds.nodes)
         wrong = int((res.labels[non] != truth[non]).sum())
         assert non.size == 32
         assert wrong <= 1
@@ -231,8 +234,8 @@ class TestClassifyBinary:
     def test_barbell_both_thresholds(self):
         g, a, b = barbell_graph(5)
         seeds = SeedSet.from_dict({int(a[0]): 1, int(b[-1]): 2})
-        for threshold in ("half", "mean"):
-            res = classify_binary(g, seeds, threshold, SolverOptions())
+        for variant in ("vanilla", "centered"):
+            _, res = classify(g, seeds, variant, SolverOptions())
             assert np.all(res.labels[a] == 1)
             assert np.all(res.labels[b] == 2)
 
@@ -242,24 +245,21 @@ class TestClassifyBinary:
         f = diffuse_one_vs_all(g, seeds, 1, SolverOptions())
         assert f.mean == pytest.approx(0.5, abs=1e-12)
 
-    def test_path_tie_goes_to_label_two(self):
+    def test_path_tie_goes_to_label_one(self):
         g = path_graph(3)
         seeds = SeedSet.from_dict({0: 1, 2: 2})
-        res = classify_binary(g, seeds, "mean", SolverOptions())
-        # node 1 sits exactly at the mean temperature: not above, so label 2
-        assert res.labels[1] == 2
+        for variant in VARIANTS:
+            _, res = classify(g, seeds, variant, SolverOptions())
+            # node 1 scores the same for both labels: the smaller label wins
+            assert res.labels[1] == 1
+            assert res.confidence[1] == 0.0
 
     def test_confidence_distance_to_threshold(self):
         g = path_graph(4)
         seeds = SeedSet.from_dict({0: 1, 3: 2})
-        res = classify_binary(g, seeds, "half", SolverOptions())
-        assert np.allclose(res.confidence, np.abs([1.0, 2 / 3, 1 / 3, 0.0] - np.float64(0.5)))
-
-    def test_requires_two_labels(self):
-        g = path_graph(3)
-        seeds = SeedSet.from_dict({0: 1, 2: 3}, num_labels=3)
-        with pytest.raises(ValidationError, match="exactly 2"):
-            classify_binary(g, seeds)
+        _, res = classify(g, seeds, "vanilla", SolverOptions())
+        t = np.array([1.0, 2 / 3, 1 / 3, 0.0])
+        assert np.allclose(res.confidence, np.abs(2 * t - 1))
 
     def test_matches_centered_argmax_off_ties(self, karate):
         # the two-column centered argmax reduces to the mean threshold
@@ -276,9 +276,10 @@ class TestClassifyBinary:
                 (gr, SeedSet(nodes=nodes, labels=np.array([1, 1, 2, 2]), num_labels=2))
             )
         for g, seeds in fixtures:
-            binary = classify_binary(g, seeds, "mean", SolverOptions())
             _, multi = classify(g, seeds, "centered", SolverOptions())
             f = diffuse_one_vs_all(g, seeds, 1, SolverOptions())
+            threshold = np.where(f.values > f.mean, 1, 2)
+            threshold[seeds.nodes] = seeds.labels
             off_tie = np.abs(f.values - f.mean) > 1e-9
-            assert np.array_equal(binary.labels[off_tie], multi.labels[off_tie])
-            assert not np.array_equal(binary.labels, 3 - binary.labels)  # sanity: both labels used
+            assert np.array_equal(threshold[off_tie], multi.labels[off_tie])
+            assert set(threshold[off_tie].tolist()) == {1, 2}

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -155,3 +156,70 @@ CALLERS = [p for p in SOURCES if p.name != "solver.py"]
 @pytest.mark.parametrize("path", CALLERS, ids=[p.name for p in CALLERS])
 def test_one_solver_in_every_path(path):
     assert reference_solver_calls(path.read_text(encoding="utf-8")) == []
+
+
+PERFBENCH_DIR = PACKAGE_DIR.parent.parent / "perfbench"
+# read by the tests only, as the dense reference that the solver tests compare against
+TEST_REFERENCES = ("Graph.dense_adjacency",)
+
+
+def public_definitions(source: str) -> list[str]:
+    """Public module-level functions and constants, and public methods of
+    module-level classes (as ``Class.method``), in definition order."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            found.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{item.name}" for item in node.body if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in found if not name.rsplit(".", 1)[-1].startswith("_")]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a source reads, as a plain name or an attribute, plus the parts
+    of string constants that are dotted names (perfbench hooks functions by
+    ``"module.function"``). A ``def`` does not read its own name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value):
+                found.update(node.value.split("."))
+    return found
+
+
+def unreferenced_definitions(source: str, referenced: set[str]) -> list[str]:
+    """Public definitions of ``source`` whose (method) name is not in ``referenced``."""
+    return [name for name in public_definitions(source) if name.rsplit(".", 1)[-1] not in referenced]
+
+
+def test_unreferenced_definitions_detected():
+    defining = (
+        "LIMIT = 3\nSPARE = 4\n_CACHE = {}\n\n\ndef used():\n    pass\n\n\ndef hooked():\n    pass\n\n\n"
+        "def spare():\n    return spare()\n\n\nclass A:\n    def run(self):\n        pass\n\n"
+        "    def _hidden(self):\n        pass\n\n    def old(self):\n        pass\n"
+    )
+    assert public_definitions(defining) == ["LIMIT", "SPARE", "used", "hooked", "spare", "A.run", "A.old"]
+    reading = 'used(LIMIT)\nA().run()\nHOOKS = ("mod.hooked",)\n"""old, spare"""\nprint("old is gone")\n'
+    assert unreferenced_definitions(defining, referenced_names(reading)) == ["SPARE", "spare", "A.old"]
+
+
+def test_every_public_definition_is_named():
+    # only package code and perfbench count: a name that only tests use
+    # does not belong in the package; __init__ only re-exports
+    readers = [p for p in SOURCES if p.name != "__init__.py"]
+    readers += [p for p in sorted(PERFBENCH_DIR.rglob("*.py")) if "tests" not in p.relative_to(PERFBENCH_DIR).parts]
+    referenced = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in readers))
+    unreferenced = [
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in unreferenced_definitions(path.read_text(encoding="utf-8"), referenced)
+        if name not in TEST_REFERENCES
+    ]
+    assert unreferenced == []

@@ -465,6 +465,18 @@ class TestCli:
         assert "vanilla condition block 2 vs 1: FALSE" in out
         assert "vanilla condition block 1 vs 2: TRUE" in out
 
+    @pytest.mark.filterwarnings("error")
+    def test_oracle_depends_only_on_weight_ratio(self, capsys):
+        # n q overflows for weights near the float maximum unless both are scaled down first
+        outputs = []
+        for p, q in (("1", "1"), ("1e308", "1e308"), ("1.7", "1"), ("1.7e308", "1e308")):
+            assert self.run("oracle", "--K", "2", "--sizes", "2,2", "--seeds", "1,1", "--p", p, "--q", q) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[2] == outputs[3]
+        assert "mean temperature = 0.5\n" in outputs[0]
+        assert outputs[0].count(": FALSE") == 2
+
     def test_oracle_invalid_params_exit_1(self):
         assert self.run("oracle", "--K", "2", "--sizes", "2,2", "--seeds", "3,1",
                         "--p", "2", "--q", "1") == 1
@@ -498,6 +510,16 @@ class TestCli:
         cfg.write_text(f"task = oracle_grid\ngrid_points = {points}\n")
         assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "grid")) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: the oracle grid needs at least 1 point, got {points}"]
+        assert not (tmp_path / "grid" / "oracle_agreement.csv").exists()
+
+    @pytest.mark.parametrize("nodes", [1, -5])
+    def test_oracle_grid_with_too_few_block_nodes_exits_1(self, tmp_path, capsys, nodes):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"task = oracle_grid\ngrid_points = 2\nmax_block_nodes = {nodes}\n")
+        assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "grid")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the oracle grid needs max_block_nodes of at least 2, got {nodes}"
+        ]
         assert not (tmp_path / "grid" / "oracle_agreement.csv").exists()
 
     def test_block_disagreement_matches_per_block_loop(self):
