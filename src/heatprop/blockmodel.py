@@ -133,11 +133,12 @@ def build_deterministic_block_graph(
     n = params.n
     if n > max_nodes:
         raise ValidationError(f"{n} nodes exceed the dense block-graph guard ({max_nodes})")
-    block_of = np.repeat(np.arange(params.num_blocks), params.sizes)
+    # the kb x kb block weights, expanded to one dense row per node
+    templates = np.full((params.num_blocks, params.num_blocks), params.q, dtype=np.float64)
+    np.fill_diagonal(templates, params.p)
+    weights = np.repeat(np.repeat(templates, params.sizes, axis=1), params.sizes, axis=0).ravel()
     indptr = np.arange(n + 1, dtype=np.int64) * n
     indices = np.tile(np.arange(n, dtype=np.int64), n)
-    rows = np.repeat(np.arange(n, dtype=np.int64), n)
-    weights = np.where(block_of[rows] == block_of[indices], params.p, params.q)
     graph = Graph(n=n, indptr=indptr, indices=indices, weights=weights)
     return graph, block_labels(params), default_seeds(params)
 

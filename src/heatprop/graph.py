@@ -55,14 +55,11 @@ class Graph:
             raise ValidationError("column index out of range")
         if not np.all(weights > 0):  # also false for NaN
             raise ValidationError("all edge weights must be positive")
-        # unique, sorted columns within each row
-        if indices.size:
-            # row starts may break monotonicity; a start equals indices.size
-            # when the last rows are empty
-            inner = np.ones(indices.size + 1, dtype=bool)
-            inner[indptr[1:-1]] = False
-            if np.any((np.diff(indices) <= 0) & inner[1:-1]):
-                raise ValidationError("column indices must be strictly increasing per row")
+        # unique, sorted columns within each row: a column may fail to
+        # increase only at a position where a row starts
+        drops = np.flatnonzero(indices[1:] <= indices[:-1]) + 1
+        if np.any(indptr[np.searchsorted(indptr, drops)] != drops):
+            raise ValidationError("column indices must be strictly increasing per row")
         with np.errstate(over="ignore"):  # an overflow is reported below
             row_sums = _row_sums(indptr, weights)
         # one check per node catches infinite weights and sums that overflow
@@ -260,22 +257,28 @@ def directed_to_bipartite(n: int, arcs) -> Graph:
 
 def connected_components(g: Graph) -> list[np.ndarray]:
     """Partition nodes by connectivity (breadth-first); each component is a
-    sorted array of node ids, ordered by smallest member."""
+    sorted array of node ids, ordered by smallest member. The search stops
+    once every node is seen."""
     seen = np.zeros(g.n, dtype=bool)
+    unseen = g.n
     components = []
     for start in range(g.n):
         if seen[start]:
             continue
         seen[start] = True
+        unseen -= 1
         frontier = np.array([start], dtype=np.int64)
         members = [frontier]
-        while frontier.size:
+        while frontier.size and unseen:
             nbrs = g.indices[_concat_ranges(g.indptr, frontier)]
             nbrs = _sorted_unique(nbrs[~seen[nbrs]])
             seen[nbrs] = True
+            unseen -= nbrs.size
             members.append(nbrs)
             frontier = nbrs
         components.append(np.sort(np.concatenate(members)))
+        if not unseen:
+            break
     return components
 
 

@@ -8,6 +8,7 @@ import heatprop.solver
 from heatprop import (
     BlockModelParams,
     DirichletProblem,
+    Graph,
     NumericalError,
     SolverOptions,
     ValidationError,
@@ -249,6 +250,27 @@ class TestDeterministicBuilder:
         sizes = np.asarray(params.sizes, dtype=np.float64)[truth.labels - 1]
         analytic = sizes * params.p + (g.n - sizes) * params.q
         np.testing.assert_allclose(g.degrees, analytic, rtol=1e-12, atol=0)
+
+    def test_csr_matches_fancy_index_reference(self):
+        rng = np.random.default_rng(41)
+        for trial in range(40):
+            kb = int(rng.integers(1, 6))
+            sizes = [int(v) for v in rng.integers(1, 9, size=kb)]
+            sizes[int(rng.integers(0, kb))] = 1  # at least one 1-node block
+            p = float(rng.uniform(0.1, 3.0))
+            q = p if trial % 5 == 0 else float(rng.uniform(0.1, 3.0))
+            params = BlockModelParams(sizes=tuple(sizes), seed_counts=(1,) * kb, p=p, q=q)
+            g, _, _ = build_deterministic_block_graph(params)
+            # reference: one fancy-indexed block lookup per stored entry
+            n = params.n
+            block_of = np.repeat(np.arange(kb), sizes)
+            rows = np.repeat(np.arange(n), n)
+            cols = np.tile(np.arange(n), n)
+            weights = np.where(block_of[rows] == block_of[cols], p, q)
+            reference = Graph(n=n, indptr=np.arange(n + 1) * n, indices=cols, weights=weights)
+            for name in ("indptr", "indices", "weights", "degrees"):
+                got, expect = getattr(g, name), getattr(reference, name)
+                assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), name
 
     def test_single_block_diffusion_is_all_ones(self):
         params = BlockModelParams(sizes=(6,), seed_counts=(2,), p=1.5, q=1.0)

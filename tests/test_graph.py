@@ -12,8 +12,9 @@ from heatprop import (
     directed_to_bipartite,
     transition_apply,
 )
+import heatprop.graph
 from heatprop.graph import _sorted_unique
-from conftest import dense_from_edges, path_graph, random_connected_graph
+from conftest import count_calls, dense_from_edges, path_graph, random_connected_graph
 
 
 class TestBuildGraph:
@@ -110,8 +111,9 @@ class TestTransitionApply:
             g = random_connected_graph(rng, int(rng.integers(2, 50)), extra_edges=10)
             out = transition_apply(g, np.ones(g.n))
             assert np.array_equal(out, np.ones(g.n))
-        # a caller-supplied degree vector: the block builder passes analytic
-        # degrees, summed in another order than the operator's rows
+        # a dense block graph: summed in another order, its long rows of
+        # equal weights could miss one in the last bit; Graph takes every
+        # degree with the operator's own row reduction
         params = BlockModelParams(sizes=(50, 50), seed_counts=(1, 1), p=2 / 3, q=0.1)
         g, _, _ = build_deterministic_block_graph(params)
         assert np.array_equal(transition_apply(g, np.ones(g.n)), np.ones(g.n))
@@ -190,6 +192,55 @@ class TestConnectedComponents:
         comps = connected_components(karate.graph)
         assert len(comps) == 1
         assert comps[0].size == 34
+
+    def test_complete_graph_stops_after_first_expansion(self, monkeypatch):
+        params = BlockModelParams(sizes=(30, 20, 1), seed_counts=(1, 1, 1), p=2.0, q=0.5)
+        g, _, _ = build_deterministic_block_graph(params)
+        calls = count_calls(monkeypatch, heatprop.graph, "_concat_ranges")
+        comps = connected_components(g)
+        # node 0's neighbors are every node, so no frontier is expanded after it
+        assert len(calls) == 1
+        assert len(comps) == 1 and np.array_equal(comps[0], np.arange(g.n))
+
+    def test_many_small_components_match_union_find(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            pairs = int(rng.integers(1, 60))
+            n = 2 * pairs + 1
+            # random disjoint pairs, a few edges that join pairs, and a last
+            # node alone with its self-loop
+            order = rng.permutation(n - 1)
+            extra = int(rng.integers(0, pairs // 2 + 1))
+            src = np.concatenate([order[0::2], rng.integers(0, n - 1, extra), [n - 1]])
+            dst = np.concatenate([order[1::2], rng.integers(0, n - 1, extra), [n - 1]])
+            g = build_graph(n, (src, dst, np.ones(src.size)))
+            expect = union_find_components(n, src.tolist(), dst.tolist())
+            assert expect[-1] == [n - 1]
+            assert [c.tolist() for c in connected_components(g)] == expect
+            ids = np.empty(n, dtype=np.int64)
+            for c, members in enumerate(expect):
+                ids[members] = c
+            assert g.component_ids.tolist() == ids.tolist()
+
+
+def union_find_components(n, src, dst):
+    """Sorted member lists of the components of the edges ``(src, dst)``,
+    ordered by smallest member, by union-find."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in zip(src, dst):
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
 
 
 class TestSortedUnique:

@@ -504,6 +504,13 @@ class TestCli:
         worst = max(float(line.split(",")[-1]) for line in lines[1:])
         assert worst < 1e-10
 
+    def test_bundled_lemma_grid(self, tmp_path, capsys):
+        assert self.run("bench", "--config", "lemma-grid", "--out-dir", str(tmp_path)) == 0
+        lines = (tmp_path / "oracle_agreement.csv").read_text().splitlines()
+        assert lines[0] == "point,num_blocks,n,p,q,hot,max_abs_diff"
+        assert len(lines) == 1 + 50
+        assert max(float(line.split(",")[-1]) for line in lines[1:]) <= 1e-12
+
     @pytest.mark.parametrize("points", [0, -3])
     def test_oracle_grid_without_points_exits_1(self, tmp_path, capsys, points):
         cfg = tmp_path / "grid.cfg"
