@@ -44,7 +44,6 @@ from .solver import (
     SolverOptions,
     TemperatureField,
     residual,
-    solve_exact,
     solve_iterative,
 )
 
@@ -80,7 +79,6 @@ __all__ = [
     "run_experiment",
     "sample_seeds",
     "sbm_generate",
-    "solve_exact",
     "solve_iterative",
     "transition_apply",
     "vanilla_consistency_condition",

@@ -119,9 +119,12 @@ def default_seeds(params: BlockModelParams) -> SeedSet:
     return SeedSet(nodes=nodes, labels=labels, num_labels=params.num_blocks)
 
 
-def build_deterministic_block_graph(
-    params: BlockModelParams, max_nodes: int = DEFAULT_MAX_DENSE_NODES
-) -> tuple[Graph, NodePartition, SeedSet]:
+def _check_dense_guard(n: int):
+    if n > DEFAULT_MAX_DENSE_NODES:
+        raise ValidationError(f"{n} nodes exceed the dense block-graph guard ({DEFAULT_MAX_DENSE_NODES})")
+
+
+def build_deterministic_block_graph(params: BlockModelParams) -> tuple[Graph, NodePartition, SeedSet]:
     """Complete weighted block graph (dense: n^2 stored entries).
 
     Every ordered intra-block pair carries weight ``p`` including a self-loop
@@ -131,8 +134,7 @@ def build_deterministic_block_graph(
     agreement with the solver.
     """
     n = params.n
-    if n > max_nodes:
-        raise ValidationError(f"{n} nodes exceed the dense block-graph guard ({max_nodes})")
+    _check_dense_guard(n)
     # the kb x kb block weights, expanded to one dense row per node
     templates = np.full((params.num_blocks, params.num_blocks), params.q, dtype=np.float64)
     np.fill_diagonal(templates, params.p)

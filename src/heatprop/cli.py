@@ -119,6 +119,8 @@ def _cmd_classify(args) -> int:
         raise ValidationError("--seeds-file and --sample are mutually exclusive")
 
     bundle = _load_bundle(args.graph, args.labels, args.directed, args.weighted, args.delimiter)
+    if args.use_destination and not bundle.directed:
+        raise ValidationError("--use-destination needs a directed edge list (--directed)")
     label_names = bundle.label_names or {}
     opts = SolverOptions(max_iterations=args.max_iter, tolerance=args.tol)
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .blockmodel import (
     BlockModelParams,
+    _check_dense_guard,
     build_deterministic_block_graph,
     sbm_generate,
 )
@@ -201,12 +202,19 @@ class SbmSource:
 
     params: BlockModelParams
 
+    def __post_init__(self):
+        if not (self.params.p <= 1 and self.params.q <= 1):
+            raise ValidationError("p and q must be probabilities in (0, 1]")
+
 
 @dataclass(frozen=True)
 class BlockSource:
     """Deterministic complete block graph (no graph randomness)."""
 
     params: BlockModelParams
+
+    def __post_init__(self):
+        _check_dense_guard(self.params.n)
 
 
 @dataclass(frozen=True)
@@ -272,6 +280,12 @@ class ExperimentConfig:
                 raise ValidationError("parameter sweeps apply to block-model sources only")
             if policy is None:
                 raise ValidationError("dataset sources need an explicit sampling policy")
+        elif sweep:
+            blocks = self.source.params.num_blocks
+            if sweep.kind == "seed_ratio" and blocks < 2:
+                raise ValidationError("seed_ratio sweep needs at least two blocks")
+            if sweep.kind == "size_ratio" and blocks != 2:
+                raise ValidationError("size_ratio sweep is defined for two blocks")
 
 
 @dataclass(frozen=True)
@@ -354,14 +368,10 @@ def _swept_params(params: BlockModelParams, sweep: Sweep | None, value: float) -
     if sweep is None:
         return params
     if sweep.kind == "seed_ratio":
-        if params.num_blocks < 2:
-            raise ValidationError("seed_ratio sweep needs at least two blocks")
         s = list(params.seed_counts)
         s[0] = int(round(value * s[1]))
         return BlockModelParams(sizes=params.sizes, seed_counts=tuple(s), p=params.p, q=params.q)
-    # size_ratio
-    if params.num_blocks != 2:
-        raise ValidationError("size_ratio sweep is defined for two blocks")
+    # size_ratio; ExperimentConfig admits it for two blocks only
     n_total = params.n
     s_total = sum(params.seed_counts)
     n2 = int(round(n_total / (1.0 + value)))

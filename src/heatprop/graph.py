@@ -90,17 +90,6 @@ class Graph:
         loops = int(np.count_nonzero(rows == self.indices))
         return (self.indices.size + loops) // 2
 
-    def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        sl = slice(self.indptr[i], self.indptr[i + 1])
-        return self.indices[sl], self.weights[sl]
-
-    def dense_adjacency(self) -> np.ndarray:
-        """Dense adjacency matrix; intended for small graphs and tests."""
-        a = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        a[rows, self.indices] = self.weights
-        return a
-
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonical undirected edge list (i <= j) with weights."""
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -311,10 +300,6 @@ class NodePartition:
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() > self.num_labels):
             raise ValidationError(f"labels must lie in [0, {self.num_labels}] (0 = unlabeled)")
         self.labels.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.labels.size
 
     def labeled_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.labels > 0)

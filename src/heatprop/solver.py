@@ -6,10 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .graph import Graph, transition_apply
 
-DEFAULT_MAX_DENSE_UNKNOWNS = 10_000
 EPS = float(np.finfo(np.float64).eps)
 
 
@@ -50,26 +49,6 @@ class DirichletProblem:
         if b.size >= n:
             raise ValidationError("boundary must be a strict subset of the nodes")
 
-    @classmethod
-    def from_dict(cls, graph: Graph, temps: dict[int, float]) -> "DirichletProblem":
-        nodes = np.fromiter(temps.keys(), dtype=np.int64, count=len(temps))
-        values = np.fromiter((temps[int(i)] for i in nodes), dtype=np.float64, count=len(temps))
-        return cls(graph=graph, boundary=nodes, boundary_temps=values)
-
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.graph.n, dtype=bool)
-        mask[self.boundary] = True
-        return mask
-
-    def interior(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary_mask())
-
-    def pinned_vector(self) -> np.ndarray:
-        """Full-length vector with boundary temperatures set, zeros elsewhere."""
-        out = np.zeros(self.graph.n)
-        out[self.boundary] = self.boundary_temps
-        return out
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -89,13 +68,13 @@ class SolverOptions:
 @dataclass(frozen=True)
 class SolveInfo:
     """How a field was produced. ``final_change`` is the harmonicity defect
-    ``max|P t - t|`` of the conjugate-gradient iterate at the stop (0 for an
-    exact solve)."""
+    ``max|P t - t|`` of the conjugate-gradient iterate at the stop (0 when
+    there is nothing to solve)."""
 
     iterations: int
     final_change: float
-    # "tolerance" | "max_iterations" | "exact", or "derived" for a one-vs-all
-    # field taken from the others by the partition of unity
+    # "tolerance" | "max_iterations" | "exact" (no interior node), or "derived"
+    # for a one-vs-all field taken from the others by the partition of unity
     stop_reason: str
 
 
@@ -109,10 +88,6 @@ class TemperatureField:
     def __post_init__(self):
         object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=np.float64))
         self.values.setflags(write=False)
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
 
 
 def _check_boundary_cover(problem: DirichletProblem):
@@ -139,14 +114,6 @@ def _clip_to_boundary_range(problem: DirichletProblem, t: np.ndarray) -> np.ndar
     """
     temps = problem.boundary_temps
     return np.clip(t, temps.min(), temps.max(), out=t)
-
-
-def jacobi_sweep(g: Graph, boundary_mask: np.ndarray, pinned: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """One full-vector relaxation step: interior entries are replaced by the
-    weighted average of their neighbors, boundary entries stay pinned.
-    ``solve_iterative`` does not use it; tests use it as the plain
-    relaxation reference."""
-    return np.where(boundary_mask, pinned, transition_apply(g, t))
 
 
 def solve_iterative(problem: DirichletProblem, opts: SolverOptions | None = None) -> TemperatureField:
@@ -215,53 +182,6 @@ def solve_iterative(problem: DirichletProblem, opts: SolverOptions | None = None
     t = u * span + low
     t[boundary] = temps
     info = SolveInfo(iterations=iterations, final_change=defect * span, stop_reason=stop)
-    return TemperatureField(values=_clip_to_boundary_range(problem, t), info=info)
-
-
-def solve_exact(
-    problem: DirichletProblem,
-    max_dense_unknowns: int = DEFAULT_MAX_DENSE_UNKNOWNS,
-) -> TemperatureField:
-    """Solve the interior linear system directly (dense LU with partial pivoting).
-
-    No package path calls it: the tests use it as the direct reference that
-    ``solve_iterative`` is checked against, on systems with a modest number
-    of interior nodes; guarded by ``max_dense_unknowns`` because the
-    assembled system is dense. The returned field is clipped to the boundary
-    range (see ``_clip_to_boundary_range``), which removes the rounding
-    error of the factorisation at the range's ends.
-    """
-    _check_boundary_cover(problem)
-    g = problem.graph
-    interior = problem.interior()
-    k = interior.size
-    if k > max_dense_unknowns:
-        raise ValidationError(
-            f"{k} interior unknowns exceed the dense-solve guard "
-            f"({max_dense_unknowns}); use solve_iterative"
-        )
-    y = problem.pinned_vector()
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[interior] = np.arange(k)
-
-    system = np.eye(k)
-    rhs = np.zeros(k)
-    for row, node in enumerate(interior):
-        cols, ws = g.neighbors(node)
-        ws = ws / g.degrees[node]
-        local = pos[cols]
-        inside = local >= 0
-        system[row, local[inside]] -= ws[inside]
-        rhs[row] = float(ws[~inside] @ y[cols[~inside]])
-
-    try:
-        x = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular interior system: {exc}") from None
-
-    t = y.copy()
-    t[interior] = x
-    info = SolveInfo(iterations=0, final_change=0.0, stop_reason="exact")
     return TemperatureField(values=_clip_to_boundary_range(problem, t), info=info)
 
 

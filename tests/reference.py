@@ -1,0 +1,95 @@
+"""Dense references that the tests check the package against.
+
+No package path uses them: the package solves every Dirichlet problem with
+``solve_iterative``. ``solve_exact`` is the direct solve that the iterative
+solver and the block-model closed form are compared with, ``jacobi_sweep``
+the plain relaxation step, and ``dense_adjacency`` the dense view of a CSR
+graph.
+"""
+
+import numpy as np
+
+from heatprop import DirichletProblem, Graph, NumericalError, TemperatureField, ValidationError
+from heatprop.graph import transition_apply
+from heatprop.solver import SolveInfo, _check_boundary_cover, _clip_to_boundary_range
+
+DEFAULT_MAX_DENSE_UNKNOWNS = 10_000
+
+
+def problem_from_dict(graph: Graph, temps: dict[int, float]) -> DirichletProblem:
+    """A Dirichlet problem whose boundary temperatures are given as ``{node: temperature}``."""
+    nodes = np.fromiter(temps.keys(), dtype=np.int64, count=len(temps))
+    values = np.fromiter((temps[int(i)] for i in nodes), dtype=np.float64, count=len(temps))
+    return DirichletProblem(graph=graph, boundary=nodes, boundary_temps=values)
+
+
+def boundary_mask(problem: DirichletProblem) -> np.ndarray:
+    mask = np.zeros(problem.graph.n, dtype=bool)
+    mask[problem.boundary] = True
+    return mask
+
+
+def pinned_vector(problem: DirichletProblem) -> np.ndarray:
+    """Full-length vector with boundary temperatures set, zeros elsewhere."""
+    out = np.zeros(problem.graph.n)
+    out[problem.boundary] = problem.boundary_temps
+    return out
+
+
+def dense_adjacency(g: Graph) -> np.ndarray:
+    """Dense adjacency matrix of a (small) graph."""
+    a = np.zeros((g.n, g.n))
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    a[rows, g.indices] = g.weights
+    return a
+
+
+def jacobi_sweep(g: Graph, boundary_mask: np.ndarray, pinned: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """One full-vector relaxation step: interior entries are replaced by the
+    weighted average of their neighbors, boundary entries stay pinned."""
+    return np.where(boundary_mask, pinned, transition_apply(g, t))
+
+
+def solve_exact(
+    problem: DirichletProblem,
+    max_dense_unknowns: int = DEFAULT_MAX_DENSE_UNKNOWNS,
+) -> TemperatureField:
+    """Solve the interior linear system directly (dense LU with partial pivoting).
+
+    Guarded by ``max_dense_unknowns`` because the assembled system is dense.
+    The returned field is clipped to the boundary range, as the package's
+    solver clips its own, which removes the rounding error of the
+    factorisation at the range's ends.
+    """
+    _check_boundary_cover(problem)
+    g = problem.graph
+    interior = np.flatnonzero(~boundary_mask(problem))
+    k = interior.size
+    if k > max_dense_unknowns:
+        raise ValidationError(
+            f"{k} interior unknowns exceed the dense-solve guard "
+            f"({max_dense_unknowns}); use solve_iterative"
+        )
+    y = pinned_vector(problem)
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[interior] = np.arange(k)
+
+    system = np.eye(k)
+    rhs = np.zeros(k)
+    for row, node in enumerate(interior):
+        sl = slice(g.indptr[node], g.indptr[node + 1])
+        cols, ws = g.indices[sl], g.weights[sl] / g.degrees[node]
+        local = pos[cols]
+        inside = local >= 0
+        system[row, local[inside]] -= ws[inside]
+        rhs[row] = float(ws[~inside] @ y[cols[~inside]])
+
+    try:
+        x = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular interior system: {exc}") from None
+
+    t = y.copy()
+    t[interior] = x
+    info = SolveInfo(iterations=0, final_change=0.0, stop_reason="exact")
+    return TemperatureField(values=_clip_to_boundary_range(problem, t), info=info)

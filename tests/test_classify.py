@@ -179,13 +179,12 @@ class TestPartitionOfUnity:
     @pytest.mark.parametrize("num_labels", [1, 2, 3])
     def test_solves_per_mode(self, monkeypatch, num_labels):
         iterative = count_calls(monkeypatch, heatprop.solver, "solve_iterative")
-        exact = count_calls(monkeypatch, heatprop.solver, "solve_exact")
         g = random_connected_graph(np.random.default_rng(41), 30, extra_edges=30)
         labels = np.arange(1, num_labels + 1)
         seeds = SeedSet(nodes=labels - 1, labels=labels, num_labels=num_labels)
         fields = one_vs_all_fields(g, seeds)
         # K=1 has no other field to derive from
-        assert (len(iterative), len(exact)) == (max(num_labels - 1, 1), 0)
+        assert len(iterative) == max(num_labels - 1, 1)
         assert len(fields) == num_labels
 
     def test_derived_field_matches_solved(self):
@@ -243,7 +242,7 @@ class TestClassifyBinary:
         g, a, b = barbell_graph(5)
         seeds = SeedSet.from_dict({int(a[0]): 1, int(b[-1]): 2})
         f = diffuse_one_vs_all(g, seeds, 1, SolverOptions())
-        assert f.mean == pytest.approx(0.5, abs=1e-12)
+        assert f.values.mean() == pytest.approx(0.5, abs=1e-12)
 
     def test_path_tie_goes_to_label_one(self):
         g = path_graph(3)
@@ -278,8 +277,9 @@ class TestClassifyBinary:
         for g, seeds in fixtures:
             _, multi = classify(g, seeds, "centered", SolverOptions())
             f = diffuse_one_vs_all(g, seeds, 1, SolverOptions())
-            threshold = np.where(f.values > f.mean, 1, 2)
+            mean = f.values.mean()
+            threshold = np.where(f.values > mean, 1, 2)
             threshold[seeds.nodes] = seeds.labels
-            off_tie = np.abs(f.values - f.mean) > 1e-9
+            off_tie = np.abs(f.values - mean) > 1e-9
             assert np.array_equal(threshold[off_tie], multi.labels[off_tie])
             assert set(threshold[off_tie].tolist()) == {1, 2}

@@ -122,46 +122,7 @@ def test_all_lists_the_imported_names():
     assert set(heatprop.__all__) == imported
 
 
-REFERENCE_SOLVERS = ("solve_exact", "jacobi_sweep")
-
-
-def reference_solver_calls(source: str) -> list[str]:
-    """Calls of the reference solvers ``solve_exact`` and ``jacobi_sweep``,
-    by plain name or as a module attribute, by line.
-
-    Every package path solves with ``solve_iterative``; the references stay
-    in ``solver.py`` only for the tests to compare against.
-    """
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in REFERENCE_SOLVERS:
-                found.append(f"{name} (line {node.lineno})")
-    return found
-
-
-def test_reference_solver_calls_detected():
-    source = (
-        "from .solver import solve_exact\nx = solve_exact(p)\n"
-        "y = solver.jacobi_sweep(g, m, t, u)\nz = solve_iterative(p)\n"
-    )
-    assert reference_solver_calls(source) == ["solve_exact (line 2)", "jacobi_sweep (line 3)"]
-
-
-CALLERS = [p for p in SOURCES if p.name != "solver.py"]
-
-
-@pytest.mark.parametrize("path", CALLERS, ids=[p.name for p in CALLERS])
-def test_one_solver_in_every_path(path):
-    assert reference_solver_calls(path.read_text(encoding="utf-8")) == []
-
-
 PERFBENCH_DIR = PACKAGE_DIR.parent.parent / "perfbench"
-# read by the tests only, as the dense reference that the solver tests compare against
-TEST_REFERENCES = ("Graph.dense_adjacency",)
-
 
 def public_definitions(source: str) -> list[str]:
     """Public module-level functions and constants, and public methods of
@@ -220,6 +181,59 @@ def test_every_public_definition_is_named():
         f"{path.stem}.{name}"
         for path in SOURCES
         for name in unreferenced_definitions(path.read_text(encoding="utf-8"), referenced)
-        if name not in TEST_REFERENCES
     ]
     assert unreferenced == []
+
+
+TESTS_DIR = Path(__file__).resolve().parent
+REFERENCE = TESTS_DIR / "reference.py"
+REFERENCE_NAMES = public_definitions(REFERENCE.read_text(encoding="utf-8"))
+
+
+def reference_uses(source: str, names=REFERENCE_NAMES) -> list[str]:
+    """Which of ``names`` a source defines (by ``def``, ``class`` or
+    assignment), imports, or reads (see ``referenced_names``)."""
+    found = referenced_names(source)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(name for alias in node.names for name in (alias.name, alias.asname) if name)
+    return sorted(set(names) & found)
+
+
+def test_reference_uses_detected():
+    source = (
+        "from .solver import solve_exact as exact\nLIMIT = 3\n\n\ndef sweep():\n    pass\n\n\n"
+        'x = g.dense(t)\n__all__ = ["table"]\n"""spare, in prose"""\n'
+    )
+    names = ("solve_exact", "exact", "LIMIT", "sweep", "dense", "table", "spare", "absent")
+    assert reference_uses(source, names) == ["LIMIT", "dense", "exact", "solve_exact", "sweep", "table"]
+
+
+def test_reference_defines_the_dense_references():
+    assert {"solve_exact", "jacobi_sweep", "dense_adjacency"} <= set(REFERENCE_NAMES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_one_solver_in_every_path(path):
+    # every package path solves with solve_iterative; the dense references
+    # live in tests/reference.py only
+    assert reference_uses(path.read_text(encoding="utf-8")) == []
+
+
+def reference_imports(source: str) -> set[str]:
+    """Names a source imports from the ``reference`` test module."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "reference"
+        for alias in node.names
+    }
+
+
+def test_every_reference_is_imported_by_a_test():
+    imported = set().union(*(reference_imports(p.read_text(encoding="utf-8")) for p in TESTS_DIR.glob("test_*.py")))
+    assert [name for name in REFERENCE_NAMES if name not in imported] == []

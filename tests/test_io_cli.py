@@ -11,6 +11,7 @@ from heatprop.datasets import config_path, data_path
 from heatprop.io import load_dataset, write_edge_list
 from heatprop.solver import SolverOptions
 from conftest import random_connected_graph
+from reference import dense_adjacency
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 BUNDLED_CONFIGS = sorted(path.stem for path in data_path("configs").glob("*.cfg"))
@@ -52,7 +53,7 @@ class TestLoadEdgeList:
         bundle = load_edge_list(f, directed=True)
         assert bundle.graph.n == 4
         assert bundle.n_original == 2
-        dense = bundle.graph.dense_adjacency()
+        dense = dense_adjacency(bundle.graph)
         assert dense[0, 3] == 1.0 and dense[1, 2] == 1.0
 
     def test_malformed_line_reports_number(self, tmp_path):
@@ -84,7 +85,7 @@ class TestLoadEdgeList:
         f = tmp_path / "g.edges"
         f.write_text("0 1 2.5\n1 2 0.5\n")
         bundle = load_edge_list(f, weighted=True)
-        assert bundle.graph.dense_adjacency()[0, 1] == 2.5
+        assert dense_adjacency(bundle.graph)[0, 1] == 2.5
 
     def test_round_trip_isomorphic(self, tmp_path):
         rng = np.random.default_rng(151)
@@ -94,8 +95,8 @@ class TestLoadEdgeList:
         bundle = load_edge_list(f, weighted=True)
         assert bundle.graph.n == g.n
         assert sorted(bundle.graph.degrees) == pytest.approx(sorted(g.degrees))
-        dense_in = g.dense_adjacency()
-        dense_out = bundle.graph.dense_adjacency()
+        dense_in = dense_adjacency(g)
+        dense_out = dense_adjacency(bundle.graph)
         for i in range(g.n):
             for j in range(g.n):
                 assert dense_out[bundle.id_map[str(i)], bundle.id_map[str(j)]] == pytest.approx(
@@ -263,6 +264,23 @@ class TestCli:
         assert exc.value.code == 1
         assert "unrecognized arguments: --mode exact" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("graph", ["karate", "karate --directed", "file"])
+    def test_classify_use_destination_on_undirected_graph_exits_1(self, tmp_path, capsys, graph):
+        # an undirected graph has no destination copies: the flag must fail,
+        # not be ignored (bundled datasets are undirected, even with --directed)
+        args = graph.split()
+        if graph == "file":
+            (tmp_path / "g.edges").write_text("a b\nb c\n")
+            (tmp_path / "g.labels").write_text("a x\nb x\nc y\n")
+            args = [str(tmp_path / "g.edges"), "--labels", str(tmp_path / "g.labels")]
+        out = tmp_path / "x.csv"
+        code = self.run("classify", "--graph", *args, "--sample", "uniform", "--use-destination", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --use-destination needs a directed edge list (--directed)"
+        ]
+        assert not out.exists()
+
     def test_classify_directed_dataset(self, tmp_path):
         edges = tmp_path / "d.edges"
         edges.write_text("a b\nb a\nb c\nc b\nc a\na c\n")
@@ -409,6 +427,10 @@ class TestCli:
             "source = blocks\np = inf",
             "tolerance = inf",
             "mode = exact",
+            "p = 2",
+            "sizes = 20\nseeds = 2\nsweep = seed_ratio\nsweep_values = 1,2",
+            "sizes = 20,20,20\nseeds = 2,2,2\nsweep = size_ratio\nsweep_values = 1,2",
+            "source = blocks\nsizes = 3000,3000",
         ],
     )
     def test_bench_malformed_config_is_one_error_line(self, tmp_path, capsys, bad):

@@ -6,18 +6,23 @@ import pytest
 import heatprop.solver
 from heatprop import (
     DirichletProblem,
-    NumericalError,
     SolverOptions,
     ValidationError,
     build_graph,
     residual,
     sbm_generate,
-    solve_exact,
     solve_iterative,
 )
 from heatprop.blockmodel import BlockModelParams, build_deterministic_block_graph
-from heatprop.solver import jacobi_sweep
 from conftest import barbell_graph, count_calls, path_graph, random_connected_graph, star_graph
+from reference import (
+    DEFAULT_MAX_DENSE_UNKNOWNS,
+    boundary_mask,
+    jacobi_sweep,
+    pinned_vector,
+    problem_from_dict,
+    solve_exact,
+)
 
 TIGHT = SolverOptions(max_iterations=10_000, tolerance=1e-12)
 
@@ -26,12 +31,12 @@ def make_fixture_problems():
     """Connected graphs with boundary sets, shared by the equivalence tests."""
     problems = []
     for n in (3, 4, 10, 20):
-        problems.append(DirichletProblem.from_dict(path_graph(n), {0: 1.0, n - 1: 0.0}))
-    problems.append(DirichletProblem.from_dict(star_graph(3), {1: 1.0, 2: 0.0}))
+        problems.append(problem_from_dict(path_graph(n), {0: 1.0, n - 1: 0.0}))
+    problems.append(problem_from_dict(star_graph(3), {1: 1.0, 2: 0.0}))
     g = build_graph(3, [(0, 1, 2.0), (0, 2, 1.0), (1, 2, 1.0)])
-    problems.append(DirichletProblem.from_dict(g, {0: 1.0}))
+    problems.append(problem_from_dict(g, {0: 1.0}))
     bar, a, b = barbell_graph(5)
-    problems.append(DirichletProblem.from_dict(bar, {int(a[0]): 1.0, int(b[-1]): 0.0}))
+    problems.append(problem_from_dict(bar, {int(a[0]): 1.0, int(b[-1]): 0.0}))
     rng = np.random.default_rng(17)
     for n in (50, 200):
         g = random_connected_graph(rng, n, extra_edges=n)
@@ -52,25 +57,25 @@ def make_fixture_problems():
 
 class TestIterative:
     def test_path3_neighbor_average(self):
-        p = DirichletProblem.from_dict(path_graph(3), {0: 1.0, 2: 0.0})
+        p = problem_from_dict(path_graph(3), {0: 1.0, 2: 0.0})
         f = solve_iterative(p, TIGHT)
         assert np.allclose(f.values, [1.0, 0.5, 0.0], atol=1e-10)
 
     def test_path4_linear_profile(self):
-        p = DirichletProblem.from_dict(path_graph(4), {0: 1.0, 3: 0.0})
+        p = problem_from_dict(path_graph(4), {0: 1.0, 3: 0.0})
         f = solve_iterative(p, TIGHT)
         assert np.allclose(f.values, [1.0, 2 / 3, 1 / 3, 0.0], atol=1e-10)
 
     def test_star_hand_solved(self):
         # center c and free leaf e satisfy T_c = (1 + T_e)/3, T_e = T_c
-        p = DirichletProblem.from_dict(star_graph(3), {1: 1.0, 2: 0.0})
+        p = problem_from_dict(star_graph(3), {1: 1.0, 2: 0.0})
         f = solve_iterative(p, TIGHT)
         assert f.values[0] == pytest.approx(0.5, abs=1e-10)
         assert f.values[3] == pytest.approx(0.5, abs=1e-10)
         assert np.allclose(f.values, solve_exact(p).values, atol=1e-10)
 
     def test_reports_stop_reason(self):
-        p = DirichletProblem.from_dict(path_graph(10), {0: 1.0, 9: 0.0})
+        p = problem_from_dict(path_graph(10), {0: 1.0, 9: 0.0})
         f = solve_iterative(p, SolverOptions(max_iterations=3, tolerance=1e-12))
         assert f.info.stop_reason == "max_iterations"
         assert f.info.iterations == 3
@@ -79,16 +84,16 @@ class TestIterative:
         assert f.info.final_change < 1e-10
 
     def test_boundary_pinned_exactly(self):
-        p = DirichletProblem.from_dict(path_graph(5), {0: 0.3, 4: 0.9})
+        p = problem_from_dict(path_graph(5), {0: 0.3, 4: 0.9})
         f = solve_iterative(p, SolverOptions(max_iterations=5))
         assert f.values[0] == 0.3 and f.values[4] == 0.9
         # a temperature inside the boundary range, which the clip does not pin
-        p = DirichletProblem.from_dict(path_graph(5), {0: 0.3, 2: 0.9, 4: 1.0})
+        p = problem_from_dict(path_graph(5), {0: 0.3, 2: 0.9, 4: 1.0})
         assert solve_iterative(p, SolverOptions(max_iterations=5)).values[2] == 0.9
 
     def test_component_without_boundary_named(self):
         g = build_graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-        p = DirichletProblem.from_dict(g, {0: 1.0})
+        p = problem_from_dict(g, {0: 1.0})
         with pytest.raises(ValidationError, match="node 2"):
             solve_iterative(p)
         with pytest.raises(ValidationError, match="no boundary"):
@@ -96,7 +101,7 @@ class TestIterative:
         # two seedless components: the one with the smaller smallest member
         # is named, whatever the edge order or component sizes
         g = build_graph(8, [(3, 6, 1.0), (6, 4, 1.0), (4, 5, 1.0), (7, 2, 1.0), (0, 1, 1.0)])
-        p = DirichletProblem.from_dict(g, {1: 1.0})
+        p = problem_from_dict(g, {1: 1.0})
         message = "connected component containing node 2 (2 nodes) has no boundary node"
         for solver in (solve_iterative, solve_exact):
             with pytest.raises(ValidationError) as exc:
@@ -136,7 +141,7 @@ class TestIterative:
     def test_tolerance_zero_stops_at_rounding_level(self):
         # the recursive residual would shrink into underflow and the steps
         # turn to noise; the solve stops once the defect reaches eps * span
-        tiny = DirichletProblem.from_dict(path_graph(5), {0: 0.0, 4: 1e-200})
+        tiny = problem_from_dict(path_graph(5), {0: 0.0, 4: 1e-200})
         for p in make_fixture_problems() + [tiny]:
             span = np.ptp(p.boundary_temps) or 1.0
             with warnings.catch_warnings():
@@ -160,8 +165,8 @@ class TestIterative:
 
     def test_sweep_change_is_nonincreasing(self):
         for p in make_fixture_problems():
-            mask = p.boundary_mask()
-            pinned = p.pinned_vector()
+            mask = boundary_mask(p)
+            pinned = pinned_vector(p)
             t = pinned.copy()
             changes = []
             for _ in range(40):
@@ -174,19 +179,23 @@ class TestIterative:
 
 class TestExact:
     def test_path3(self):
-        p = DirichletProblem.from_dict(path_graph(3), {0: 1.0, 2: 0.0})
+        p = problem_from_dict(path_graph(3), {0: 1.0, 2: 0.0})
         assert np.allclose(solve_exact(p).values, [1.0, 0.5, 0.0], atol=1e-14)
 
     def test_lone_interior_is_weighted_neighbor_mean(self):
         g = build_graph(3, [(0, 1, 2.0), (1, 2, 1.0), (0, 2, 1.0)])
-        p = DirichletProblem.from_dict(g, {0: 0.9, 2: 0.3})
+        p = problem_from_dict(g, {0: 0.9, 2: 0.3})
         f = solve_exact(p)
         assert f.values[1] == pytest.approx((2.0 * 0.9 + 1.0 * 0.3) / 3.0, abs=1e-14)
 
     def test_guard_suggests_iterative(self):
-        p = DirichletProblem.from_dict(path_graph(20), {0: 1.0})
+        p = problem_from_dict(path_graph(20), {0: 1.0})
         with pytest.raises(ValidationError, match="iterative"):
             solve_exact(p, max_dense_unknowns=10)
+        # the default guard runs before the dense system (800 MB here) is assembled
+        p = problem_from_dict(path_graph(DEFAULT_MAX_DENSE_UNKNOWNS + 2), {0: 1.0})
+        with pytest.raises(ValidationError, match=f"{DEFAULT_MAX_DENSE_UNKNOWNS + 1} interior unknowns"):
+            solve_exact(p)
 
     def test_linearity(self):
         rng = np.random.default_rng(23)
@@ -220,7 +229,7 @@ class TestResidual:
             assert residual(p, solve_exact(p)) < 1e-12
 
     def test_cold_interior_on_path(self):
-        p = DirichletProblem.from_dict(path_graph(3), {0: 1.0, 2: 0.0})
+        p = problem_from_dict(path_graph(3), {0: 1.0, 2: 0.0})
         from heatprop.solver import TemperatureField
 
         f = TemperatureField(values=np.array([1.0, 0.0, 0.0]))
@@ -258,7 +267,7 @@ class TestProblemValidation:
     def test_boundary_strict_subset(self):
         g = path_graph(3)
         with pytest.raises(ValidationError, match="strict subset"):
-            DirichletProblem.from_dict(g, {0: 1.0, 1: 0.5, 2: 0.0})
+            problem_from_dict(g, {0: 1.0, 1: 0.5, 2: 0.0})
 
     def test_boundary_nonempty(self):
         with pytest.raises(ValidationError, match="nonempty"):
