@@ -15,7 +15,7 @@ from .blockmodel import (
     sbm_generate,
     vanilla_consistency_condition,
 )
-from .classify import SeedSet, diffuse_one_vs_all
+from .classify import SeedSet, one_vs_all_fields
 from .errors import IsolatedNodeError, NumericalError, ValidationError
 from .experiments import (
     BlockSource,
@@ -69,11 +69,11 @@ __all__ = [
     "build_graph",
     "closed_form_temperatures",
     "connected_components",
-    "diffuse_one_vs_all",
     "directed_to_bipartite",
     "load_edge_list",
     "load_labels",
     "macro_f1",
+    "one_vs_all_fields",
     "per_class_f1",
     "residual",
     "run_experiment",

@@ -189,11 +189,11 @@ def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[int, 
         p, q = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0))
         params = BlockModelParams(sizes=tuple(sizes), seed_counts=tuple(seeds_c), p=p, q=q)
         hot = int(rng.integers(1, kb + 1))
+        if params.seed_counts == params.sizes:  # no non-seed node to compare
+            continue
         graph, _, seeds = build_deterministic_block_graph(params)
         oracle = closed_form_temperatures(params, hot=hot)
         problem = one_vs_all_problem(graph, seeds, hot)
-        if problem is None:
-            continue
         values = solve_iterative(problem, SolverOptions(tolerance=0.0)).values
         rows.append((idx, params, hot, _block_disagreement(params, seeds, values, oracle.per_block)))
     return rows

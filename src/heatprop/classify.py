@@ -72,57 +72,15 @@ class SeedSet:
         return np.flatnonzero(counts[1:] == 0) + 1
 
 
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """Per-node, per-label scores under the variant the caller chose, plus
-    the raw diffusion fields behind them.
-
-    Every row, seeds included, holds the variant applied to that node's
-    temperatures; a seed's temperatures are its pinned 0/1 values, so its
-    row is the variant applied to those (for ``centered``, the indicator
-    minus each field's mean over all nodes). Classification ignores the seed
-    rows: seeds keep their given labels.
-    """
-
-    scores: np.ndarray  # (n, num_labels)
-    fields: tuple[TemperatureField, ...]
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Predicted label per node. Seed nodes retain their given labels;
-    ``confidence`` is the gap between the best and runner-up score."""
-
-    labels: np.ndarray
-    confidence: np.ndarray
-    seed_nodes: np.ndarray
-
-
-def one_vs_all_problem(g: Graph, seeds: SeedSet, k: int) -> DirichletProblem | None:
+def one_vs_all_problem(g: Graph, seeds: SeedSet, k: int) -> DirichletProblem:
     """Dirichlet problem for label ``k``: its seeds pinned hot (1), every
-    other seed pinned cold (0). Returns None when all nodes are seeds (the
-    interior is empty and the answer is the plain 0/1 indicator)."""
+    other seed pinned cold (0)."""
     if not 1 <= k <= seeds.num_labels:
         raise ValidationError(f"label {k} out of range [1, {seeds.num_labels}]")
     if seeds.seed_counts()[k] == 0:
         raise ValidationError(f"label {k} has no seeds")
-    if seeds.nodes.size == g.n:
-        return None
     temps = (seeds.labels == k).astype(np.float64)
     return DirichletProblem(graph=g, boundary=seeds.nodes, boundary_temps=temps)
-
-
-def diffuse_one_vs_all(
-    g: Graph, seeds: SeedSet, k: int, opts: SolverOptions | None = None
-) -> TemperatureField:
-    """Solve the one-vs-all Dirichlet problem for label ``k``."""
-    problem = one_vs_all_problem(g, seeds, k)
-    if problem is None:
-        values = np.zeros(g.n)
-        values[seeds.nodes] = (seeds.labels == k).astype(np.float64)
-        info = SolveInfo(iterations=0, final_change=0.0, stop_reason="exact")
-        return TemperatureField(values=values, info=info)
-    return solve_iterative(problem, opts)
 
 
 def one_vs_all_fields(
@@ -141,8 +99,8 @@ def one_vs_all_fields(
         raise ValidationError(f"label(s) without seeds: {missing.tolist()}")
     num_labels = seeds.num_labels
     if num_labels == 1:
-        return (diffuse_one_vs_all(g, seeds, 1, opts),)
-    solved = tuple(diffuse_one_vs_all(g, seeds, k, opts) for k in range(1, num_labels))
+        return (solve_iterative(one_vs_all_problem(g, seeds, 1), opts),)
+    solved = tuple(solve_iterative(one_vs_all_problem(g, seeds, k), opts) for k in range(1, num_labels))
     last = np.clip(1.0 - sum(f.values for f in solved), 0.0, 1.0)
     info = SolveInfo(
         iterations=0,
@@ -152,47 +110,39 @@ def one_vs_all_fields(
     return solved + (TemperatureField(values=last, info=info),)
 
 
-def scores_from_fields(
-    fields: tuple[TemperatureField, ...], seeds: SeedSet, variant: str
-) -> ScoreMatrix:
+def scores_from_fields(fields: tuple[TemperatureField, ...], seeds: SeedSet, variant: str) -> np.ndarray:
+    """Per-node, per-label ``(n, K)`` scores of ``fields`` under ``variant``.
+
+    Every row, seeds included, holds the variant applied to that node's
+    temperatures; a seed's temperatures are its pinned 0/1 values (for
+    ``centered``, the indicator minus each field's mean over all nodes).
+    """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     raw = np.column_stack([f.values for f in fields])
     if variant == "vanilla":
-        scores = raw.copy()
-    elif variant == "centered":
-        scores = raw - raw.mean(axis=0, keepdims=True)
-    else:  # weighted: rescale by each label's share of the seeds
-        counts = seeds.seed_counts()[1:].astype(np.float64)
-        scores = raw * (counts / counts.sum())
-    return ScoreMatrix(scores=scores, fields=fields)
-
-
-def classification_from_scores(scores: ScoreMatrix, seeds: SeedSet) -> Classification:
-    s = scores.scores
-    n, num_labels = s.shape
-    labels = np.argmax(s, axis=1).astype(np.int64) + 1  # ties: smallest label id
-    labels[seeds.nodes] = seeds.labels
-    if num_labels >= 2:
-        top2 = np.partition(s, num_labels - 2, axis=1)[:, -2:]
-        confidence = top2[:, 1] - top2[:, 0]
-    else:
-        confidence = np.zeros(n)
-    return Classification(labels=labels, confidence=confidence, seed_nodes=seeds.nodes)
+        return raw
+    if variant == "centered":
+        return raw - raw.mean(axis=0, keepdims=True)
+    # weighted: rescale by each label's share of the seeds
+    counts = seeds.seed_counts()[1:].astype(np.float64)
+    return raw * (counts / counts.sum())
 
 
 def classify(
-    g: Graph,
-    seeds: SeedSet,
-    variant: str = "centered",
-    opts: SolverOptions | None = None,
-) -> tuple[ScoreMatrix, Classification]:
-    """Run K one-vs-all diffusions and assign each non-seed node the label
-    with the highest score under ``variant``. Ties go to the smallest label
-    id; seed nodes keep their given labels.
+    fields: tuple[TemperatureField, ...], seeds: SeedSet, variant: str = "centered"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label every node by its highest score under ``variant``; ties go to
+    the smallest label id and seed nodes keep their given labels.
+
+    Returns ``(labels, confidence)``: the label id per node and the gap
+    between the best and runner-up score (0 with a single label).
     """
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    fields = one_vs_all_fields(g, seeds, opts)
-    score_matrix = scores_from_fields(fields, seeds, variant)
-    return score_matrix, classification_from_scores(score_matrix, seeds)
+    s = scores_from_fields(fields, seeds, variant)
+    n, num_labels = s.shape
+    labels = np.argmax(s, axis=1).astype(np.int64) + 1
+    labels[seeds.nodes] = seeds.labels
+    if num_labels < 2:
+        return labels, np.zeros(n)
+    top2 = np.partition(s, num_labels - 2, axis=1)[:, -2:]
+    return labels, top2[:, 1] - top2[:, 0]

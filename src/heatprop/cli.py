@@ -21,7 +21,7 @@ from .blockmodel import (
     oracle_grid,
     vanilla_consistency_condition,
 )
-from .classify import VARIANTS, SeedSet, classify, one_vs_all_problem
+from .classify import VARIANTS, SeedSet, classify, one_vs_all_fields, one_vs_all_problem
 from .datasets import BUILTIN_DATASETS, config_path, load_builtin
 from .errors import NumericalError, ValidationError
 from .experiments import (
@@ -81,7 +81,7 @@ def _load_bundle(graph: str, labels=None, directed=False, weighted=False, delimi
     if graph in BUILTIN_DATASETS:
         if labels:
             raise ValidationError("bundled datasets already carry labels; drop the label file")
-        return load_builtin(graph)
+        return load_builtin(graph, directed, weighted, delimiter)
     return load_dataset(graph, labels_path=labels, directed=directed, weighted=weighted, delimiter=delimiter)
 
 
@@ -137,31 +137,30 @@ def _cmd_classify(args) -> int:
         seeds = sample_seeds(ground, bundle.graph, policy)
 
     start = time.perf_counter()
-    scores, result = classify(bundle.graph, seeds, args.variant, opts)
+    fields = one_vs_all_fields(bundle.graph, seeds, opts)
+    labels, confidence = classify(fields, seeds, args.variant)
     wall = time.perf_counter() - start
 
-    max_residual = 0.0
-    strict_failure = False
-    for k, fld in enumerate(scores.fields, start=1):
-        problem = one_vs_all_problem(bundle.graph, seeds, k)
-        if problem is not None:
-            max_residual = max(max_residual, residual(problem, fld))
-        if args.tol == 0 and fld.info.stop_reason == "max_iterations" and fld.info.final_change > 0:
-            strict_failure = True
+    max_residual = max(
+        residual(one_vs_all_problem(bundle.graph, seeds, k), fld) for k, fld in enumerate(fields, start=1)
+    )
+    strict_failure = args.tol == 0 and any(
+        fld.info.stop_reason == "max_iterations" and fld.info.final_change > 0 for fld in fields
+    )
 
     index = _copy_index(bundle, np.arange(bundle.n_original), args.use_destination)
     is_seed = np.zeros(bundle.graph.n, dtype=bool)
     is_seed[seeds.nodes] = True
     originals = np.flatnonzero(~is_seed[index])
     index = index[originals]
-    labels = result.labels[index].tolist()
+    labels = labels[index].tolist()
     names = {lab: label_names.get(lab, str(lab)) for lab in set(labels)}
     external = list(bundle.id_map)
     rows = map(
         "{},{},{}\n".format,
         map(external.__getitem__, originals.tolist()),
         map(names.__getitem__, labels),
-        map(_fmt, result.confidence[index].tolist()),
+        map(_fmt, confidence[index].tolist()),
     )
     text = "node_id,label,confidence\n" + "".join(rows)
     if args.out == "-":
@@ -169,7 +168,7 @@ def _cmd_classify(args) -> int:
     else:
         Path(args.out).write_text(text, encoding="utf-8")
 
-    iters = max(f.info.iterations for f in scores.fields)
+    iters = max(f.info.iterations for f in fields)
     print(
         f"classified {originals.size} nodes | variant={args.variant} "
         f"iterations={iters} residual={_fmt(max_residual)} wall={wall:.3f}s",
@@ -330,8 +329,6 @@ def _add_bench(sub):
     p.add_argument("--config", required=True, help="config file path or bundled config name")
     p.add_argument("--out-dir", default="bench-out")
     p.add_argument("--seed", type=int, help="override the config's master seed")
-    p.add_argument("--timing", action="store_true",
-                   help="write measured wall times (output is then not byte-reproducible)")
 
 
 def _cmd_bench(args) -> int:
@@ -344,7 +341,7 @@ def _cmd_bench(args) -> int:
 
     cfg = _config_experiment(cfgv, args.seed)
     table = run_experiment(cfg)
-    table.write_csv(out_dir / "results.csv", include_timing=args.timing)
+    table.write_csv(out_dir / "results.csv")
     table.write_aggregate_csv(out_dir / "aggregate.csv")
     for failure in table.failures:
         print(f"failed: sweep={failure.sweep} rep={failure.rep}: {failure.message}", file=sys.stderr)

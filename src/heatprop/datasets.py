@@ -34,10 +34,11 @@ def config_path(name: str) -> Path:
     return path
 
 
-def load_builtin(name: str) -> DatasetBundle:
+def load_builtin(name: str, directed=False, weighted=False, delimiter=None) -> DatasetBundle:
+    """A bundled dataset, read with the same options as an edge-list file."""
     if name not in BUILTIN_DATASETS:
         raise ValidationError(
             f"unknown dataset {name!r}; bundled: {', '.join(sorted(BUILTIN_DATASETS))}"
         )
     edges, labels = BUILTIN_DATASETS[name]
-    return load_dataset(data_path(edges), data_path(labels))
+    return load_dataset(data_path(edges), data_path(labels), directed, weighted, delimiter)

@@ -15,9 +15,7 @@ per repetition and each variant only rescores them.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +26,7 @@ from .blockmodel import (
     build_deterministic_block_graph,
     sbm_generate,
 )
-from .classify import VARIANTS, SeedSet, classification_from_scores, one_vs_all_fields, scores_from_fields
+from .classify import VARIANTS, SeedSet, classify, one_vs_all_fields
 from .errors import NumericalError, ValidationError
 from .graph import Graph, NodePartition, _sorted_unique
 from .solver import SolverOptions
@@ -36,7 +34,7 @@ from .solver import SolverOptions
 POLICY_KINDS = ("uniform", "degree", "balanced", "explicit_counts")
 SWEEP_KINDS = ("seed_ratio", "size_ratio")
 
-RAW_CSV_HEADER = ["variant", "sweep", "rep", "macro_f1", "accuracy", "wall_ms", "iters"]
+RAW_CSV_HEADER = ["variant", "sweep", "rep", "macro_f1", "accuracy", "iters"]
 AGG_CSV_HEADER = ["variant", "sweep", "mean", "std"]
 
 MAX_SAMPLING_ATTEMPTS = 100
@@ -290,11 +288,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """Metrics of one variant in one repetition. ``wall_ms`` is the time of
-    the repetition's shared field solve plus this variant's scoring and
-    labeling; ``iterations`` is the largest conjugate-gradient iteration count
-    among the fields (0 when no field needs an iteration, as when every
-    node is a seed)."""
+    """Metrics of one variant in one repetition. ``iterations`` is the
+    largest conjugate-gradient iteration count among the fields (0 when no
+    field needs an iteration, as when every node is a seed)."""
 
     variant: str
     sweep: float
@@ -302,9 +298,7 @@ class ResultRow:
     macro_f1: float
     per_class_f1: tuple[float, ...]
     accuracy: float
-    wall_ms: float
     iterations: int
-    input_digest: str
 
 
 @dataclass(frozen=True)
@@ -339,18 +333,13 @@ class ResultTable:
             out.append(AggregateRow(variant=variant, sweep=sweep, mean=float(arr.mean()), std=float(arr.std())))
         return out
 
-    def write_csv(self, path, include_timing: bool = False):
-        """Raw per-run rows. Wall-clock times are written as 0.0 unless
-        ``include_timing`` is set, so that output files are byte-reproducible
-        under a fixed master seed."""
+    def write_csv(self, path):
+        """Raw per-run rows; byte-reproducible under a fixed master seed."""
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(RAW_CSV_HEADER)
             for r in self.rows:
-                wall = repr(r.wall_ms) if include_timing else "0.0"
-                writer.writerow(
-                    [r.variant, repr(r.sweep), r.rep, repr(r.macro_f1), repr(r.accuracy), wall, r.iterations]
-                )
+                writer.writerow([r.variant, repr(r.sweep), r.rep, repr(r.macro_f1), repr(r.accuracy), r.iterations])
 
     def write_aggregate_csv(self, path):
         with open(path, "w", newline="") as handle:
@@ -379,13 +368,6 @@ def _swept_params(params: BlockModelParams, sweep: Sweep | None, value: float) -
     s1 = int(round(s_total * n1 / n_total))
     s1 = min(max(s1, 1), s_total - 1)
     return BlockModelParams(sizes=(n1, n2), seed_counts=(s1, s_total - s1), p=params.p, q=params.q)
-
-
-def _digest(graph: Graph, seeds: SeedSet) -> str:
-    h = hashlib.sha1()
-    for arr in (graph.indptr, graph.indices, graph.weights, seeds.nodes, seeds.labels):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()[:16]
 
 
 def _realize(source, sweep, value, graph_seed):
@@ -433,21 +415,16 @@ def _run_one(cfg: ExperimentConfig, pi: int, value: float, rep: int, table: Resu
 def _append_rows(table, cfg, graph, truth, seeds, sweep, rep):
     """Solve the fields of one repetition once, then score and evaluate every
     variant on the labeled non-seed nodes."""
-    digest = _digest(graph, seeds)
     eval_mask = truth.labels > 0
     eval_mask[seeds.nodes] = False
     eval_nodes = np.flatnonzero(eval_mask)
     truth_eval = truth.labels[eval_nodes]
 
-    start = time.perf_counter()
     fields = one_vs_all_fields(graph, seeds, cfg.solver)
-    solve_ms = (time.perf_counter() - start) * 1000.0
     iterations = max(f.info.iterations for f in fields)
     for variant in cfg.variants:
-        start = time.perf_counter()
-        result = classification_from_scores(scores_from_fields(fields, seeds, variant), seeds)
-        wall_ms = solve_ms + (time.perf_counter() - start) * 1000.0
-        pred = result.labels[eval_nodes]
+        labels, _ = classify(fields, seeds, variant)
+        pred = labels[eval_nodes]
         f1 = per_class_f1(pred, truth_eval, truth.num_labels)
         table.rows.append(
             ResultRow(
@@ -457,8 +434,6 @@ def _append_rows(table, cfg, graph, truth, seeds, sweep, rep):
                 macro_f1=float(f1.mean()),
                 per_class_f1=tuple(f1),
                 accuracy=accuracy(pred, truth_eval),
-                wall_ms=wall_ms,
                 iterations=iterations,
-                input_digest=digest,
             )
         )

@@ -16,9 +16,8 @@ EPS = float(np.finfo(np.float64).eps)
 class DirichletProblem:
     """A graph with a boundary set whose temperatures are pinned.
 
-    The boundary must be a nonempty strict subset of the nodes; interior
-    nodes (everything else) take the harmonic extension of the boundary
-    values at equilibrium.
+    The boundary must be nonempty; interior nodes (everything else, possibly
+    none) take the harmonic extension of the boundary values at equilibrium.
     """
 
     graph: Graph
@@ -46,8 +45,6 @@ class DirichletProblem:
             raise ValidationError("boundary node id out of range")
         if np.any(np.diff(b) == 0):
             raise ValidationError("duplicate boundary node")
-        if b.size >= n:
-            raise ValidationError("boundary must be a strict subset of the nodes")
 
 
 @dataclass(frozen=True)
@@ -73,8 +70,8 @@ class SolveInfo:
 
     iterations: int
     final_change: float
-    # "tolerance" | "max_iterations" | "exact" (no interior node), or "derived"
-    # for a one-vs-all field taken from the others by the partition of unity
+    # "tolerance" | "max_iterations", or "derived" for a one-vs-all field
+    # taken from the others by the partition of unity
     stop_reason: str
 
 
@@ -129,7 +126,8 @@ def solve_iterative(problem: DirichletProblem, opts: SolverOptions | None = None
     ``residual`` measures. It solves for ``(t - low) / span``, where ``low``
     and ``span`` are the minimum and the range of the boundary temperatures:
     equal boundary temperatures give a zero right-hand side and the constant
-    field after 0 iterations.
+    field after 0 iterations, and a boundary that covers every node gives
+    its own temperatures after 0 iterations.
 
     Stops as soon as the defect ``max|z|`` drops below ``opts.tolerance`` or
     to the rounding level ``eps * span``, below which no floating-point

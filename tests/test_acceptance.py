@@ -8,13 +8,11 @@ budgets are asserted.
 import time
 
 import numpy as np
-import pytest
 
 from heatprop import (
     BlockModelParams,
     DirichletProblem,
     ExperimentConfig,
-    SamplingPolicy,
     SbmSource,
     SeedSet,
     SolverOptions,
@@ -25,7 +23,7 @@ from heatprop import (
     sbm_generate,
     solve_iterative,
 )
-from heatprop.classify import classify
+from heatprop.classify import classify, one_vs_all_fields
 from heatprop.cli import main as cli_main
 
 from reference import boundary_mask, jacobi_sweep, pinned_vector, solve_exact
@@ -148,9 +146,9 @@ def test_criterion_03_theorem_consistency_grid():
     for params in points[:200]:
         assert params.p > params.q
         graph, truth, seeds = build_deterministic_block_graph(params)
-        _, result = classify(graph, seeds, "centered", opts)
+        labels, _ = classify(one_vs_all_fields(graph, seeds, opts), seeds, "centered")
         non_seed = np.setdiff1d(np.arange(graph.n), seeds.nodes)
-        assert np.array_equal(result.labels[non_seed], truth.labels[non_seed]), params
+        assert np.array_equal(labels[non_seed], truth.labels[non_seed]), params
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(3, f"200-point grid (size and seed ratios up to 10), accuracy 1.0 everywhere, {elapsed:.1f}s")
@@ -163,13 +161,14 @@ def test_criterion_04_vanilla_failure_witness():
     assert not vanilla_consistency_condition(params, hot=2, other=1)
     graph, truth, seeds = build_deterministic_block_graph(params)
     opts = SolverOptions()
-    _, vanilla = classify(graph, seeds, "vanilla", opts)
-    _, centered = classify(graph, seeds, "centered", opts)
+    fields = one_vs_all_fields(graph, seeds, opts)
+    vanilla, _ = classify(fields, seeds, "vanilla")
+    centered, _ = classify(fields, seeds, "centered")
     non_seed = np.setdiff1d(np.arange(graph.n), seeds.nodes)
     block2 = non_seed[truth.labels[non_seed] == 2]
     assert block2.size == 48
-    assert np.all(vanilla.labels[block2] == 1)  # every block-2 interior node wrong
-    assert np.array_equal(centered.labels[non_seed], truth.labels[non_seed])
+    assert np.all(vanilla[block2] == 1)  # every block-2 interior node wrong
+    assert np.array_equal(centered[non_seed], truth.labels[non_seed])
     _report(4, "vanilla mislabels all 48 block-2 interior nodes; centered is exact")
 
 
@@ -234,9 +233,9 @@ def test_criterion_07_karate_two_seeds(karate):
     i33 = karate.id_map["33"]  # administrator
     truth = karate.labels.labels
     seeds = SeedSet.from_dict({i0: int(truth[i0]), i33: int(truth[i33])}, num_labels=2)
-    _, result = classify(karate.graph, seeds, "centered", SolverOptions())
+    labels, _ = classify(one_vs_all_fields(karate.graph, seeds, SolverOptions()), seeds, "centered")
     non_seed = np.setdiff1d(np.arange(karate.graph.n), seeds.nodes)
-    wrong = int((result.labels[non_seed] != truth[non_seed]).sum())
+    wrong = int((labels[non_seed] != truth[non_seed]).sum())
     elapsed = time.perf_counter() - start
     assert non_seed.size == 32
     assert wrong <= 2

@@ -18,7 +18,7 @@ from heatprop import (
     vanilla_consistency_condition,
 )
 from heatprop.blockmodel import _distinct_integers, _upper_triangle_decode, oracle_grid
-from heatprop.classify import classify
+from heatprop.classify import classify, one_vs_all_fields, scores_from_fields
 from conftest import count_calls
 from reference import dense_adjacency, solve_exact
 
@@ -130,6 +130,15 @@ class TestOracleGrid:
         assert all(opts.tolerance == 0.0 for _, opts in iterative)
         assert max(gap for *_, gap in rows) < 1e-13
 
+    def test_leaves_out_draws_without_a_non_seed_node(self, monkeypatch):
+        iterative = count_calls(monkeypatch, heatprop.solver, "solve_iterative")
+        # blocks of 2 to 5 nodes: many draws seed every node
+        rows = oracle_grid(40, 6, 3)
+        assert 0 < len(rows) < 40
+        assert all(sum(params.seed_counts) < params.n for _, params, _, _ in rows)
+        assert len(iterative) == len(rows)
+        assert max(gap for *_, gap in rows) < 1e-13
+
 
 class TestTheoremConsistency:
     def test_centered_classification_exact_on_random_grid(self):
@@ -139,8 +148,8 @@ class TestTheoremConsistency:
             if params.num_blocks < 2:
                 continue
             graph, truth, seeds = build_deterministic_block_graph(params)
-            _, result = classify(graph, seeds, "centered", SolverOptions())
-            assert np.array_equal(result.labels, truth.labels)
+            labels, _ = classify(one_vs_all_fields(graph, seeds, SolverOptions()), seeds, "centered")
+            assert np.array_equal(labels, truth.labels)
 
     def test_delta_signs(self):
         rng = np.random.default_rng(61)
@@ -176,9 +185,10 @@ class TestVanillaCondition:
             if params.num_blocks < 2:
                 continue
             graph, truth, seeds = build_deterministic_block_graph(params)
-            _, vanilla = classify(graph, seeds, "vanilla", SolverOptions())
-            _, centered = classify(graph, seeds, "centered", SolverOptions())
-            assert np.array_equal(centered.labels, truth.labels)
+            fields = one_vs_all_fields(graph, seeds, SolverOptions())
+            vanilla, _ = classify(fields, seeds, "vanilla")
+            centered, _ = classify(fields, seeds, "centered")
+            assert np.array_equal(centered, truth.labels)
             offsets = params.block_offsets()
             for b in range(1, params.num_blocks + 1):
                 interior = np.arange(offsets[b - 1] + params.seed_counts[b - 1], offsets[b])
@@ -189,7 +199,7 @@ class TestVanillaCondition:
                     for o in range(1, params.num_blocks + 1)
                     if o != b
                 )
-                correct = bool(np.all(vanilla.labels[interior] == b))
+                correct = bool(np.all(vanilla[interior] == b))
                 assert correct == ok
                 if not ok:
                     checked_failure += 1
@@ -274,9 +284,7 @@ class TestDeterministicBuilder:
     def test_single_block_diffusion_is_all_ones(self):
         params = BlockModelParams(sizes=(6,), seed_counts=(2,), p=1.5, q=1.0)
         g, _, seeds = build_deterministic_block_graph(params)
-        from heatprop import diffuse_one_vs_all
-
-        f = diffuse_one_vs_all(g, seeds, 1, SolverOptions())
+        (f,) = one_vs_all_fields(g, seeds, SolverOptions())
         assert np.allclose(f.values, 1.0, atol=1e-12)
 
     def test_guard(self):
@@ -288,15 +296,17 @@ class TestDeterministicBuilder:
     def test_equal_weights_degenerate_to_tiebreak(self):
         params = BlockModelParams(sizes=(4, 4), seed_counts=(1, 1), p=1.0, q=1.0)
         g, _, seeds = build_deterministic_block_graph(params)
-        scores, result = classify(g, seeds, "centered", SolverOptions())
+        fields = one_vs_all_fields(g, seeds, SolverOptions())
+        scores = scores_from_fields(fields, seeds, "centered")
+        labels, _ = classify(fields, seeds, "centered")
         non_seed = np.setdiff1d(np.arange(g.n), seeds.nodes)
-        assert np.abs(scores.scores[non_seed]).max() < 1e-12
-        assert np.all(result.labels[non_seed] == 1)
+        assert np.abs(scores[non_seed]).max() < 1e-12
+        assert np.all(labels[non_seed] == 1)
         # seed rows hold the centered pinned temperatures: 1 or 0 minus the
         # mean temperature 1/2
         assert np.array_equal(seeds.nodes, [0, 4])
         expect = [[0.5, -0.5], [-0.5, 0.5]]
-        assert np.abs(scores.scores[seeds.nodes] - expect).max() < 1e-12
+        assert np.abs(scores[seeds.nodes] - expect).max() < 1e-12
 
 
 class TestSbm:

@@ -36,7 +36,12 @@ def test_unused_imports_detected():
     assert unused_imports(source) == ["b (line 3)", "os (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES, ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES]
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

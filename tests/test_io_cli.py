@@ -5,7 +5,7 @@ import pytest
 
 from heatprop import ValidationError, build_graph, load_edge_list, load_labels
 from heatprop.blockmodel import BlockModelParams, _block_disagreement, default_seeds
-from heatprop.classify import classify
+from heatprop.classify import classify, one_vs_all_fields
 from heatprop.cli import _config_experiment, _fmt, _seeds_from_file, main, parse_config
 from heatprop.datasets import config_path, data_path
 from heatprop.io import load_dataset, write_edge_list
@@ -264,10 +264,10 @@ class TestCli:
         assert exc.value.code == 1
         assert "unrecognized arguments: --mode exact" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("graph", ["karate", "karate --directed", "file"])
+    @pytest.mark.parametrize("graph", ["karate", "file"])
     def test_classify_use_destination_on_undirected_graph_exits_1(self, tmp_path, capsys, graph):
         # an undirected graph has no destination copies: the flag must fail,
-        # not be ignored (bundled datasets are undirected, even with --directed)
+        # not be ignored
         args = graph.split()
         if graph == "file":
             (tmp_path / "g.edges").write_text("a b\nb c\n")
@@ -280,6 +280,36 @@ class TestCli:
             "error: --use-destination needs a directed edge list (--directed)"
         ]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--directed", "error: bipartite lift leaves isolated copies: source copy of node 7; "),
+            ("--weighted", "error: {}: line 2: expected a weight column"),
+            ("--delimiter ;", "error: {}: line 2: expected 2 or 3 columns, got 1"),
+            ("--directed --weighted --delimiter ;", "error: {}: line 2: expected 2 or 3 columns, got 1"),
+        ],
+        ids=["directed", "weighted", "delimiter", "all-three"],
+    )
+    def test_classify_bundled_dataset_reads_the_file_flags(self, tmp_path, capsys, flags, message):
+        # a bundled dataset loads on the same path as an edge-list file
+        out = tmp_path / "x.csv"
+        code = self.run(
+            "classify", "--graph", "karate", *flags.split(), "--sample", "uniform", "--seed", "0",
+            "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message.format(data_path("karate.edges"))), err
+        assert not out.exists()
+
+    def test_classify_every_node_seeded(self, tmp_path, capsys):
+        seeds = tmp_path / "all.seeds"
+        seeds.write_bytes(data_path("karate.labels").read_bytes())
+        out = tmp_path / "x.csv"
+        assert self.run("classify", "--graph", "karate", "--seeds-file", str(seeds), "--out", str(out)) == 0
+        assert out.read_text() == "node_id,label,confidence\n"
+        assert "classified 0 nodes | variant=centered iterations=0 residual=0 wall=" in capsys.readouterr().err
 
     def test_classify_directed_dataset(self, tmp_path):
         edges = tmp_path / "d.edges"
@@ -316,15 +346,15 @@ class TestCli:
         # reference: the per-node output loop
         bundle = load_dataset(edges, directed=True)
         seed_set, label_names = _seeds_from_file(seeds, bundle, {}, use_destination)
-        _, result = classify(bundle.graph, seed_set, "centered", SolverOptions())
+        labels, confidence = classify(one_vs_all_fields(bundle.graph, seed_set, SolverOptions()), seed_set, "centered")
         reverse = {v: k for k, v in bundle.id_map.items()}
         lines = ["node_id,label,confidence"]
         for original in range(bundle.n_original):
             idx = original + bundle.n_original if use_destination else original
             if idx in set(int(s) for s in seed_set.nodes):
                 continue
-            name = label_names.get(int(result.labels[idx]), str(int(result.labels[idx])))
-            lines.append(f"{reverse[original]},{name},{_fmt(float(result.confidence[idx]))}")
+            name = label_names.get(int(labels[idx]), str(int(labels[idx])))
+            lines.append(f"{reverse[original]},{name},{_fmt(float(confidence[idx]))}")
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_bench_missing_config_exits_1(self, tmp_path):
@@ -334,7 +364,7 @@ class TestCli:
         out_dir = tmp_path / "bench"
         assert self.run("bench", "--config", "fig2a-small", "--out-dir", str(out_dir)) == 0
         raw = (out_dir / "results.csv").read_text().strip().splitlines()
-        assert raw[0] == "variant,sweep,rep,macro_f1,accuracy,wall_ms,iters"
+        assert raw[0] == "variant,sweep,rep,macro_f1,accuracy,iters"
         body = [line.split(",") for line in raw[1:]]
         sweeps = {row[1] for row in body}
         variants = {row[0] for row in body}
@@ -431,6 +461,7 @@ class TestCli:
             "sizes = 20\nseeds = 2\nsweep = seed_ratio\nsweep_values = 1,2",
             "sizes = 20,20,20\nseeds = 2,2,2\nsweep = size_ratio\nsweep_values = 1,2",
             "source = blocks\nsizes = 3000,3000",
+            "source = karate\ndirected = true",
         ],
     )
     def test_bench_malformed_config_is_one_error_line(self, tmp_path, capsys, bad):

@@ -264,10 +264,13 @@ class TestEquivalence:
 
 
 class TestProblemValidation:
-    def test_boundary_strict_subset(self):
-        g = path_graph(3)
-        with pytest.raises(ValidationError, match="strict subset"):
-            problem_from_dict(g, {0: 1.0, 1: 0.5, 2: 0.0})
+    def test_boundary_covering_every_node_solves_to_itself(self):
+        # no interior node: the solve returns the boundary values untouched
+        p = problem_from_dict(path_graph(3), {0: 1.0, 1: 0.3, 2: 0.0})
+        f = solve_iterative(p, SolverOptions())
+        assert f.values.tolist() == [1.0, 0.3, 0.0]
+        assert (f.info.iterations, f.info.final_change, f.info.stop_reason) == (0, 0.0, "tolerance")
+        assert residual(p, f) == 0.0
 
     def test_boundary_nonempty(self):
         with pytest.raises(ValidationError, match="nonempty"):
