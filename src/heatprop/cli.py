@@ -219,7 +219,7 @@ CONFIG_SCHEMA = {
     "labels_file": str,
     "directed": _lookup({"true": True, "false": False}),
     "weighted": _lookup({"true": True, "false": False}),
-    "policy": lambda raw: "explicit_counts" if raw == "explicit" else raw,
+    "policy": _lookup(dict(uniform="uniform", degree="degree", balanced="balanced", explicit="explicit_counts")),
     "fraction": float,
     "variants": name_list,
     "repetitions": int,
@@ -272,14 +272,24 @@ def _config_params(cfgv: dict) -> BlockModelParams:
     return BlockModelParams(sizes=cfgv["sizes"], seed_counts=cfgv["seeds"], p=cfgv["p"], q=cfgv["q"])
 
 
+def _reject_unread(cfgv: dict, read: set[str]):
+    unread = sorted(set(cfgv) - read)
+    if unread:
+        raise ValidationError(f"config keys that this run never reads: {', '.join(unread)}")
+
+
 def _config_experiment(cfgv: dict, master_seed: int | None) -> ExperimentConfig:
+    read = {"task", "source", "policy", "sweep", "variants", "repetitions", "master_seed",
+            "max_iterations", "tolerance"}
     source_kind = cfgv.get("source", "sbm")
-    if source_kind == "sbm":
-        source = SbmSource(params=_config_params(cfgv))
-    elif source_kind == "blocks":
-        source = BlockSource(params=_config_params(cfgv))
+    if source_kind in ("sbm", "blocks"):
+        read |= {"sizes", "seeds", "p", "q"}
+        params = _config_params(cfgv)
+        source = SbmSource(params=params) if source_kind == "sbm" else BlockSource(params=params)
     elif source_kind in BUILTIN_DATASETS or source_kind == "files":
+        read |= {"labels_file", "directed", "weighted"}
         if source_kind == "files":
+            read.add("graph_file")
             _require(cfgv, "source = files", "graph_file", "labels_file")
         graph = cfgv["graph_file"] if source_kind == "files" else source_kind
         flags = {k: cfgv[k] for k in ("directed", "weighted") if k in cfgv}
@@ -291,13 +301,16 @@ def _config_experiment(cfgv: dict, master_seed: int | None) -> ExperimentConfig:
     policy = None
     kind = cfgv.get("policy")
     if kind == "explicit_counts":
+        read.add("seeds")
         _require(cfgv, "policy = explicit", "seeds")
         policy = SamplingPolicy(kind=kind, counts=cfgv["seeds"])
     elif kind is not None or isinstance(source, DatasetSource):
+        read.add("fraction")
         policy = SamplingPolicy(kind=kind or "uniform", fraction=cfgv.get("fraction", DEFAULT_SEED_FRACTION))
 
     sweep = None
     if cfgv.get("sweep", "none") != "none":
+        read.add("sweep_values")
         _require(cfgv, "a sweep", "sweep_values")
         sweep = Sweep(kind=cfgv["sweep"], values=cfgv["sweep_values"])
 
@@ -306,11 +319,13 @@ def _config_experiment(cfgv: dict, master_seed: int | None) -> ExperimentConfig:
     run = {k: cfgv[k] for k in ("variants", "repetitions", "master_seed") if k in cfgv}
     if master_seed is not None:
         run["master_seed"] = master_seed
+    _reject_unread(cfgv, read)
     return ExperimentConfig(source=source, solver=solver, policy=policy, sweep=sweep, **run)
 
 
 def _run_oracle_grid(cfgv: dict, master_seed: int | None, out_dir: Path) -> int:
     """Write the agreement report of ``blockmodel.oracle_grid``."""
+    _reject_unread(cfgv, {"task", "grid_points", "max_block_nodes", "master_seed"})
     points = cfgv.get("grid_points", 50)
     seed = master_seed if master_seed is not None else cfgv.get("master_seed", ExperimentConfig.master_seed)
     rows = oracle_grid(points, cfgv.get("max_block_nodes", 200), seed)
@@ -345,9 +360,9 @@ def _cmd_bench(args) -> int:
     table.write_aggregate_csv(out_dir / "aggregate.csv")
     for failure in table.failures:
         print(f"failed: sweep={failure.sweep} rep={failure.rep}: {failure.message}", file=sys.stderr)
-    print(f"{len(table.rows)} rows -> {out_dir / 'results.csv'}")
-    for agg in table.aggregate():
-        print(f"  {agg.variant} sweep={_fmt(agg.sweep)}: macro-F1 {agg.mean:.4f} +- {agg.std:.4f}")
+    print(f"{len(table.rows())} rows -> {out_dir / 'results.csv'}")
+    for variant, sweep, mean, std in table.aggregate():
+        print(f"  {variant} sweep={_fmt(sweep)}: macro-F1 {mean:.4f} +- {std:.4f}")
     return 0
 
 

@@ -1,7 +1,10 @@
 """Seed-sampling policies, evaluation metrics, and repeatable benchmark runs.
 
 One loop, ``run_experiment``, runs every (sweep point, repetition) cell of
-an ``ExperimentConfig`` and records a cell that raises as a failure.
+an ``ExperimentConfig``. A completed cell becomes one frozen ``Repetition``
+record (sweep point, repetition, the fields' solver infos and each variant's
+macro-F1 and accuracy); a cell that raises becomes a ``RunFailure``. The
+result rows, the aggregate and both CSV files are derived from the records.
 
 Randomness is derived from a single master seed through a documented
 splittable scheme: the stream for (sweep point ``i``, repetition ``r``) is
@@ -29,7 +32,7 @@ from .blockmodel import (
 from .classify import VARIANTS, SeedSet, classify, one_vs_all_fields
 from .errors import NumericalError, ValidationError
 from .graph import Graph, NodePartition, _sorted_unique
-from .solver import SolverOptions
+from .solver import SolveInfo, SolverOptions
 
 POLICY_KINDS = ("uniform", "degree", "balanced", "explicit_counts")
 SWEEP_KINDS = ("seed_ratio", "size_ratio")
@@ -287,18 +290,15 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ResultRow:
-    """Metrics of one variant in one repetition. ``iterations`` is the
-    largest conjugate-gradient iteration count among the fields (0 when no
-    field needs an iteration, as when every node is a seed)."""
+class Repetition:
+    """Everything one completed repetition measured: its sweep point, the
+    solver outcome of each one-vs-all field, and ``(macro_f1, accuracy)`` of
+    each variant, keyed in config order. Every output is derived from these."""
 
-    variant: str
     sweep: float
     rep: int
-    macro_f1: float
-    per_class_f1: tuple[float, ...]
-    accuracy: float
-    iterations: int
+    infos: tuple[SolveInfo, ...]
+    scores: dict[str, tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -308,45 +308,42 @@ class RunFailure:
     message: str
 
 
-@dataclass(frozen=True)
-class AggregateRow:
-    variant: str
-    sweep: float
-    mean: float
-    std: float
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass
 class ResultTable:
-    rows: list[ResultRow] = field(default_factory=list)
+    reps: list[Repetition] = field(default_factory=list)
     failures: list[RunFailure] = field(default_factory=list)
 
-    def aggregate(self) -> list[AggregateRow]:
-        """Mean and (population) standard deviation of macro-F1, recomputed
-        from the raw rows, grouped by (variant, sweep point)."""
+    def rows(self) -> list[tuple[str, float, int, float, float, int]]:
+        """``(variant, sweep, rep, macro_f1, accuracy, iterations)`` per variant
+        of each repetition; ``iterations`` is the largest conjugate-gradient
+        count among the fields (0 when no field needs an iteration)."""
+        return [
+            (variant, r.sweep, r.rep, f1, acc, max(info.iterations for info in r.infos))
+            for r in self.reps
+            for variant, (f1, acc) in r.scores.items()
+        ]
+
+    def aggregate(self) -> list[tuple[str, float, float, float]]:
+        """``(variant, sweep, mean, std)`` of macro-F1 per (variant, sweep
+        point), the standard deviation taken over the population."""
         groups: dict[tuple[str, float], list[float]] = {}
-        for row in self.rows:
-            groups.setdefault((row.variant, row.sweep), []).append(row.macro_f1)
-        out = []
-        for (variant, sweep), vals in sorted(groups.items()):
-            arr = np.asarray(vals)
-            out.append(AggregateRow(variant=variant, sweep=sweep, mean=float(arr.mean()), std=float(arr.std())))
-        return out
+        for variant, sweep, _, f1, *_ in self.rows():
+            groups.setdefault((variant, sweep), []).append(f1)
+        return [(*key, float(np.mean(vals)), float(np.std(vals))) for key, vals in sorted(groups.items())]
 
     def write_csv(self, path):
         """Raw per-run rows; byte-reproducible under a fixed master seed."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(RAW_CSV_HEADER)
-            for r in self.rows:
-                writer.writerow([r.variant, repr(r.sweep), r.rep, repr(r.macro_f1), repr(r.accuracy), r.iterations])
+        _write_csv(path, RAW_CSV_HEADER, self.rows())
 
     def write_aggregate_csv(self, path):
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(AGG_CSV_HEADER)
-            for a in self.aggregate():
-                writer.writerow([a.variant, repr(a.sweep), repr(a.mean), repr(a.std)])
+        _write_csv(path, AGG_CSV_HEADER, self.aggregate())
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +379,8 @@ def _realize(source, sweep, value, graph_seed):
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
-    """Run every (sweep point, repetition, variant) cell and collect metrics.
+    """Run every (sweep point, repetition) cell and keep one ``Repetition``
+    record per completed cell.
 
     Within a repetition all variants score the same graph, seed set and
     fields; scoring is restricted to labeled non-seed nodes. A repetition
@@ -393,13 +391,15 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     for pi, value in enumerate(points):
         for rep in range(cfg.repetitions):
             try:
-                _run_one(cfg, pi, value, rep, table)
+                table.reps.append(_run_one(cfg, pi, value, rep))
             except (ValidationError, NumericalError) as exc:
                 table.failures.append(RunFailure(sweep=value, rep=rep, message=str(exc)))
     return table
 
 
-def _run_one(cfg: ExperimentConfig, pi: int, value: float, rep: int, table: ResultTable):
+def _run_one(cfg: ExperimentConfig, pi: int, value: float, rep: int) -> Repetition:
+    """Draw one repetition's graph and seeds, solve its fields once, then
+    score every variant on the labeled non-seed nodes."""
     graph_seed = derive_seed(cfg.master_seed, pi, rep, 0)
     sample_seed = derive_seed(cfg.master_seed, pi, rep, 1)
     graph, truth, params = _realize(cfg.source, cfg.sweep, value, graph_seed)
@@ -409,31 +409,13 @@ def _run_one(cfg: ExperimentConfig, pi: int, value: float, rep: int, table: Resu
         policy = SamplingPolicy(kind="explicit_counts", counts=params.seed_counts)
     policy = replace(policy, rng_seed=sample_seed)
     seeds = sample_seeds(truth, graph, policy)
-    _append_rows(table, cfg, graph, truth, seeds, value, rep)
 
-
-def _append_rows(table, cfg, graph, truth, seeds, sweep, rep):
-    """Solve the fields of one repetition once, then score and evaluate every
-    variant on the labeled non-seed nodes."""
     eval_mask = truth.labels > 0
     eval_mask[seeds.nodes] = False
-    eval_nodes = np.flatnonzero(eval_mask)
-    truth_eval = truth.labels[eval_nodes]
-
+    truth_eval = truth.labels[eval_mask]
     fields = one_vs_all_fields(graph, seeds, cfg.solver)
-    iterations = max(f.info.iterations for f in fields)
+    scores = {}
     for variant in cfg.variants:
-        labels, _ = classify(fields, seeds, variant)
-        pred = labels[eval_nodes]
-        f1 = per_class_f1(pred, truth_eval, truth.num_labels)
-        table.rows.append(
-            ResultRow(
-                variant=variant,
-                sweep=sweep,
-                rep=rep,
-                macro_f1=float(f1.mean()),
-                per_class_f1=tuple(f1),
-                accuracy=accuracy(pred, truth_eval),
-                iterations=iterations,
-            )
-        )
+        pred = classify(fields, seeds, variant)[0][eval_mask]
+        scores[variant] = (macro_f1(pred, truth_eval, truth.num_labels), accuracy(pred, truth_eval))
+    return Repetition(sweep=value, rep=rep, infos=tuple(f.info for f in fields), scores=scores)

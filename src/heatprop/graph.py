@@ -237,8 +237,10 @@ def directed_to_bipartite(n: int, arcs) -> Graph:
     except IsolatedNodeError as exc:
         names = [
             f"source copy of node {c}" if c < n else f"destination copy of node {c - n}"
-            for c in exc.nodes
+            for c in exc.nodes[:10]
         ]
+        if len(exc.nodes) > 10:
+            names.append(f"... ({len(exc.nodes)} total)")
         raise IsolatedNodeError(
             "bipartite lift leaves isolated copies: " + "; ".join(names), exc.nodes
         ) from None

@@ -212,7 +212,7 @@ def test_criterion_06_sbm_seed_asymmetry_protocol():
         master_seed=0,
     )
     table = run_experiment(cfg)
-    means = {(agg.variant, agg.sweep): agg.mean for agg in table.aggregate()}
+    means = {(variant, sweep): mean for variant, sweep, mean, _ in table.aggregate()}
     gap = means["centered", 10.0] - means["vanilla", 10.0]
     centered_at_1 = means["centered", 1.0]
     elapsed = time.perf_counter() - start

@@ -179,16 +179,17 @@ class TestRunExperiment:
 
     def test_row_grid_shape(self):
         table = run_experiment(self.small_cfg())
-        assert len(table.rows) + 2 * len(table.failures) == 2 * 2 * 3
-        seen = {(r.variant, r.sweep, r.rep) for r in table.rows}
-        assert len(seen) == len(table.rows)
+        rows = table.rows()
+        assert len(rows) + 2 * len(table.failures) == 2 * 2 * 3
+        seen = {(variant, sweep, rep) for variant, sweep, rep, *_ in rows}
+        assert len(seen) == len(rows)
 
     def test_variants_share_graph_and_seeds_within_rep(self, monkeypatch):
         solves = count_field_solves(monkeypatch)
         table = run_experiment(self.small_cfg())
-        cells = {(r.sweep, r.rep) for r in table.rows}
+        cells = {(r.sweep, r.rep) for r in table.reps}
         # one field solve per repetition, shared by both variants
-        assert not table.failures and len(cells) == 2 * 3 and len(table.rows) == 2 * len(cells)
+        assert not table.failures and len(cells) == 2 * 3 and len(table.rows()) == 2 * len(cells)
         assert len(solves) == len(cells)
         # every cell draws its own seed set (and, from an SBM source, its own graph)
         assert len({seeds.nodes.tobytes() for _, seeds, _ in solves}) == len(cells)
@@ -198,7 +199,7 @@ class TestRunExperiment:
         solves = count_field_solves(monkeypatch)
         t1 = run_experiment(self.small_cfg())
         t2 = run_experiment(self.small_cfg())
-        assert t1.rows and t1.rows == t2.rows and t1.failures == t2.failures
+        assert t1.reps and t1.reps == t2.reps and t1.failures == t2.failures
         first, second = solves[: len(solves) // 2], solves[len(solves) // 2 :]
         for (g1, s1, _), (g2, s2, _) in zip(first, second, strict=True):
             assert g1.indices.tobytes() == g2.indices.tobytes()
@@ -214,23 +215,20 @@ class TestRunExperiment:
             master_seed=0,
         )
         t1, t2 = run_experiment(cfg), run_experiment(cfg)
-        assert t1.rows == t2.rows
-        centered = [r for r in t1.rows if r.variant == "centered"]
-        assert centered[0].macro_f1 == 1.0
+        assert t1.reps == t2.reps
+        assert t1.reps[0].scores["centered"][0] == 1.0
 
     def test_aggregate_recomputes_from_rows(self):
         table = run_experiment(self.small_cfg())
-        for agg in table.aggregate():
-            vals = [
-                r.macro_f1 for r in table.rows if r.variant == agg.variant and r.sweep == agg.sweep
-            ]
-            assert agg.mean == float(np.mean(vals))
-            assert agg.std == float(np.std(vals))
+        for variant, sweep, mean, std in table.aggregate():
+            vals = [f1 for v, s, _, f1, *_ in table.rows() if v == variant and s == sweep]
+            assert mean == float(np.mean(vals))
+            assert std == float(np.std(vals))
 
     def test_seed_asymmetry_direction(self):
         # at ratio 4 the centered rule should beat the vanilla rule on average
         table = run_experiment(self.small_cfg(repetitions=4))
-        means = {(agg.variant, agg.sweep): agg.mean for agg in table.aggregate()}
+        means = {(variant, sweep): mean for variant, sweep, mean, _ in table.aggregate()}
         assert means["centered", 4.0] > means["vanilla", 4.0]
 
     def test_dataset_source_requires_policy(self):
@@ -241,7 +239,7 @@ class TestRunExperiment:
             ExperimentConfig(source=source, repetitions=2, master_seed=1)
         policy = SamplingPolicy(kind="uniform", fraction=0.2)
         cfg = ExperimentConfig(source=source, repetitions=2, master_seed=1, policy=policy)
-        assert len(run_experiment(cfg).rows) == 4
+        assert len(run_experiment(cfg).rows()) == 4
 
     def test_dataset_source_rejects_sweep(self):
         g, labels = labeled_random_graph(np.random.default_rng(139))
@@ -301,7 +299,7 @@ class TestRunExperiment:
         )
         table = run_experiment(cfg)
         assert not table.failures
-        assert len(table.rows) == 2 * 3 * len(variants)
+        assert len(table.rows()) == 2 * 3 * len(variants)
         assert len(calls) == 2 * 3
 
     def test_solve_budget_on_sbm_sweep_slot(self, monkeypatch):
@@ -312,13 +310,17 @@ class TestRunExperiment:
         params = BlockModelParams(sizes=(5000, 5000), seed_counts=(250, 250), p=1e-3, q=1e-4)
         cfg = ExperimentConfig(source=SbmSource(params=params), repetitions=1, master_seed=1)
         table = run_experiment(cfg)
-        assert not table.failures and len(table.rows) == 2
-        # two labels: one field solved, the other derived
+        assert not table.failures and len(table.rows()) == 2
+        # two labels: one field solved, the other derived; the record keeps
+        # the outcome of both
         assert len(solves) == 1
-        iterations = table.rows[0].iterations
+        solved, derived = table.reps[0].infos
+        iterations = solved.iterations
         # the cap check follows the tolerance check, so fewer iterations than
         # the cap means the tolerance stopped the solve
-        assert iterations < SolverOptions().max_iterations
+        assert solved.stop_reason == "tolerance" and iterations < SolverOptions().max_iterations
+        assert derived.stop_reason == "derived" and derived.iterations == 0
+        assert [row[-1] for row in table.rows()] == [iterations, iterations]
         assert len(matvecs) == 1 + iterations <= 101
 
     def test_failed_repetition_recorded_not_dropped(self):
@@ -330,7 +332,7 @@ class TestRunExperiment:
             master_seed=3,
         )
         table = run_experiment(cfg)
-        assert len(table.rows) == 0
+        assert len(table.reps) == 0
         assert len(table.failures) == 2
         assert "seed count 40" in table.failures[0].message
 

@@ -3,12 +3,16 @@
 import ast
 import importlib
 import re
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import heatprop
+from heatprop.cli import main
+from heatprop.datasets import load_builtin
+from heatprop.io import write_edge_list
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "heatprop"
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -242,3 +246,94 @@ def reference_imports(source: str) -> set[str]:
 def test_every_reference_is_imported_by_a_test():
     imported = set().union(*(reference_imports(p.read_text(encoding="utf-8")) for p in TESTS_DIR.glob("test_*.py")))
     assert [name for name in REFERENCE_NAMES if name not in imported] == []
+
+
+def function_names(source: str, module: str) -> list[str]:
+    """Every function and method a source defines, by the qualified name
+    its code object carries (``module.Class.method``, ``module.f.<locals>.g``)."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.FunctionDef):
+                found.append(prefix + node.name)
+                visit(node.body, f"{prefix}{node.name}.<locals>.")
+            elif isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+
+    visit(ast.parse(source).body, f"{module}.")
+    return found
+
+
+def test_function_names_detected():
+    source = "def f():\n    def g():\n        pass\n\n\nclass A:\n    def m(self):\n        x = lambda: 0\n"
+    assert function_names(source, "mod") == ["mod.f", "mod.f.<locals>.g", "mod.A.m"]
+
+
+def entered_functions(run) -> set[str]:
+    """Qualified names of the package functions entered while ``run()`` runs."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    package = Path(heatprop.__file__).parent
+    return {f"{Path(c.co_filename).stem}.{c.co_qualname}" for c in codes if Path(c.co_filename).parent == package}
+
+
+# defined for perfbench only: the package never calls them
+PERFBENCH_ONLY = {
+    "graph.Graph.num_edges": "perfbench's build_graph hook counts the edges of each graph with it",
+}
+
+
+def run_entry_points(tmp: Path):
+    """The command line over the small bundled configs, each subcommand and
+    the error inputs that reach their own code, plus ``write_edge_list``."""
+    blocks = tmp / "blocks.cfg"
+    blocks.write_text("source = blocks\nsizes = 10,10\nseeds = 1,1\np = 2\nq = 1\nrepetitions = 1\n")
+    for name in ("fig2a-small", "karate-uniform", "blocks2-uniform", "blocks3-uniform", "lemma-grid", str(blocks)):
+        assert main(["bench", "--config", name, "--out-dir", str(tmp / Path(name).stem)]) == 0
+    # a directed, weighted 3-cycle in both directions, ids longer than one
+    # 64-bit word and a two-character delimiter
+    edges, labels, seeds = tmp / "g.edges", tmp / "g.labels", tmp / "karate.seeds"
+    ids = [f"node-{c}-with-a-long-id" for c in "abc"]
+    edges.write_text("".join(f"{u}::{v}::1.5\n{v}::{u}::2\n" for u, v in zip(ids, ids[1:] + ids[:1])))
+    labels.write_text(f"{ids[0]}::x\n{ids[1]}::y\n{ids[2]}::x\n")
+    seeds.write_text("0 mr_hi\n33 officer\n")
+    (tmp / "g.seeds").write_text(f"{ids[0]} x\n{ids[1]} y\n")
+    out = str(tmp / "labels.csv")
+    directed = ["--graph", str(edges), "--labels", str(labels), "--directed", "--weighted", "--delimiter", "::"]
+    runs = [
+        ["--graph", "karate", "--sample", "uniform", "--variant", "vanilla"],
+        ["--graph", "karate", "--sample", "degree", "--variant", "weighted"],
+        ["--graph", "karate", "--sample", "balanced", "--fraction", "0.2"],
+        ["--graph", "karate", "--seeds-file", str(seeds)],
+        [*directed, "--sample", "uniform", "--fraction", "0.5"],
+        [*directed, "--seeds-file", str(tmp / "g.seeds"), "--use-destination"],
+    ]
+    for argv in runs:
+        assert main(["classify", *argv, "--out", out]) == 0, argv
+    assert main(["oracle", "--K", "2", "--sizes", "2,2", "--seeds", "1,1", "--p", "2", "--q", "1"]) == 0
+    # the bipartite lift of karate leaves isolated copies
+    assert main(["classify", "--graph", "karate", "--directed", "--sample", "uniform", "--out", out]) == 1
+    with pytest.raises(SystemExit):
+        main(["classify"])
+    bundle = load_builtin("karate")
+    write_edge_list(tmp / "karate.edges", bundle.graph, list(bundle.id_map).__getitem__, weighted=True)
+
+
+def test_every_package_function_is_entered(tmp_path):
+    # reachability by the call itself, where the name check above matches a
+    # method by its bare name only
+    defined = {name for path in SOURCES for name in function_names(path.read_text(encoding="utf-8"), path.stem)}
+    assert set(PERFBENCH_ONLY) <= defined
+    # reloading cli runs the `_lookup` calls that build CONFIG_SCHEMA under the trace
+    missed = defined - entered_functions(lambda: (importlib.reload(heatprop.cli), run_entry_points(tmp_path)))
+    assert sorted(missed) == sorted(PERFBENCH_ONLY)

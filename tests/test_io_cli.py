@@ -15,6 +15,7 @@ from reference import dense_adjacency
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 BUNDLED_CONFIGS = sorted(path.stem for path in data_path("configs").glob("*.cfg"))
+UNREAD = "config keys that this run never reads: "
 
 
 class TestLoadEdgeList:
@@ -303,6 +304,14 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(message.format(data_path("karate.edges"))), err
         assert not out.exists()
 
+    def test_classify_names_at_most_ten_isolated_copies(self, tmp_path, capsys):
+        # 17 copies of karate's nodes have no arc when its edges are read as arcs
+        out = str(tmp_path / "x.csv")
+        code = self.run("classify", "--graph", "karate", "--directed", "--sample", "uniform", "--out", out)
+        assert code == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.endswith("; ... (17 total)") and err.count("copy of node") == 10, err
+
     def test_classify_every_node_seeded(self, tmp_path, capsys):
         seeds = tmp_path / "all.seeds"
         seeds.write_bytes(data_path("karate.labels").read_bytes())
@@ -465,12 +474,40 @@ class TestCli:
         ],
     )
     def test_bench_malformed_config_is_one_error_line(self, tmp_path, capsys, bad):
+        # a dataset source reads no block-model keys, so its cases get a
+        # prefix of keys it reads, and fail for their own reason
+        prefix = "policy = uniform\n"
+        if not bad.startswith("source = karate"):
+            prefix = "sizes = 20,20\nseeds = 2,2\np = 0.3\nq = 0.05\n"
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("sizes = 20,20\nseeds = 2,2\np = 0.3\nq = 0.05\nrepetitions = 1\n" + bad + "\n")
+        cfg.write_text(prefix + "repetitions = 1\n" + bad + "\n")
         assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "sizes = 20,20\nseeds = 2,2\np = 0.3\nq = 0.05\nfraction = 0.5\ngrid_points = 7\ngraph_file = nowhere",
+                f"{UNREAD}fraction, graph_file, grid_points",
+            ),
+            ("task = oracle_grid\ntolerance = 0.5\nsizes = 1,2", f"{UNREAD}sizes, tolerance"),
+            ("source = karate\npolicy = uniform\nsweep_values = 1,2", f"{UNREAD}sweep_values"),
+            (
+                "source = karate\npolicy = foo",
+                "config line 2: bad value 'foo' for policy (expected one of uniform, degree, balanced, explicit)",
+            ),
+        ],
+        ids=["sbm", "oracle-grid", "no-sweep", "policy"],
+    )
+    def test_bench_rejects_keys_it_does_not_read(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(text + "\n")
+        assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not list((tmp_path / "out").glob("*"))
 
     @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
     def test_bundled_config_decodes(self, name):
