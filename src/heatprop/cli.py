@@ -91,8 +91,8 @@ def _copy_index(bundle, original, use_destination: bool):
     return original + bundle.n_original if bundle.directed and use_destination else original
 
 
-def _seeds_from_file(path, bundle, label_names, use_destination):
-    parsed, names = load_labels(path, bundle.id_map, bundle.n_original)
+def _seeds_from_file(path, bundle, label_names, use_destination, delimiter=None):
+    parsed, names = load_labels(path, bundle.id_map, bundle.n_original, delimiter=delimiter)
     if label_names:
         # remap the seed file's label ids onto the ground-truth naming
         rename = {}
@@ -125,7 +125,7 @@ def _cmd_classify(args) -> int:
     opts = SolverOptions(max_iterations=args.max_iter, tolerance=args.tol)
 
     if args.seeds_file:
-        seeds, label_names = _seeds_from_file(args.seeds_file, bundle, label_names, args.use_destination)
+        seeds, label_names = _seeds_from_file(args.seeds_file, bundle, label_names, args.use_destination, args.delimiter)
     else:
         policy = SamplingPolicy(kind=args.sample, fraction=args.fraction, rng_seed=args.seed)
         ground = bundle.labels

@@ -83,6 +83,12 @@ class Graph:
         ids.setflags(write=False)
         return ids
 
+    @cached_property
+    def unit_weights(self) -> bool:
+        """Whether every weight is exactly 1.0, as on an unweighted graph.
+        Computed on first use and kept with the graph."""
+        return bool(self.weights.min() == 1.0 == self.weights.max())
+
     @property
     def num_edges(self) -> int:
         """Number of undirected edges; a self-loop counts as one edge."""
@@ -160,8 +166,9 @@ def build_graph(n: int, edges) -> Graph:
     n : total node count; ids must lie in ``[0, n)``.
     edges : sequence of ``(i, j, w)`` triples with finite ``w > 0``, or a tuple of
         three aligned arrays. Input is treated as undirected; duplicate pairs
-        (in either orientation) have their weights summed. Self-loops are
-        permitted.
+        (in either orientation) have their weights summed in input order.
+        Self-loops are permitted. The rows are assembled by one sort of the
+        ``row * n + col`` keys of both orientations.
 
     Raises
     ------
@@ -178,33 +185,23 @@ def build_graph(n: int, edges) -> Graph:
         kind = "nonpositive" if w[bad] <= 0 else "non-finite"
         raise ValidationError(f"{kind} weight {w[bad]} on edge ({src[bad]}, {dst[bad]})")
 
-    # canonical orientation, then merge duplicates
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    if lo.size:
-        key = lo * n + hi
-        order = np.argsort(key, kind="stable")
-        key, lo, hi, w = key[order], lo[order], hi[order], w[order]
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        w = np.add.reduceat(w, starts)
-        lo, hi = lo[starts], hi[starts]
-
-    loop = lo == hi
-    rows = np.concatenate([lo, hi[~loop]])
-    cols = np.concatenate([hi, lo[~loop]])
-    vals = np.concatenate([w, w[~loop]])
-    return _assemble(n, rows, cols, vals)
-
-
-def _assemble(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> Graph:
-    # build_graph merged duplicate pairs and mirrors only off-diagonal ones, so
-    # the (row, column) keys are distinct: any sort of the one-number key gives
-    # the permutation of np.lexsort((cols, rows)), at a fraction of its cost
-    order = np.argsort(rows * n + cols)
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    counts = np.bincount(rows, minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return Graph(n=n, indptr=indptr, indices=cols, weights=vals)
+    # both orientations of each pair (a self-loop once) under one key, row * n + col
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    off = lo != hi
+    key = np.concatenate([lo * n + hi, hi[off] * n + lo[off]])
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    runs = np.diff(np.append(starts, key.size))
+    if runs.max() > 2:
+        # sort each run's copies by input position, so that a pair's weights
+        # sum in input order (two weights sum the same in either order)
+        order = np.sort(np.repeat(np.arange(starts.size), runs) * key.size + order) % key.size
+    vals = np.concatenate([w, w[off]])[order]
+    if starts.size < key.size:  # duplicate pairs: one entry each, weights summed
+        vals, key = np.add.reduceat(vals, starts), key[starts]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(key // n, minlength=n))))
+    return Graph(n=n, indptr=indptr, indices=key % n, weights=vals)
 
 
 def transition_apply(g: Graph, v) -> np.ndarray:
@@ -213,11 +210,13 @@ def transition_apply(g: Graph, v) -> np.ndarray:
     One pass over the stored entries. Preserves the all-ones vector exactly
     because every row of the operator sums to one: ``g.degrees`` holds the
     same ``reduceat`` row sums of the weights that this function computes.
+    Graphs whose weights are all 1.0 (``g.unit_weights``) skip the multiply,
+    which is exact for them, so the result is the same to the bit.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (g.n,):
         raise ValidationError(f"vector length {v.shape} does not match node count {g.n}")
-    contrib = g.weights * v[g.indices]
+    contrib = v[g.indices] if g.unit_weights else g.weights * v[g.indices]
     # no empty rows (degrees are positive), so reduceat segments are well formed
     return np.add.reduceat(contrib, g.indptr[:-1]) / g.degrees
 

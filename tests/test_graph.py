@@ -10,12 +10,13 @@ from heatprop import (
     build_graph,
     connected_components,
     directed_to_bipartite,
+    sbm_generate,
     transition_apply,
 )
 import heatprop.graph
 from heatprop.graph import _sorted_unique
 from conftest import count_calls, dense_from_edges, path_graph, random_connected_graph
-from reference import dense_adjacency
+from reference import dense_adjacency, two_stage_build_graph
 
 
 class TestBuildGraph:
@@ -132,6 +133,31 @@ class TestTransitionApply:
             dense = dense_adjacency(g) / g.degrees[:, None]
             v = rng.normal(size=n)
             assert np.abs(transition_apply(g, v) - dense @ v).max() < 1e-12
+
+    @pytest.mark.parametrize("case", ["unweighted-sbm", "merged-pairs", "weighted-karate"])
+    def test_equals_the_weighted_reduction_to_the_bit(self, case, karate):
+        # unit weights skip the multiply; the result must not move by a bit
+        rng = np.random.default_rng(185)
+        if case == "unweighted-sbm":
+            params = BlockModelParams(sizes=(300, 200), seed_counts=(3, 2), p=0.05, q=0.01)
+            g = sbm_generate(params, 0)[0]
+        elif case == "merged-pairs":
+            # unit weights, half the pairs given twice in a random orientation:
+            # the lightest weight is 1.0, the merged pairs weigh 2
+            lo, hi, _ = random_connected_graph(rng, 200, extra_edges=300).edges()
+            twice = rng.random(lo.size) < 0.5
+            flip = rng.random(lo.size) < 0.5
+            src = np.concatenate([lo, np.where(flip, hi, lo)[twice]])
+            dst = np.concatenate([hi, np.where(flip, lo, hi)[twice]])
+            g = build_graph(200, (src, dst, np.ones(src.size)))
+            assert set(g.weights.tolist()) == {1.0, 2.0}
+        else:
+            lo, hi, _ = karate.graph.edges()
+            g = build_graph(karate.graph.n, (lo, hi, rng.uniform(0.1, 3.0, size=lo.size)))
+        assert g.unit_weights is (case == "unweighted-sbm")
+        for v in (rng.normal(size=g.n), rng.uniform(size=g.n), np.ones(g.n)):
+            expect = np.add.reduceat(g.weights * v[g.indices], g.indptr[:-1]) / g.degrees
+            assert np.array_equal(transition_apply(g, v), expect)
 
     def test_dimension_mismatch(self):
         g = path_graph(3)
@@ -296,3 +322,68 @@ def test_assembly_matches_lexsort_reference():
         g = build_graph(n, (src, dst, w))
         for got, expect in zip((g.indptr, g.indices, g.weights), lexsort_reference(n, src, dst, w)):
             assert got.tobytes() == np.asarray(expect, dtype=got.dtype).tobytes()
+
+
+def assert_same_csr(got, expect):
+    for name in ("indptr", "indices", "weights", "degrees"):
+        assert np.array_equal(getattr(got, name), getattr(expect, name)), name
+
+
+def unique_pairs(rng, n):
+    """Distinct pairs covering every node, self-loops included, in a shuffled
+    order and a random orientation."""
+    src = np.concatenate([np.arange(n), rng.integers(0, n, size=3 * n)])
+    dst = np.concatenate([rng.permutation(n), rng.integers(0, n, size=3 * n)])
+    lo, hi, _ = build_graph(n, (src, dst, np.ones(src.size))).edges()
+    flip = rng.random(lo.size) < 0.5
+    mix = rng.permutation(lo.size)
+    return np.where(flip, hi, lo)[mix], np.where(flip, lo, hi)[mix]
+
+
+class TestAssemblyMatchesTwoStage:
+    """``build_graph`` sorts once; its CSR arrays must equal those of the
+    two-stage assembly it replaced (merge canonical pairs, then mirror and
+    sort) to the bit, duplicate pairs included."""
+
+    @pytest.mark.parametrize("repeats", [0, 1, 2, 3, 5])
+    def test_pairs_repeated_in_both_orientations(self, repeats):
+        # a third of the pairs get `repeats` more copies, each in a random
+        # orientation; from 3 copies on, the order of the sum shows in the
+        # last bit of the weight
+        rng = np.random.default_rng(181 + repeats)
+        for _ in range(20):
+            n = int(rng.integers(2, 300))
+            src, dst = unique_pairs(rng, n)
+            pick = np.repeat(rng.choice(src.size, size=src.size // 3, replace=False), repeats)
+            flip = rng.random(pick.size) < 0.5
+            mix = rng.permutation(src.size + pick.size)
+            src, dst = (
+                np.concatenate([src, np.where(flip, dst[pick], src[pick])])[mix],
+                np.concatenate([dst, np.where(flip, src[pick], dst[pick])])[mix],
+            )
+            w = rng.uniform(0.1, 3.0, size=src.size)
+            assert_same_csr(build_graph(n, (src, dst, w)), two_stage_build_graph(n, (src, dst, w)))
+
+    def test_repeated_self_loops(self):
+        rng = np.random.default_rng(183)
+        n = 50
+        loops = np.repeat(rng.choice(n, size=10, replace=False), 4)
+        src, dst = unique_pairs(rng, n)
+        src, dst = np.concatenate([src, loops]), np.concatenate([dst, loops])
+        mix = rng.permutation(src.size)
+        w = rng.uniform(0.1, 3.0, size=src.size)
+        src, dst = src[mix], dst[mix]
+        assert_same_csr(build_graph(n, (src, dst, w)), two_stage_build_graph(n, (src, dst, w)))
+
+    def test_directed_lift(self):
+        rng = np.random.default_rng(184)
+        n = 100
+        src = np.concatenate([np.arange(n), np.arange(n), rng.integers(0, n, size=n)])
+        dst = np.concatenate([(np.arange(n) + 1) % n, (np.arange(n) + 2) % n, rng.integers(0, n, size=n)])
+        # three more copies of half the arcs, in the same direction
+        pick = np.repeat(rng.choice(src.size, size=n // 2, replace=False), 3)
+        mix = rng.permutation(src.size + pick.size)
+        src, dst = np.concatenate([src, src[pick]])[mix], np.concatenate([dst, dst[pick]])[mix]
+        w = rng.uniform(0.1, 3.0, size=src.size)
+        g = directed_to_bipartite(n, (src, dst, w))
+        assert_same_csr(g, two_stage_build_graph(2 * n, (src, dst + n, w)))

@@ -307,7 +307,7 @@ def run_entry_points(tmp: Path):
     edges.write_text("".join(f"{u}::{v}::1.5\n{v}::{u}::2\n" for u, v in zip(ids, ids[1:] + ids[:1])))
     labels.write_text(f"{ids[0]}::x\n{ids[1]}::y\n{ids[2]}::x\n")
     seeds.write_text("0 mr_hi\n33 officer\n")
-    (tmp / "g.seeds").write_text(f"{ids[0]} x\n{ids[1]} y\n")
+    (tmp / "g.seeds").write_text(f"{ids[0]}::x\n{ids[1]}::y\n")
     out = str(tmp / "labels.csv")
     directed = ["--graph", str(edges), "--labels", str(labels), "--directed", "--weighted", "--delimiter", "::"]
     runs = [

@@ -405,6 +405,49 @@ class TestCli:
         for name in ("results.csv", "aggregate.csv"):
             assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / config / name).read_bytes(), name
 
+    @pytest.mark.parametrize("name", ["classify-karate", "classify-directed"])
+    def test_classify_matches_golden_labels(self, tmp_path, name):
+        # labels that change on purpose regenerate these files with
+        # `heatprop classify --graph karate --sample uniform
+        #  --out tests/data/golden/classify-karate/labels.csv` and, in
+        # tests/data/golden/classify-directed, `heatprop classify --graph graph.edges
+        #  --labels graph.labels --directed --weighted --sample uniform --out labels.csv`
+        golden = GOLDEN_DIR / name
+        if name == "classify-karate":
+            flags = ["--graph", "karate"]
+        else:
+            flags = ["--graph", str(golden / "graph.edges"), "--labels", str(golden / "graph.labels"),
+                     "--directed", "--weighted"]
+        out = tmp_path / "labels.csv"
+        assert self.run("classify", *flags, "--sample", "uniform", "--out", str(out)) == 0
+        assert out.read_bytes() == (golden / "labels.csv").read_bytes()
+
+    def test_classify_seeds_file_reads_delimiter(self, tmp_path):
+        # edge, label and seed files all split by --delimiter give the labels
+        # of the same files split by spaces
+        def records(name):
+            lines = data_path(name).read_text().splitlines()
+            return [line.split() for line in lines if not line.startswith("#")]
+
+        tables = {
+            "edges": [(f"v{i}", f"v{j}") for i, j in records("karate.edges")],
+            "labels": [(f"v{node}", name) for node, name in records("karate.labels")],
+            "seeds": [("v0", "mr_hi"), ("v33", "officer"), ("v5", "mr_hi")],
+        }
+        outputs = []
+        for sep, flags in ((" ", []), ("::", ["--delimiter", "::"])):
+            files = {}
+            for kind, table in tables.items():
+                files[kind] = tmp_path / f"{len(outputs)}.{kind}"
+                files[kind].write_text("".join(f"{a}{sep}{b}\n" for a, b in table))
+            out = tmp_path / f"{len(outputs)}.csv"
+            assert self.run(
+                "classify", "--graph", str(files["edges"]), "--labels", str(files["labels"]),
+                "--seeds-file", str(files["seeds"]), "--out", str(out), *flags,
+            ) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 32
+
     def test_bench_config_defaults(self, tmp_path):
         # the fields take 12-13 conjugate-gradient iterations, so another
         # tolerance or a cap below that shows in the iters column; the
