@@ -22,7 +22,7 @@ from .blockmodel import (
     vanilla_consistency_condition,
 )
 from .classify import VARIANTS, SeedSet, classify, one_vs_all_fields, one_vs_all_problem
-from .datasets import BUILTIN_DATASETS, config_path, load_builtin
+from .datasets import BUILTIN_DATASETS, config_path, load_bundle
 from .errors import NumericalError, ValidationError
 from .experiments import (
     DEFAULT_SEED_FRACTION,
@@ -35,8 +35,7 @@ from .experiments import (
     run_experiment,
     sample_seeds,
 )
-from .graph import NodePartition
-from .io import DatasetBundle, load_dataset, load_labels
+from .io import load_labels
 from .solver import SolverOptions, residual
 
 
@@ -72,41 +71,22 @@ def _add_classify(sub):
     p.add_argument("--use-destination", action="store_true",
                    help="classify destination copies instead of source copies (directed only)")
     p.add_argument("--delimiter", help="override the auto-detected column delimiter")
-    p.add_argument("--seed", type=int, default=SamplingPolicy.rng_seed, help="master RNG seed")
+    p.add_argument("--seed", type=nonnegative_int, default=SamplingPolicy.rng_seed, help="master RNG seed")
     p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
 
 
-def _load_bundle(graph: str, labels=None, directed=False, weighted=False, delimiter=None) -> DatasetBundle:
-    """A bundled dataset by name, or an edge-list file with an optional label file."""
-    if graph in BUILTIN_DATASETS:
-        if labels:
-            raise ValidationError("bundled datasets already carry labels; drop the label file")
-        return load_builtin(graph, directed, weighted, delimiter)
-    return load_dataset(graph, labels_path=labels, directed=directed, weighted=weighted, delimiter=delimiter)
-
-
-def _copy_index(bundle, original, use_destination: bool):
-    """Graph index of the copy of an original node (or array of nodes) that
-    seeds and output refer to."""
-    return original + bundle.n_original if bundle.directed and use_destination else original
-
-
-def _seeds_from_file(path, bundle, label_names, use_destination, delimiter=None):
-    parsed, names = load_labels(path, bundle.id_map, bundle.n_original, delimiter=delimiter)
+def _seeds_from_file(path, bundle, label_names, delimiter=None):
+    parsed, names = load_labels(path, bundle.id_map, bundle.graph.n, delimiter=delimiter)
+    rename = {lab: lab for lab in names}
     if label_names:
         # remap the seed file's label ids onto the ground-truth naming
-        rename = {}
         reverse = {v: k for k, v in label_names.items()}
         for lab, name in names.items():
             if name not in reverse:
                 raise ValidationError(f"seed label {name!r} does not appear in --labels")
             rename[lab] = reverse[name]
         names = label_names
-    else:
-        rename = {lab: lab for lab in names}
-    seeds = {}
-    for node in parsed.labeled_nodes():
-        seeds[_copy_index(bundle, int(node), use_destination)] = rename[int(parsed.labels[node])]
+    seeds = {int(node): rename[int(parsed.labels[node])] for node in parsed.labeled_nodes()}
     return SeedSet.from_dict(seeds, num_labels=len(names)), names
 
 
@@ -117,24 +97,18 @@ def _cmd_classify(args) -> int:
         raise ValidationError("provide either --seeds-file or --sample")
     if args.sample and args.seeds_file:
         raise ValidationError("--seeds-file and --sample are mutually exclusive")
-
-    bundle = _load_bundle(args.graph, args.labels, args.directed, args.weighted, args.delimiter)
-    if args.use_destination and not bundle.directed:
+    if args.use_destination and not args.directed:
         raise ValidationError("--use-destination needs a directed edge list (--directed)")
+
+    bundle = load_bundle(args.graph, args.labels, args.directed, args.weighted, args.delimiter, args.use_destination)
     label_names = bundle.label_names or {}
     opts = SolverOptions(max_iterations=args.max_iter, tolerance=args.tol)
 
     if args.seeds_file:
-        seeds, label_names = _seeds_from_file(args.seeds_file, bundle, label_names, args.use_destination, args.delimiter)
+        seeds, label_names = _seeds_from_file(args.seeds_file, bundle, label_names, args.delimiter)
     else:
         policy = SamplingPolicy(kind=args.sample, fraction=args.fraction, rng_seed=args.seed)
-        ground = bundle.labels
-        if bundle.directed:
-            lifted = np.zeros(bundle.graph.n, dtype=np.int64)
-            span = slice(bundle.n_original, None) if args.use_destination else slice(0, bundle.n_original)
-            lifted[span] = ground.labels
-            ground = NodePartition(labels=lifted, num_labels=ground.num_labels)
-        seeds = sample_seeds(ground, bundle.graph, policy)
+        seeds = sample_seeds(bundle.labels, bundle.graph, policy)
 
     start = time.perf_counter()
     fields = one_vs_all_fields(bundle.graph, seeds, opts)
@@ -148,7 +122,7 @@ def _cmd_classify(args) -> int:
         fld.info.stop_reason == "max_iterations" and fld.info.final_change > 0 for fld in fields
     )
 
-    index = _copy_index(bundle, np.arange(bundle.n_original), args.use_destination)
+    index = np.fromiter(bundle.id_map.values(), dtype=np.int64, count=len(bundle.id_map))
     is_seed = np.zeros(bundle.graph.n, dtype=bool)
     is_seed[seeds.nodes] = True
     originals = np.flatnonzero(~is_seed[index])
@@ -189,6 +163,13 @@ def int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
 
 
+def nonnegative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError("must be nonnegative")
+    return value
+
+
 def float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
 
@@ -225,7 +206,7 @@ CONFIG_SCHEMA = {
     "repetitions": int,
     "sweep": str,
     "sweep_values": float_list,
-    "master_seed": int,
+    "master_seed": nonnegative_int,
     "max_iterations": int,
     "tolerance": float,
     "grid_points": int,
@@ -293,7 +274,7 @@ def _config_experiment(cfgv: dict, master_seed: int | None) -> ExperimentConfig:
             _require(cfgv, "source = files", "graph_file", "labels_file")
         graph = cfgv["graph_file"] if source_kind == "files" else source_kind
         flags = {k: cfgv[k] for k in ("directed", "weighted") if k in cfgv}
-        bundle = _load_bundle(graph, cfgv.get("labels_file"), **flags)
+        bundle = load_bundle(graph, cfgv.get("labels_file"), **flags)
         source = DatasetSource(graph=bundle.graph, labels=bundle.labels)
     else:
         raise ValidationError(f"unknown source {source_kind!r}")
@@ -343,7 +324,7 @@ def _add_bench(sub):
     p = sub.add_parser("bench", help="run a benchmark described by a config file")
     p.add_argument("--config", required=True, help="config file path or bundled config name")
     p.add_argument("--out-dir", default="bench-out")
-    p.add_argument("--seed", type=int, help="override the config's master seed")
+    p.add_argument("--seed", type=nonnegative_int, help="override the config's master seed")
 
 
 def _cmd_bench(args) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import ValidationError
-from .io import DatasetBundle, load_dataset
+from .io import load_dataset
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -34,11 +34,11 @@ def config_path(name: str) -> Path:
     return path
 
 
-def load_builtin(name: str, directed=False, weighted=False, delimiter=None) -> DatasetBundle:
-    """A bundled dataset, read with the same options as an edge-list file."""
-    if name not in BUILTIN_DATASETS:
-        raise ValidationError(
-            f"unknown dataset {name!r}; bundled: {', '.join(sorted(BUILTIN_DATASETS))}"
-        )
-    edges, labels = BUILTIN_DATASETS[name]
-    return load_dataset(data_path(edges), data_path(labels), directed, weighted, delimiter)
+def load_bundle(graph, labels=None, directed=False, weighted=False, delimiter=None, use_destination=False):
+    """A bundled dataset by name, or an edge-list file with an optional label
+    file, read by ``load_dataset`` (labels on destination copies with ``use_destination``)."""
+    if graph in BUILTIN_DATASETS:
+        if labels:
+            raise ValidationError("bundled datasets already carry labels; drop the label file")
+        graph, labels = map(data_path, BUILTIN_DATASETS[graph])
+    return load_dataset(graph, labels, directed, weighted, delimiter, use_destination)

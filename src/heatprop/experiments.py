@@ -220,10 +220,14 @@ class BlockSource:
 
 @dataclass(frozen=True)
 class DatasetSource:
-    """A fixed, pre-loaded graph with ground-truth labels."""
+    """A fixed, pre-loaded graph with ground-truth labels, one per node."""
 
     graph: Graph
     labels: NodePartition
+
+    def __post_init__(self):
+        if self.labels.labels.size != self.graph.n:
+            raise ValidationError(f"{self.labels.labels.size} labels for a graph of {self.graph.n} nodes")
 
 
 @dataclass(frozen=True)

@@ -221,12 +221,13 @@ def transition_apply(g: Graph, v) -> np.ndarray:
     return np.add.reduceat(contrib, g.indptr[:-1]) / g.degrees
 
 
-def directed_to_bipartite(n: int, arcs) -> Graph:
+def directed_to_bipartite(n: int, arcs, names=None) -> Graph:
     """Lift a directed graph on ``n`` nodes to an undirected bipartite graph on ``2n``.
 
     Arc ``(i, j, w)`` becomes the undirected edge ``(i, n + j, w)``. Node
     ``i`` in ``[0, n)`` is the source copy of node ``i`` (its outgoing role)
-    and node ``n + i`` the destination copy (incoming role).
+    and node ``n + i`` the destination copy (incoming role). An error names
+    node ``i`` by ``names[i]`` when ``names`` is given.
     """
     src, dst, w = _edge_arrays(arcs)
     if src.size and (src.min() < 0 or dst.min() < 0 or max(src.max(), dst.max()) >= n):
@@ -234,14 +235,15 @@ def directed_to_bipartite(n: int, arcs) -> Graph:
     try:
         return build_graph(2 * n, (src, dst + n, w))
     except IsolatedNodeError as exc:
-        names = [
-            f"source copy of node {c}" if c < n else f"destination copy of node {c - n}"
+        node = names.__getitem__ if names else int
+        copies = [
+            f"source copy of node {node(c)!r}" if c < n else f"destination copy of node {node(c - n)!r}"
             for c in exc.nodes[:10]
         ]
         if len(exc.nodes) > 10:
-            names.append(f"... ({len(exc.nodes)} total)")
+            copies.append(f"... ({len(exc.nodes)} total)")
         raise IsolatedNodeError(
-            "bipartite lift leaves isolated copies: " + "; ".join(names), exc.nodes
+            "bipartite lift leaves isolated copies: " + "; ".join(copies), exc.nodes
         ) from None
 
 

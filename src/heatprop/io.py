@@ -30,19 +30,17 @@ _LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
 
 @dataclass
 class DatasetBundle:
-    """A loaded graph plus the bookkeeping to map back to external ids.
+    """A loaded graph plus the map from external ids to its nodes.
 
-    ``id_map`` numbers the external ids 0, 1, ... in insertion order (the
-    order of first appearance in the edge list). For directed inputs the
-    graph is the bipartite lift on ``2 * n_original`` nodes: index ``i`` is
-    the source copy of external node ``i`` and ``n_original + i`` its
-    destination copy.
+    ``id_map`` maps the ``i``-th external id (in order of first appearance in
+    the edge list) to node ``i``. A directed input is lifted to a bipartite
+    graph on ``2n`` nodes, and with ``use_destination`` its ids map to the
+    destination copies ``n + i`` instead of the source copies ``i``. Labels,
+    seeds and output refer to the ``id_map`` nodes; the others are unlabeled.
     """
 
     graph: Graph
     id_map: dict[str, int]
-    directed: bool
-    n_original: int
     labels: NodePartition | None = None
     label_names: dict[int, str] | None = None
 
@@ -279,6 +277,7 @@ def load_edge_list(
     weighted: bool = False,
     comment_prefix: str = "#",
     delimiter: str | None = None,
+    use_destination: bool = False,
 ) -> DatasetBundle:
     """Parse ``src dst [weight]`` lines into a graph.
 
@@ -286,19 +285,24 @@ def load_edge_list(
     file: tab if it holds one, else comma, else whitespace. Tokens become
     dense node ids in first-seen order. With ``weighted`` a third column is
     required per line; without it a third column is rejected so that a wrong
-    delimiter cannot silently corrupt the weights. Weights must be positive and finite. Directed inputs are lifted
-    to their bipartite form. The first bad line is reported by number.
+    delimiter cannot silently corrupt the weights. Weights must be positive
+    and finite. The first bad line is reported by number. Directed inputs are
+    lifted to their bipartite form; ``use_destination`` maps their ids to the
+    destination copies (see ``DatasetBundle``).
     """
-    id_map, arrays = _read_edges(path, weighted, comment_prefix, delimiter)
-    n = len(id_map)
-    graph = directed_to_bipartite(n, arrays) if directed else build_graph(n, arrays)
-    return DatasetBundle(graph=graph, id_map=id_map, directed=directed, n_original=n)
+    if use_destination and not directed:
+        raise ValidationError("use_destination needs a directed edge list")
+    names, arrays = _read_edges(path, weighted, comment_prefix, delimiter)
+    n = len(names)
+    graph = directed_to_bipartite(n, arrays, names) if directed else build_graph(n, arrays)
+    offset = n if use_destination else 0
+    return DatasetBundle(graph=graph, id_map=dict(zip(names, range(offset, offset + n))))
 
 
 def _read_edges(path, weighted: bool, comment_prefix: str, delimiter: str | None):
-    """The id map and the ``(src, dst, weight)`` arrays of an edge-list file.
-    A function of its own, so that the file's fields are freed before the
-    graph is built."""
+    """The ids in first-seen order and the ``(src, dst, weight)`` arrays of an
+    edge-list file. A function of its own, so that the file's fields are
+    freed before the graph is built."""
     fields = _tokenize(path, delimiter, comment_prefix)
     width = 3 if weighted else 2
     bad = np.flatnonzero(fields.counts != width)
@@ -329,8 +333,7 @@ def _read_edges(path, weighted: bool, comment_prefix: str, delimiter: str | None
         raise ValidationError(f"{path}: no edges found")
     starts, ends = starts[:, :2].ravel(), ends[:, :2].ravel()
     ids, firsts = _first_seen(fields.codes, starts, ends)
-    names = _substrings(fields.text, starts[firsts], ends[firsts])
-    return dict(zip(names, range(len(names)))), (ids[0::2], ids[1::2], weights)
+    return _substrings(fields.text, starts[firsts], ends[firsts]), (ids[0::2], ids[1::2], weights)
 
 
 def _lookup(id_map: dict[str, int], codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -416,13 +419,13 @@ def load_dataset(
     directed: bool = False,
     weighted: bool = False,
     delimiter: str | None = None,
+    use_destination: bool = False,
 ) -> DatasetBundle:
-    """Load an edge list and (optionally) its label file into one bundle."""
-    bundle = load_edge_list(graph_path, directed=directed, weighted=weighted, delimiter=delimiter)
+    """Load an edge list and (optionally) its label file into one bundle; the
+    labels land on the ``id_map`` nodes, destination copies with ``use_destination``."""
+    bundle = load_edge_list(graph_path, directed, weighted, delimiter=delimiter, use_destination=use_destination)
     if labels_path is not None:
-        bundle.labels, bundle.label_names = load_labels(
-            labels_path, bundle.id_map, bundle.n_original, delimiter=delimiter
-        )
+        bundle.labels, bundle.label_names = load_labels(labels_path, bundle.id_map, bundle.graph.n, delimiter=delimiter)
     return bundle
 
 

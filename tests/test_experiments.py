@@ -241,6 +241,13 @@ class TestRunExperiment:
         cfg = ExperimentConfig(source=source, repetitions=2, master_seed=1, policy=policy)
         assert len(run_experiment(cfg).rows()) == 4
 
+    @pytest.mark.parametrize("size", [59, 61])
+    def test_dataset_source_needs_one_label_per_node(self, size):
+        g, labels = labeled_random_graph(np.random.default_rng(141))
+        wrong = NodePartition(labels=np.resize(labels.labels, size), num_labels=labels.num_labels)
+        with pytest.raises(ValidationError, match=f"{size} labels for a graph of 60 nodes"):
+            DatasetSource(graph=g, labels=wrong)
+
     def test_dataset_source_rejects_sweep(self):
         g, labels = labeled_random_graph(np.random.default_rng(139))
         policy = SamplingPolicy(kind="uniform", fraction=0.2)

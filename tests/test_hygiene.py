@@ -11,7 +11,7 @@ import pytest
 
 import heatprop
 from heatprop.cli import main
-from heatprop.datasets import load_builtin
+from heatprop.datasets import load_bundle
 from heatprop.io import write_edge_list
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "heatprop"
@@ -321,11 +321,19 @@ def run_entry_points(tmp: Path):
     for argv in runs:
         assert main(["classify", *argv, "--out", out]) == 0, argv
     assert main(["oracle", "--K", "2", "--sizes", "2,2", "--seeds", "1,1", "--p", "2", "--q", "1"]) == 0
+    # the bench on directed files, whose labels sit on the source copies
+    (tmp / "d.edges").write_text("a b\nb c\nc d\nd a\na c\nc a\nb d\nd b\n")
+    (tmp / "d.labels").write_text("a x\nb y\nc x\nd y\n")
+    (tmp / "d.cfg").write_text(
+        f"source = files\ngraph_file = {tmp / 'd.edges'}\nlabels_file = {tmp / 'd.labels'}\ndirected = true\n"
+        "policy = uniform\nfraction = 0.5\nvariants = centered\nrepetitions = 2\n"
+    )
+    assert main(["bench", "--config", str(tmp / "d.cfg"), "--out-dir", str(tmp / "directed")]) == 0
     # the bipartite lift of karate leaves isolated copies
     assert main(["classify", "--graph", "karate", "--directed", "--sample", "uniform", "--out", out]) == 1
     with pytest.raises(SystemExit):
         main(["classify"])
-    bundle = load_builtin("karate")
+    bundle = load_bundle("karate")
     write_edge_list(tmp / "karate.edges", bundle.graph, list(bundle.id_map).__getitem__, weighted=True)
 
 

@@ -53,9 +53,27 @@ class TestLoadEdgeList:
         f.write_text("a\tb\nb\ta\n")
         bundle = load_edge_list(f, directed=True)
         assert bundle.graph.n == 4
-        assert bundle.n_original == 2
+        assert bundle.id_map == {"a": 0, "b": 1}
         dense = dense_adjacency(bundle.graph)
         assert dense[0, 3] == 1.0 and dense[1, 2] == 1.0
+
+    def test_use_destination_maps_ids_to_destination_copies(self, tmp_path):
+        f = tmp_path / "g.edges"
+        f.write_text("a\tb\nb\ta\n")
+        bundle = load_edge_list(f, directed=True, use_destination=True)
+        assert bundle.graph.n == 4
+        assert bundle.id_map == {"a": 2, "b": 3}
+        with pytest.raises(ValidationError, match="use_destination needs a directed edge list"):
+            load_edge_list(f, use_destination=True)
+
+    def test_isolated_copies_named_by_their_ids(self, tmp_path):
+        f = tmp_path / "g.edges"
+        f.write_text("alpha beta\nbeta gamma\n")
+        with pytest.raises(ValidationError) as exc:
+            load_edge_list(f, directed=True)
+        assert str(exc.value) == (
+            "bipartite lift leaves isolated copies: source copy of node 'gamma'; destination copy of node 'alpha'"
+        )
 
     def test_malformed_line_reports_number(self, tmp_path):
         f = tmp_path / "g.edges"
@@ -143,7 +161,7 @@ class TestLoadLabels:
         bundle = self.make_bundle(tmp_path)
         lf = tmp_path / "g.labels"
         lf.write_text("a\tx\nb\ty\n")
-        labels, names = load_labels(lf, bundle.id_map, bundle.n_original)
+        labels, names = load_labels(lf, bundle.id_map, bundle.graph.n)
         assert labels.num_labels == 2
         assert labels.labels[bundle.id_map["c"]] == 0
         assert names == {1: "x", 2: "y"}
@@ -153,20 +171,20 @@ class TestLoadLabels:
         lf = tmp_path / "g.labels"
         lf.write_text("a\tx\nzz\ty\n")
         with pytest.raises(ValidationError, match="zz"):
-            load_labels(lf, bundle.id_map, bundle.n_original)
+            load_labels(lf, bundle.id_map, bundle.graph.n)
 
     def test_conflicting_duplicate_rejected(self, tmp_path):
         bundle = self.make_bundle(tmp_path)
         lf = tmp_path / "g.labels"
         lf.write_text("a\tx\na\ty\n")
         with pytest.raises(ValidationError, match="conflicting"):
-            load_labels(lf, bundle.id_map, bundle.n_original)
+            load_labels(lf, bundle.id_map, bundle.graph.n)
 
     def test_repeated_same_label_fine(self, tmp_path):
         bundle = self.make_bundle(tmp_path)
         lf = tmp_path / "g.labels"
         lf.write_text("a\tx\na\tx\nb\ty\n")
-        labels, _ = load_labels(lf, bundle.id_map, bundle.n_original)
+        labels, _ = load_labels(lf, bundle.id_map, bundle.graph.n)
         assert labels.labels[bundle.id_map["a"]] == 1
 
 
@@ -285,7 +303,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            ("--directed", "error: bipartite lift leaves isolated copies: source copy of node 7; "),
+            ("--directed", "error: bipartite lift leaves isolated copies: source copy of node '7'; "),
             ("--weighted", "error: {}: line 2: expected a weight column"),
             ("--delimiter ;", "error: {}: line 2: expected 2 or 3 columns, got 1"),
             ("--directed --weighted --delimiter ;", "error: {}: line 2: expected 2 or 3 columns, got 1"),
@@ -353,17 +371,20 @@ class TestCli:
         ) == 0
 
         # reference: the per-node output loop
-        bundle = load_dataset(edges, directed=True)
-        seed_set, label_names = _seeds_from_file(seeds, bundle, {}, use_destination)
+        bundle = load_dataset(edges, directed=True, use_destination=use_destination)
+        seed_set, label_names = _seeds_from_file(seeds, bundle, {})
         labels, confidence = classify(one_vs_all_fields(bundle.graph, seed_set, SolverOptions()), seed_set, "centered")
+        n = len(bundle.id_map)
+        assert bundle.graph.n == 2 * n
+        assert list(bundle.id_map.values()) == list(range(n, 2 * n) if use_destination else range(n))
         reverse = {v: k for k, v in bundle.id_map.items()}
         lines = ["node_id,label,confidence"]
-        for original in range(bundle.n_original):
-            idx = original + bundle.n_original if use_destination else original
+        for original in range(n):
+            idx = original + n if use_destination else original
             if idx in set(int(s) for s in seed_set.nodes):
                 continue
             name = label_names.get(int(labels[idx]), str(int(labels[idx])))
-            lines.append(f"{reverse[original]},{name},{_fmt(float(confidence[idx]))}")
+            lines.append(f"{reverse[idx]},{name},{_fmt(float(confidence[idx]))}")
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_bench_missing_config_exits_1(self, tmp_path):
@@ -483,6 +504,38 @@ class TestCli:
         assert results[0] == results[1]
         assert len(results[0].splitlines()) == 1 + 3 * 2
 
+    def test_bench_directed_files_source(self, tmp_path, capsys):
+        # the labels sit on the source copies of the bipartite lift, which
+        # the bench classifies; the destination copies stay unlabeled
+        (tmp_path / "d.edges").write_text("a b\nb c\nc d\nd a\na c\nc a\nb d\nd b\n")
+        (tmp_path / "d.labels").write_text("a x\nb y\nc x\nd y\n")
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(
+            f"source = files\ngraph_file = {tmp_path / 'd.edges'}\nlabels_file = {tmp_path / 'd.labels'}\n"
+            "directed = true\npolicy = uniform\nfraction = 0.5\nvariants = centered\nrepetitions = 2\n"
+        )
+        assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 0
+        rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:3] for row in rows] == [["centered", "0.0", "0"], ["centered", "0.0", "1"]]
+        assert "failed:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--config", "fig2a-small", "--seed", "-1"],
+            ["bench", "--config", "lemma-grid", "--seed", "-1"],
+            ["classify", "--graph", "karate", "--sample", "uniform", "--seed", "-1"],
+        ],
+        ids=["bench", "oracle-grid", "classify"],
+    )
+    def test_negative_seed_flag_is_one_error_line(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            self.run(*argv, "--out-dir" if argv[0] == "bench" else "--out", str(tmp_path / "out"))
+        assert exc.value.code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == [f"heatprop {argv[0]}: error: argument --seed: invalid nonnegative_int value: '-1'"]
+        assert not (tmp_path / "out").exists()
+
     def test_bench_config_with_bad_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = yes\n")
@@ -514,6 +567,7 @@ class TestCli:
             "sizes = 20,20,20\nseeds = 2,2,2\nsweep = size_ratio\nsweep_values = 1,2",
             "source = blocks\nsizes = 3000,3000",
             "source = karate\ndirected = true",
+            "master_seed = -5",
         ],
     )
     def test_bench_malformed_config_is_one_error_line(self, tmp_path, capsys, bad):

@@ -53,6 +53,7 @@ def reference_load_edge_list(
     weighted: bool = False,
     comment_prefix: str = "#",
     delimiter: str | None = None,
+    use_destination: bool = False,
 ) -> DatasetBundle:
     """Parse ``src dst [weight]`` lines into a graph.
 
@@ -60,7 +61,8 @@ def reference_load_edge_list(
     whitespace). Unknown tokens become new dense node ids in first-seen
     order. With ``weighted`` a third column is required per line; without it
     a third column is rejected so that a wrong delimiter cannot silently
-    corrupt the weights. Directed inputs are lifted to their bipartite form.
+    corrupt the weights. Directed inputs are lifted to their bipartite form,
+    and with ``use_destination`` the ids map to the destination copies.
     """
     id_map: dict[str, int] = {}
     src, dst, w = [], [], []
@@ -96,8 +98,10 @@ def reference_load_edge_list(
         raise ValidationError(f"{path}: no edges found")
     n = len(id_map)
     arrays = (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), np.asarray(w))
-    graph = directed_to_bipartite(n, arrays) if directed else build_graph(n, arrays)
-    return DatasetBundle(graph=graph, id_map=id_map, directed=directed, n_original=n)
+    graph = directed_to_bipartite(n, arrays, list(id_map)) if directed else build_graph(n, arrays)
+    if use_destination:
+        id_map = {token: n + i for token, i in id_map.items()}
+    return DatasetBundle(graph=graph, id_map=id_map)
 
 
 def reference_load_labels(
@@ -246,7 +250,7 @@ def edge_summary(result):
         return result
     g = result.graph
     return (
-        list(result.id_map.items()), result.directed, result.n_original,
+        list(result.id_map.items()),
         [a.tobytes() for a in (g.indptr, g.indices, g.weights, g.degrees)],
     )
 
@@ -267,6 +271,8 @@ def write(path: Path, text: str) -> Path:
 def test_loaders_match_reference(tmp_path, seed):
     rng = np.random.default_rng([20081194, seed])
     text, options, ids, alphabet, sep = random_case(rng)
+    # labels on the destination copies of every other directed case
+    options["use_destination"] = options["directed"] and seed % 2 == 1
     edges = write(tmp_path / "g.edges", text)
     expected = outcome(reference_load_edge_list, edges, **options)
     assert edge_summary(outcome(load_edge_list, edges, **options)) == edge_summary(expected)
@@ -287,7 +293,7 @@ def test_loaders_match_reference(tmp_path, seed):
     rows = int(rng.integers(0, 30))
     labels_text = random_lines(rng, rows, label_line, sep, options["comment_prefix"], fault=rng.random() < 0.15)
     labels = write(tmp_path / "g.labels", labels_text)
-    args = (labels, expected.id_map, expected.n_original, options["comment_prefix"], options["delimiter"])
+    args = (labels, expected.id_map, expected.graph.n, options["comment_prefix"], options["delimiter"])
     assert label_summary(outcome(load_labels, *args)) == label_summary(outcome(reference_load_labels, *args))
 
 
@@ -296,9 +302,9 @@ def test_conflict_reported_before_unknown_ids(tmp_path):
     labels = write(tmp_path / "g.labels", "zz\tx\na\tx\nb\ty\na\ty\nqq\tx\n")
     bundle = load_edge_list(edges)
     with pytest.raises(ValidationError, match=r"line 4: conflicting label for node 'a'"):
-        load_labels(labels, bundle.id_map, bundle.n_original)
+        load_labels(labels, bundle.id_map, bundle.graph.n)
     with pytest.raises(ValidationError, match=r"line 4: conflicting label for node 'a'"):
-        reference_load_labels(labels, bundle.id_map, bundle.n_original)
+        reference_load_labels(labels, bundle.id_map, bundle.graph.n)
 
 
 def test_whitespace_and_line_break_tables_cover_every_character():
