@@ -1,7 +1,8 @@
 """Command-line front end: classify, bench, oracle.
 
-Exit codes: 0 success, 1 validation or usage error, 2 numerical failure
-(including solver non-convergence when run with --tol 0).
+Exit codes: 0 success, 1 validation or usage error or an input or output
+file that cannot be read or written, 2 numerical failure (including solver
+non-convergence when run with --tol 0).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .experiments import (
     run_experiment,
     sample_seeds,
 )
-from .io import load_labels
+from .io import load_labels, read_text
 from .solver import SolverOptions, residual
 
 
@@ -242,77 +243,70 @@ def parse_config(text: str) -> dict:
     return values
 
 
-def _require(cfgv: dict, what: str, *keys: str):
+def _take(cfgv: dict, what: str, *keys: str) -> list:
+    """Remove and return the values of required keys."""
     for key in keys:
         if key not in cfgv:
             raise ValidationError(f"{what} needs the {key!r} config key")
+    return [cfgv.pop(key) for key in keys]
 
 
-def _config_params(cfgv: dict) -> BlockModelParams:
-    _require(cfgv, "a block-model source", "sizes", "seeds", "p", "q")
-    return BlockModelParams(sizes=cfgv["sizes"], seed_counts=cfgv["seeds"], p=cfgv["p"], q=cfgv["q"])
+def _reject_unread(cfgv: dict):
+    if cfgv:
+        raise ValidationError(f"config keys that this run never reads: {', '.join(sorted(cfgv))}")
 
 
-def _reject_unread(cfgv: dict, read: set[str]):
-    unread = sorted(set(cfgv) - read)
-    if unread:
-        raise ValidationError(f"config keys that this run never reads: {', '.join(unread)}")
-
-
-def _config_experiment(cfgv: dict, master_seed: int | None) -> ExperimentConfig:
-    read = {"task", "source", "policy", "sweep", "variants", "repetitions", "master_seed",
-            "max_iterations", "tolerance"}
-    source_kind = cfgv.get("source", "sbm")
+def _config_experiment(cfgv: dict) -> ExperimentConfig:
+    """The experiment a config describes; consumes the keys of ``cfgv`` it
+    reads and rejects any left over."""
+    source_kind = cfgv.pop("source", "sbm")
     if source_kind in ("sbm", "blocks"):
-        read |= {"sizes", "seeds", "p", "q"}
-        params = _config_params(cfgv)
+        sizes, seeds, p, q = _take(cfgv, "a block-model source", "sizes", "seeds", "p", "q")
+        params = BlockModelParams(sizes=sizes, seed_counts=seeds, p=p, q=q)
         source = SbmSource(params=params) if source_kind == "sbm" else BlockSource(params=params)
     elif source_kind in BUILTIN_DATASETS or source_kind == "files":
-        read |= {"labels_file", "directed", "weighted"}
         if source_kind == "files":
-            read.add("graph_file")
-            _require(cfgv, "source = files", "graph_file", "labels_file")
-        graph = cfgv["graph_file"] if source_kind == "files" else source_kind
-        flags = {k: cfgv[k] for k in ("directed", "weighted") if k in cfgv}
-        bundle = load_bundle(graph, cfgv.get("labels_file"), **flags)
+            graph, labels = _take(cfgv, "source = files", "graph_file", "labels_file")
+        else:
+            graph, labels = source_kind, cfgv.pop("labels_file", None)
+        flags = {k: cfgv.pop(k) for k in ("directed", "weighted") if k in cfgv}
+        bundle = load_bundle(graph, labels, **flags)
         source = DatasetSource(graph=bundle.graph, labels=bundle.labels)
     else:
         raise ValidationError(f"unknown source {source_kind!r}")
 
     policy = None
-    kind = cfgv.get("policy")
+    kind = cfgv.pop("policy", None)
     if kind == "explicit_counts":
-        read.add("seeds")
-        _require(cfgv, "policy = explicit", "seeds")
-        policy = SamplingPolicy(kind=kind, counts=cfgv["seeds"])
+        dataset = isinstance(source, DatasetSource)
+        counts = _take(cfgv, "policy = explicit", "seeds")[0] if dataset else source.params.seed_counts
+        policy = SamplingPolicy(kind=kind, counts=counts)
     elif kind is not None or isinstance(source, DatasetSource):
-        read.add("fraction")
-        policy = SamplingPolicy(kind=kind or "uniform", fraction=cfgv.get("fraction", DEFAULT_SEED_FRACTION))
+        policy = SamplingPolicy(kind=kind or "uniform", fraction=cfgv.pop("fraction", DEFAULT_SEED_FRACTION))
 
     sweep = None
-    if cfgv.get("sweep", "none") != "none":
-        read.add("sweep_values")
-        _require(cfgv, "a sweep", "sweep_values")
-        sweep = Sweep(kind=cfgv["sweep"], values=cfgv["sweep_values"])
+    if (sweep_kind := cfgv.pop("sweep", "none")) != "none":
+        sweep = Sweep(kind=sweep_kind, values=_take(cfgv, "a sweep", "sweep_values")[0])
 
     # absent keys are left out, so the dataclass defaults apply
-    solver = SolverOptions(**{k: cfgv[k] for k in ("max_iterations", "tolerance") if k in cfgv})
-    run = {k: cfgv[k] for k in ("variants", "repetitions", "master_seed") if k in cfgv}
-    if master_seed is not None:
-        run["master_seed"] = master_seed
-    _reject_unread(cfgv, read)
+    solver = SolverOptions(**{k: cfgv.pop(k) for k in ("max_iterations", "tolerance") if k in cfgv})
+    run = {k: cfgv.pop(k) for k in ("variants", "repetitions", "master_seed") if k in cfgv}
+    _reject_unread(cfgv)
     return ExperimentConfig(source=source, solver=solver, policy=policy, sweep=sweep, **run)
 
 
-def _run_oracle_grid(cfgv: dict, master_seed: int | None, out_dir: Path) -> int:
-    """Write the agreement report of ``blockmodel.oracle_grid``."""
-    _reject_unread(cfgv, {"task", "grid_points", "max_block_nodes", "master_seed"})
-    points = cfgv.get("grid_points", 50)
-    seed = master_seed if master_seed is not None else cfgv.get("master_seed", ExperimentConfig.master_seed)
-    rows = oracle_grid(points, cfgv.get("max_block_nodes", 200), seed)
+def _run_oracle_grid(cfgv: dict, out_dir: Path) -> int:
+    """Write the agreement report of ``blockmodel.oracle_grid``; consumes the
+    keys of ``cfgv`` it reads and rejects any left over."""
+    points = cfgv.pop("grid_points", 50)
+    max_block_nodes = cfgv.pop("max_block_nodes", 200)
+    seed = cfgv.pop("master_seed", ExperimentConfig.master_seed)
+    _reject_unread(cfgv)
+    rows = oracle_grid(points, max_block_nodes, seed)
     lines = ["point,num_blocks,n,p,q,hot,max_abs_diff"]
     for idx, params, hot, diff in rows:
         lines.append(f"{idx},{params.num_blocks},{params.n},{_fmt(params.p)},{_fmt(params.q)},{hot},{diff!r}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "oracle_agreement.csv"
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     worst = max([0.0, *(diff for *_, diff in rows)])
@@ -328,15 +322,15 @@ def _add_bench(sub):
 
 
 def _cmd_bench(args) -> int:
-    cfgv = parse_config(config_path(args.config).read_text(encoding="utf-8"))
+    cfgv = parse_config(read_text(config_path(args.config)))
+    if args.seed is not None:
+        cfgv["master_seed"] = args.seed
     out_dir = Path(args.out_dir)
+    if cfgv.pop("task", "experiment") == "oracle_grid":
+        return _run_oracle_grid(cfgv, out_dir)
+
+    table = run_experiment(_config_experiment(cfgv))
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if cfgv.get("task") == "oracle_grid":
-        return _run_oracle_grid(cfgv, args.seed, out_dir)
-
-    cfg = _config_experiment(cfgv, args.seed)
-    table = run_experiment(cfg)
     table.write_csv(out_dir / "results.csv")
     table.write_aggregate_csv(out_dir / "aggregate.csv")
     for failure in table.failures:
@@ -394,7 +388,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_oracle(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

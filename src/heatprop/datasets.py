@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import ValidationError
-from .io import load_dataset
+from .io import load_edge_list, load_labels
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -36,9 +36,14 @@ def config_path(name: str) -> Path:
 
 def load_bundle(graph, labels=None, directed=False, weighted=False, delimiter=None, use_destination=False):
     """A bundled dataset by name, or an edge-list file with an optional label
-    file, read by ``load_dataset`` (labels on destination copies with ``use_destination``)."""
+    file, read by ``load_edge_list`` and ``load_labels``. The labels land on
+    the ``id_map`` nodes: the source copies of a directed graph, or its
+    destination copies with ``use_destination``."""
     if graph in BUILTIN_DATASETS:
         if labels:
             raise ValidationError("bundled datasets already carry labels; drop the label file")
         graph, labels = map(data_path, BUILTIN_DATASETS[graph])
-    return load_dataset(graph, labels, directed, weighted, delimiter, use_destination)
+    bundle = load_edge_list(graph, directed, weighted, delimiter=delimiter, use_destination=use_destination)
+    if labels is not None:
+        bundle.labels, bundle.label_names = load_labels(labels, bundle.id_map, bundle.graph.n, delimiter=delimiter)
+    return bundle

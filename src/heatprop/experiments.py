@@ -291,6 +291,12 @@ class ExperimentConfig:
                 raise ValidationError("seed_ratio sweep needs at least two blocks")
             if sweep.kind == "size_ratio" and blocks != 2:
                 raise ValidationError("size_ratio sweep is defined for two blocks")
+            # a point whose block model is invalid would fail every repetition
+            for value in sweep.values:
+                try:
+                    _swept_params(self.source.params, sweep, value)
+                except ValidationError as exc:
+                    raise ValidationError(f"sweep value {value:g}: {exc}") from None
 
 
 @dataclass(frozen=True)

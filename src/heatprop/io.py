@@ -70,6 +70,14 @@ def _substrings(text: str, starts: np.ndarray, ends: np.ndarray) -> list[str]:
     return [text[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
 
 
+def read_text(path) -> str:
+    """A file's UTF-8 text; a file that does not decode is an error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _tokenize(path, delimiter: str | None, comment_prefix: str) -> _Fields:
     """Split a file as ``str.splitlines``, ``str.strip`` and ``str.split``
     would, line by line.
@@ -81,7 +89,7 @@ def _tokenize(path, delimiter: str | None, comment_prefix: str) -> _Fields:
     first data line picks it for the whole file: tab if it holds one, else
     comma, else whitespace.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     codes = _code_units(text)
     space, breaks = _classify(codes)
     # runs of non-space characters; line i starts at line_bound[i], holds the
@@ -411,22 +419,6 @@ def load_labels(
     partition = np.zeros(num_nodes, dtype=np.int64)
     partition[nodes] = labels
     return NodePartition(labels=partition, num_labels=len(label_names)), label_names
-
-
-def load_dataset(
-    graph_path,
-    labels_path=None,
-    directed: bool = False,
-    weighted: bool = False,
-    delimiter: str | None = None,
-    use_destination: bool = False,
-) -> DatasetBundle:
-    """Load an edge list and (optionally) its label file into one bundle; the
-    labels land on the ``id_map`` nodes, destination copies with ``use_destination``."""
-    bundle = load_edge_list(graph_path, directed, weighted, delimiter=delimiter, use_destination=use_destination)
-    if labels_path is not None:
-        bundle.labels, bundle.label_names = load_labels(labels_path, bundle.id_map, bundle.graph.n, delimiter=delimiter)
-    return bundle
 
 
 def write_edge_list(path, graph: Graph, id_of=None, delimiter: str = "\t", weighted: bool = False):

@@ -331,17 +331,18 @@ class TestRunExperiment:
         assert len(matvecs) == 1 + iterations <= 101
 
     def test_failed_repetition_recorded_not_dropped(self):
-        params = BlockModelParams(sizes=(30, 30), seed_counts=(2, 2), p=0.2, q=0.05)
-        cfg = ExperimentConfig(
-            source=SbmSource(params=params),
-            repetitions=2,
-            sweep=Sweep(kind="seed_ratio", values=(20.0,)),  # wants 40 seeds in a 30-node block
-            master_seed=3,
-        )
-        table = run_experiment(cfg)
+        # both draws of this sparse model hold a component without a seed
+        params = BlockModelParams(sizes=(30, 30), seed_counts=(2, 2), p=0.05, q=0.01)
+        table = run_experiment(ExperimentConfig(source=SbmSource(params=params), repetitions=2, master_seed=3))
         assert len(table.reps) == 0
         assert len(table.failures) == 2
-        assert "seed count 40" in table.failures[0].message
+        assert all("has no boundary node" in failure.message for failure in table.failures)
+
+    def test_sweep_point_with_invalid_block_model_rejected(self):
+        params = BlockModelParams(sizes=(30, 30), seed_counts=(2, 2), p=0.2, q=0.05)
+        sweep = Sweep(kind="seed_ratio", values=(1.0, 20.0))  # 20 wants 40 seeds in a 30-node block
+        with pytest.raises(ValidationError, match="^sweep value 20: seed count 40 must satisfy"):
+            ExperimentConfig(source=SbmSource(params=params), sweep=sweep)
 
 
 class TestSeedDerivation:

@@ -114,6 +114,14 @@ def test_no_np_unique_calls(path):
     assert np_unique_calls(path.read_text(encoding="utf-8")) == []
 
 
+# at most this many lines in the package sources, as `wc -l src/heatprop/*.py` counts them
+LINE_BUDGET = 2_606
+
+
+def test_package_within_line_budget():
+    assert sum(path.read_text(encoding="utf-8").count("\n") for path in SOURCES) <= LINE_BUDGET
+
+
 @pytest.mark.parametrize("name", LAYER_ORDER)
 def test_module_bound_under_its_name(name):
     # a re-export named like its module would shadow the module

@@ -7,8 +7,8 @@ from heatprop import ValidationError, build_graph, load_edge_list, load_labels
 from heatprop.blockmodel import BlockModelParams, _block_disagreement, default_seeds
 from heatprop.classify import classify, one_vs_all_fields
 from heatprop.cli import _config_experiment, _fmt, _seeds_from_file, main, parse_config
-from heatprop.datasets import config_path, data_path
-from heatprop.io import load_dataset, write_edge_list
+from heatprop.datasets import config_path, data_path, load_bundle
+from heatprop.io import write_edge_list
 from heatprop.solver import SolverOptions
 from conftest import random_connected_graph
 from reference import dense_adjacency
@@ -371,7 +371,7 @@ class TestCli:
         ) == 0
 
         # reference: the per-node output loop
-        bundle = load_dataset(edges, directed=True, use_destination=use_destination)
+        bundle = load_bundle(edges, directed=True, use_destination=use_destination)
         seed_set, label_names = _seeds_from_file(seeds, bundle, {})
         labels, confidence = classify(one_vs_all_fields(bundle.graph, seed_set, SolverOptions()), seed_set, "centered")
         n = len(bundle.id_map)
@@ -386,6 +386,39 @@ class TestCli:
             name = label_names.get(int(labels[idx]), str(int(labels[idx])))
             lines.append(f"{reverse[idx]},{name},{_fmt(float(confidence[idx]))}")
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "case",
+        ["missing-graph", "missing-seeds-file", "graph-is-dir", "out-in-missing-dir", "edges-not-utf8",
+         "missing-graph-file", "config-not-utf8"],
+    )
+    def test_unreadable_file_is_one_error_line(self, tmp_path, capsys, case):
+        def swap(argv, flag, value):
+            argv = list(argv)
+            argv[argv.index(flag) + 1] = str(value)
+            return argv
+
+        edges, seeds, out, nosuch = tmp_path / "g.edges", tmp_path / "g.seeds", tmp_path / "x.csv", tmp_path / "nosuch"
+        edges.write_text("a b\nb c\n")
+        seeds.write_text("a x\nc y\n")
+        (tmp_path / "bad.edges").write_bytes(b"a b\n\xff c\n")
+        (tmp_path / "bad.cfg").write_bytes(b"# caf\xe9\nsource = karate\n")
+        (tmp_path / "g.cfg").write_text(f"source = files\ngraph_file = {nosuch}\nlabels_file = {seeds}\npolicy = uniform\n")
+        classify = ["classify", "--graph", str(edges), "--seeds-file", str(seeds), "--out", str(out)]
+        bench = ["bench", "--config", str(tmp_path / "g.cfg"), "--out-dir", str(tmp_path / "bench")]
+        argv, named = {
+            "missing-graph": (swap(classify, "--graph", nosuch), nosuch),
+            "missing-seeds-file": (swap(classify, "--seeds-file", nosuch), nosuch),
+            "graph-is-dir": (swap(classify, "--graph", tmp_path), tmp_path),
+            "out-in-missing-dir": (swap(classify, "--out", nosuch / "x.csv"), nosuch / "x.csv"),
+            "edges-not-utf8": (swap(classify, "--graph", tmp_path / "bad.edges"), tmp_path / "bad.edges"),
+            "missing-graph-file": (bench, nosuch),
+            "config-not-utf8": (swap(bench, "--config", tmp_path / "bad.cfg"), tmp_path / "bad.cfg"),
+        }[case]
+        assert self.run(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(named) in err[0], err
+        assert not out.exists() and not (tmp_path / "bench").exists()
 
     def test_bench_missing_config_exits_1(self, tmp_path):
         assert self.run("bench", "--config", str(tmp_path / "nope.cfg")) == 1
@@ -487,7 +520,7 @@ class TestCli:
         results = [(tmp_path / name / "results.csv").read_bytes() for name in ("minimal", "spelled-out")]
         assert results[0] == results[1]
         assert len(results[0].splitlines()) == 1 + 10 * 2
-        assert _config_experiment(parse_config(model), None) == _config_experiment(parse_config(spelled_out), None)
+        assert _config_experiment(parse_config(model)) == _config_experiment(parse_config(spelled_out))
 
     def test_bench_files_source_matches_bundled_dataset(self, tmp_path):
         common = "policy = uniform\nrepetitions = 3\n"
@@ -568,6 +601,9 @@ class TestCli:
             "source = blocks\nsizes = 3000,3000",
             "source = karate\ndirected = true",
             "master_seed = -5",
+            "sweep = seed_ratio\nsweep_values = 0.1,1",
+            "sweep = seed_ratio\nsweep_values = 11",
+            "sweep = size_ratio\nsweep_values = 100",
         ],
     )
     def test_bench_malformed_config_is_one_error_line(self, tmp_path, capsys, bad):
@@ -581,7 +617,7 @@ class TestCli:
         assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
-        assert not (tmp_path / "out" / "results.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "text, message",
@@ -596,15 +632,45 @@ class TestCli:
                 "source = karate\npolicy = foo",
                 "config line 2: bad value 'foo' for policy (expected one of uniform, degree, balanced, explicit)",
             ),
+            ("sizes = 20,20\nseeds = 2,2\np = 0.3", "a block-model source needs the 'q' config key"),
+            ("source = files\ngraph_file = nowhere\npolicy = uniform", "source = files needs the 'labels_file' config key"),
+            ("source = karate\npolicy = explicit", "policy = explicit needs the 'seeds' config key"),
+            (
+                "sizes = 20,20\nseeds = 2,2\np = 0.3\nq = 0.05\nsweep = seed_ratio",
+                "a sweep needs the 'sweep_values' config key",
+            ),
         ],
-        ids=["sbm", "oracle-grid", "no-sweep", "policy"],
+        ids=["sbm", "oracle-grid", "no-sweep", "policy", "no-q", "no-labels-file", "explicit-no-seeds", "no-sweep-values"],
     )
     def test_bench_rejects_keys_it_does_not_read(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "unread.cfg"
         cfg.write_text(text + "\n")
         assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-        assert not list((tmp_path / "out").glob("*"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        ["source = karate\npolicy = uniform\nrepetitions = 2\n", "task = oracle_grid\ngrid_points = 3\nmax_block_nodes = 30\n"],
+        ids=["experiment", "oracle-grid"],
+    )
+    def test_bench_seed_flag_equals_master_seed_key(self, tmp_path, config):
+        # --seed sets the master seed whether or not the config names one;
+        # it is not an unread key of a config without master_seed
+        runs = {
+            "flag": (config, ["--seed", "5"]),
+            "flag-over-key": (config + "master_seed = 3\n", ["--seed", "5"]),
+            "key": (config + "master_seed = 5\n", []),
+            "default": (config, []),
+        }
+        outputs = {}
+        for name, (text, flags) in runs.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
+            out = tmp_path / name
+            assert self.run("bench", "--config", str(tmp_path / f"{name}.cfg"), "--out-dir", str(out), *flags) == 0
+            outputs[name] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        assert outputs["flag"] == outputs["flag-over-key"] == outputs["key"]
+        assert outputs["flag"] != outputs["default"]
 
     @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
     def test_bundled_config_decodes(self, name):
@@ -612,7 +678,7 @@ class TestCli:
         if cfgv.get("task") == "oracle_grid":
             assert isinstance(cfgv["grid_points"], int) and isinstance(cfgv["max_block_nodes"], int)
             return
-        cfg = _config_experiment(cfgv, None)
+        cfg = _config_experiment(cfgv)
         if cfg.sweep is not None:
             # the sweep draws the seed counts it sets
             assert cfg.policy is None and len(cfg.sweep.values) == 10
@@ -704,7 +770,7 @@ class TestCli:
         cfg.write_text(f"task = oracle_grid\ngrid_points = {points}\n")
         assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "grid")) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: the oracle grid needs at least 1 point, got {points}"]
-        assert not (tmp_path / "grid" / "oracle_agreement.csv").exists()
+        assert not (tmp_path / "grid").exists()
 
     @pytest.mark.parametrize("nodes", [1, -5])
     def test_oracle_grid_with_too_few_block_nodes_exits_1(self, tmp_path, capsys, nodes):
@@ -714,7 +780,7 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             f"error: the oracle grid needs max_block_nodes of at least 2, got {nodes}"
         ]
-        assert not (tmp_path / "grid" / "oracle_agreement.csv").exists()
+        assert not (tmp_path / "grid").exists()
 
     def test_block_disagreement_matches_per_block_loop(self):
         params = BlockModelParams(sizes=(4, 1, 6), seed_counts=(2, 1, 3), p=2.0, q=0.5)
