@@ -43,7 +43,6 @@ from .solver import (
     DirichletProblem,
     SolverOptions,
     TemperatureField,
-    residual,
     solve_iterative,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "macro_f1",
     "one_vs_all_fields",
     "per_class_f1",
-    "residual",
     "run_experiment",
     "sample_seeds",
     "sbm_generate",

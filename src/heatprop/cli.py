@@ -1,5 +1,10 @@
 """Command-line front end: classify, bench, oracle.
 
+``classify`` prints as ``residual=`` the largest harmonicity defect
+``max|P t - t|`` of its fields at the solver's stop: it bounds the true defect
+at a tolerance stop and sits at the rounding floor with ``--tol 0``. Output
+destinations are checked before any solve or run.
+
 Exit codes: 0 success, 1 validation or usage error or an input or output
 file that cannot be read or written, 2 numerical failure (including solver
 non-convergence when run with --tol 0).
@@ -22,7 +27,7 @@ from .blockmodel import (
     oracle_grid,
     vanilla_consistency_condition,
 )
-from .classify import VARIANTS, SeedSet, classify, one_vs_all_fields, one_vs_all_problem
+from .classify import VARIANTS, SeedSet, classify, one_vs_all_fields
 from .datasets import BUILTIN_DATASETS, config_path, load_bundle
 from .errors import NumericalError, ValidationError
 from .experiments import (
@@ -37,7 +42,7 @@ from .experiments import (
     sample_seeds,
 )
 from .io import load_labels, read_text
-from .solver import SolverOptions, residual
+from .solver import SolverOptions
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,6 +97,9 @@ def _seeds_from_file(path, bundle, label_names, delimiter=None):
 
 
 def _cmd_classify(args) -> int:
+    """Label every non-seed node; the stderr summary's ``residual=`` is the
+    largest ``SolveInfo.final_change``, the solver's defect at the stop (see
+    the module docstring)."""
     if args.sample and not (args.labels or args.graph in BUILTIN_DATASETS):
         raise ValidationError("--sample needs --labels to draw seeds from")
     if not args.sample and not args.seeds_file:
@@ -100,6 +108,8 @@ def _cmd_classify(args) -> int:
         raise ValidationError("--seeds-file and --sample are mutually exclusive")
     if args.use_destination and not args.directed:
         raise ValidationError("--use-destination needs a directed edge list (--directed)")
+    if args.out != "-" and not Path(args.out).parent.is_dir():
+        raise ValidationError(f"cannot write {args.out}: {Path(args.out).parent} is not an existing directory")
 
     bundle = load_bundle(args.graph, args.labels, args.directed, args.weighted, args.delimiter, args.use_destination)
     label_names = bundle.label_names or {}
@@ -116,9 +126,6 @@ def _cmd_classify(args) -> int:
     labels, confidence = classify(fields, seeds, args.variant)
     wall = time.perf_counter() - start
 
-    max_residual = max(
-        residual(one_vs_all_problem(bundle.graph, seeds, k), fld) for k, fld in enumerate(fields, start=1)
-    )
     strict_failure = args.tol == 0 and any(
         fld.info.stop_reason == "max_iterations" and fld.info.final_change > 0 for fld in fields
     )
@@ -144,9 +151,10 @@ def _cmd_classify(args) -> int:
         Path(args.out).write_text(text, encoding="utf-8")
 
     iters = max(f.info.iterations for f in fields)
+    defect = max(f.info.final_change for f in fields)
     print(
         f"classified {originals.size} nodes | variant={args.variant} "
-        f"iterations={iters} residual={_fmt(max_residual)} wall={wall:.3f}s",
+        f"iterations={iters} residual={_fmt(defect)} wall={wall:.3f}s",
         file=sys.stderr,
     )
     if strict_failure:
@@ -326,6 +334,10 @@ def _cmd_bench(args) -> int:
     if args.seed is not None:
         cfgv["master_seed"] = args.seed
     out_dir = Path(args.out_dir)
+    # made after the run, so that a rejected config leaves no directory
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"cannot write to {out_dir}: {existing} is not a directory")
     if cfgv.pop("task", "experiment") == "oracle_grid":
         return _run_oracle_grid(cfgv, out_dir)
 

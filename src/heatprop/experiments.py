@@ -9,7 +9,11 @@ result rows, the aggregate and both CSV files are derived from the records.
 Randomness is derived from a single master seed through a documented
 splittable scheme: the stream for (sweep point ``i``, repetition ``r``) is
 seeded with ``SeedSequence([master_seed, i, r, stream_id])`` where stream 0
-generates the graph and stream 1 samples the seeds. Repetitions are therefore
+generates the graph and stream 1 samples the seeds. A ``seed_ratio`` sweep
+leaves the graph's law alone, so every point of repetition ``r`` scores the
+one graph drawn from point 0's stream 0 (common random numbers: each point's
+distribution is unchanged, and the points of a curve are paired); every
+other sweep draws from the point's own stream. Repetitions are therefore
 independent and order-free. The variants inside one repetition share the
 graph, the seed set and the K one-vs-all fields: the fields are solved once
 per repetition and each variant only rescores them.
@@ -235,9 +239,10 @@ class Sweep:
     """One swept parameter axis.
 
     ``seed_ratio`` scales block 1's seed count to ``ratio * s_2`` (other
-    blocks untouched); ``size_ratio`` reshapes a two-block model to
-    ``n_1/n_2 = ratio`` at constant total size, seeds re-allotted in
-    proportion to the new sizes at constant total seed count.
+    blocks untouched), so all its points share each repetition's graph;
+    ``size_ratio`` reshapes a two-block model to ``n_1/n_2 = ratio`` at
+    constant total size, seeds re-allotted in proportion to the new sizes at
+    constant total seed count, and draws a graph per point.
     """
 
     kind: str
@@ -377,47 +382,58 @@ def _swept_params(params: BlockModelParams, sweep: Sweep | None, value: float) -
     return BlockModelParams(sizes=(n1, n2), seed_counts=(s1, s_total - s1), p=params.p, q=params.q)
 
 
-def _realize(source, sweep, value, graph_seed):
+def _realize(source, params, graph_seed):
     if isinstance(source, DatasetSource):
-        return source.graph, source.labels, None
-    params = _swept_params(source.params, sweep, value)
+        return source.graph, source.labels
     if isinstance(source, SbmSource):
         graph, truth, _ = sbm_generate(params, graph_seed)
     else:
         graph, truth, _ = build_deterministic_block_graph(params)
-    return graph, truth, params
+    return graph, truth
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Run every (sweep point, repetition) cell and keep one ``Repetition``
-    record per completed cell.
+    record per completed cell, in (point, repetition) order.
 
-    Within a repetition all variants score the same graph, seed set and
-    fields; scoring is restricted to labeled non-seed nodes. A repetition
-    that raises is recorded under ``failures`` and skipped.
+    The loop runs repetition-major and holds one graph at a time, so every
+    point of a ``seed_ratio`` sweep scores the same graph object and its
+    cached component index. Within a repetition all variants score the same
+    graph, seed set and fields; scoring is restricted to labeled non-seed
+    nodes. A repetition that raises is recorded under ``failures`` and skipped.
     """
-    table = ResultTable()
     points = cfg.sweep.values if cfg.sweep is not None else (0.0,)
-    for pi, value in enumerate(points):
-        for rep in range(cfg.repetitions):
+    cells = {}
+    for rep in range(cfg.repetitions):
+        drawn = {}
+        for pi, value in enumerate(points):
             try:
-                table.reps.append(_run_one(cfg, pi, value, rep))
+                cells[pi, rep] = _run_one(cfg, pi, value, rep, drawn)
             except (ValidationError, NumericalError) as exc:
-                table.failures.append(RunFailure(sweep=value, rep=rep, message=str(exc)))
+                cells[pi, rep] = RunFailure(sweep=value, rep=rep, message=str(exc))
+    table = ResultTable()
+    for _, cell in sorted(cells.items()):
+        (table.failures if isinstance(cell, RunFailure) else table.reps).append(cell)
     return table
 
 
-def _run_one(cfg: ExperimentConfig, pi: int, value: float, rep: int) -> Repetition:
-    """Draw one repetition's graph and seeds, solve its fields once, then
-    score every variant on the labeled non-seed nodes."""
-    graph_seed = derive_seed(cfg.master_seed, pi, rep, 0)
-    sample_seed = derive_seed(cfg.master_seed, pi, rep, 1)
-    graph, truth, params = _realize(cfg.source, cfg.sweep, value, graph_seed)
+def _run_one(cfg: ExperimentConfig, pi: int, value: float, rep: int, drawn: dict) -> Repetition:
+    """Draw one repetition's graph (unless ``drawn``, the repetition's last
+    draw keyed by the point index whose stream made it, already holds it)
+    and seeds, solve its fields once, then score every variant on the
+    labeled non-seed nodes."""
+    source = cfg.source
+    params = None if isinstance(source, DatasetSource) else _swept_params(source.params, cfg.sweep, value)
+    gi = 0 if cfg.sweep is not None and cfg.sweep.kind == "seed_ratio" else pi
+    if gi not in drawn:
+        drawn.clear()  # hold one graph at a time
+        drawn[gi] = _realize(source, params, derive_seed(cfg.master_seed, gi, rep, 0))
+    graph, truth = drawn[gi]
 
     policy = cfg.policy
     if policy is None:
         policy = SamplingPolicy(kind="explicit_counts", counts=params.seed_counts)
-    policy = replace(policy, rng_seed=sample_seed)
+    policy = replace(policy, rng_seed=derive_seed(cfg.master_seed, pi, rep, 1))
     seeds = sample_seeds(truth, graph, policy)
 
     eval_mask = truth.labels > 0

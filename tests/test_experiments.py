@@ -185,15 +185,44 @@ class TestRunExperiment:
         assert len(seen) == len(rows)
 
     def test_variants_share_graph_and_seeds_within_rep(self, monkeypatch):
+        cells = count_calls(monkeypatch, heatprop.experiments, "_run_one")
         solves = count_field_solves(monkeypatch)
         table = run_experiment(self.small_cfg())
-        cells = {(r.sweep, r.rep) for r in table.reps}
         # one field solve per repetition, shared by both variants
-        assert not table.failures and len(cells) == 2 * 3 and len(table.rows()) == 2 * len(cells)
-        assert len(solves) == len(cells)
-        # every cell draws its own seed set (and, from an SBM source, its own graph)
+        assert not table.failures and len(table.reps) == 2 * 3 and len(table.rows()) == 2 * len(table.reps)
+        assert len(solves) == len(cells) == len(table.reps)
+        # every cell draws its own seed set
         assert len({seeds.nodes.tobytes() for _, seeds, _ in solves}) == len(cells)
-        assert len({graph.indices.tobytes() for graph, _, _ in solves}) == len(cells)
+        # every point of the seed_ratio sweep scores its repetition's graph,
+        # and each repetition draws its own
+        graphs = {}
+        for (_, _, _, rep, _), (graph, _, _) in zip(cells, solves, strict=True):
+            csr = tuple(a.tobytes() for a in (graph.indptr, graph.indices, graph.weights))
+            graphs.setdefault(rep, set()).add(csr)
+        assert sorted(graphs) == [0, 1, 2] and all(len(csr) == 1 for csr in graphs.values())
+        assert len(set().union(*graphs.values())) == 3
+
+    @pytest.mark.parametrize("kind, graph_points", [("seed_ratio", (0,)), ("size_ratio", (0, 1))])
+    def test_graph_drawn_per_repetition_unless_the_sweep_changes_its_law(self, monkeypatch, kind, graph_points):
+        draws = count_calls(monkeypatch, heatprop.experiments, "sbm_generate")
+        solves = count_field_solves(monkeypatch)
+        table = run_experiment(self.small_cfg(sweep=Sweep(kind=kind, values=(1.0, 2.0))))
+        # seed_ratio: one draw per repetition, from point 0's stream;
+        # size_ratio: one draw per (point, repetition) from its own stream
+        expected = [derive_seed(17, pi, rep, 0) for pi in graph_points for rep in range(3)]
+        assert sorted(seed for _, seed in draws) == sorted(expected)
+        assert not table.failures and len(solves) == 2 * 3
+        distinct = {tuple(a.tobytes() for a in (g.indptr, g.indices, g.weights)) for g, _, _ in solves}
+        assert len(distinct) == len(expected)
+
+    def test_records_in_point_then_repetition_order(self):
+        # master seed 1 fails repetitions 0 and 2 of both points; the values
+        # run against their config order
+        params = BlockModelParams(sizes=(30, 30), seed_counts=(2, 2), p=0.1, q=0.02)
+        sweep = Sweep(kind="seed_ratio", values=(4.0, 1.0))
+        table = run_experiment(ExperimentConfig(source=SbmSource(params=params), repetitions=4, master_seed=1, sweep=sweep))
+        assert [(r.sweep, r.rep) for r in table.reps] == [(4.0, 1), (4.0, 3), (1.0, 1), (1.0, 3)]
+        assert [(f.sweep, f.rep) for f in table.failures] == [(4.0, 0), (4.0, 2), (1.0, 0), (1.0, 2)]
 
     def test_deterministic_table(self, monkeypatch):
         solves = count_field_solves(monkeypatch)

@@ -3,6 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import heatprop.classify
+import heatprop.cli
 from heatprop import ValidationError, build_graph, load_edge_list, load_labels
 from heatprop.blockmodel import BlockModelParams, _block_disagreement, default_seeds
 from heatprop.classify import classify, one_vs_all_fields
@@ -10,7 +12,7 @@ from heatprop.cli import _config_experiment, _fmt, _seeds_from_file, main, parse
 from heatprop.datasets import config_path, data_path, load_bundle
 from heatprop.io import write_edge_list
 from heatprop.solver import SolverOptions
-from conftest import random_connected_graph
+from conftest import count_calls, random_connected_graph
 from reference import dense_adjacency
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -419,6 +421,33 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(named) in err[0], err
         assert not out.exists() and not (tmp_path / "bench").exists()
+
+    @pytest.mark.parametrize("out", ["nosuch/x.csv", "file/x.csv"])
+    def test_classify_out_checked_before_the_solve(self, tmp_path, capsys, monkeypatch, out):
+        solves = count_calls(monkeypatch, heatprop.classify, "one_vs_all_fields")
+        (tmp_path / "file").write_text("")
+        out = tmp_path / out
+        assert self.run("classify", "--graph", "karate", "--sample", "uniform", "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0], err
+        assert solves == []
+
+    @pytest.mark.parametrize("out", ["labels.csv", "out/labels.csv"])
+    def test_classify_out_relative_to_the_working_directory(self, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        assert self.run("classify", "--graph", "karate", "--sample", "uniform", "--out", out) == 0
+        assert (tmp_path / out).read_text().startswith("node_id,label,confidence\n")
+
+    @pytest.mark.parametrize("config, runner", [("fig2a-small", "run_experiment"), ("lemma-grid", "oracle_grid")])
+    @pytest.mark.parametrize("out_dir", ["file", "file/sub"])
+    def test_bench_out_dir_checked_before_the_run(self, tmp_path, capsys, monkeypatch, config, runner, out_dir):
+        runs = count_calls(monkeypatch, heatprop.cli, runner)
+        (tmp_path / "file").write_text("")
+        assert self.run("bench", "--config", config, "--out-dir", str(tmp_path / out_dir)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path / out_dir) in err[0], err
+        assert runs == []
 
     def test_bench_missing_config_exits_1(self, tmp_path):
         assert self.run("bench", "--config", str(tmp_path / "nope.cfg")) == 1

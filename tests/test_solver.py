@@ -9,11 +9,11 @@ from heatprop import (
     SolverOptions,
     ValidationError,
     build_graph,
-    residual,
     sbm_generate,
     solve_iterative,
 )
 from heatprop.blockmodel import BlockModelParams, build_deterministic_block_graph
+from heatprop.solver import residual
 from conftest import barbell_graph, count_calls, path_graph, random_connected_graph, star_graph
 from reference import (
     DEFAULT_MAX_DENSE_UNKNOWNS,
