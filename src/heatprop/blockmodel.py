@@ -125,7 +125,8 @@ def _check_dense_guard(n: int):
 
 
 def build_deterministic_block_graph(params: BlockModelParams) -> tuple[Graph, NodePartition, SeedSet]:
-    """Complete weighted block graph (dense: n^2 stored entries).
+    """Complete weighted block graph (dense: n^2 stored entries, so
+    ``transition_apply`` reads no column index on it).
 
     Every ordered intra-block pair carries weight ``p`` including a self-loop
     on each node; inter-block pairs carry weight ``q``. The self-loop makes a

@@ -144,5 +144,9 @@ def classify(
     labels[seeds.nodes] = seeds.labels
     if num_labels < 2:
         return labels, np.zeros(n)
-    top2 = np.partition(s, num_labels - 2, axis=1)[:, -2:]
-    return labels, top2[:, 1] - top2[:, 0]
+    # running best and runner-up over the K columns
+    best, second = s[:, 0], np.full(n, -np.inf)
+    for col in s.T[1:]:
+        second = np.maximum(second, np.minimum(best, col))
+        best = np.maximum(best, col)
+    return labels, best - second

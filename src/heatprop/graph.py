@@ -17,7 +17,8 @@ class Graph:
     weights ``weights[indptr[i]:indptr[i+1]]``. Off-diagonal edges are stored
     once per incident row; a self-loop is stored once and counts once in the
     degree. Column indices are strictly increasing within each row, so every
-    (row, column) entry is unique.
+    (row, column) entry is unique, and a graph with ``n^2`` stored entries is
+    complete: row ``i`` holds columns ``0..n-1`` in order.
 
     ``degrees[i]`` is the sum of weights incident to ``i`` and is positive
     for every node: isolated nodes are rejected at construction time. The
@@ -51,14 +52,21 @@ class Graph:
             raise ValidationError("row offsets must be nondecreasing")
         if indices.size != weights.size:
             raise ValidationError("indices and weights must have equal length")
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise ValidationError("column index out of range")
-        if not np.all(weights > 0):  # also false for NaN
-            raise ValidationError("all edge weights must be positive")
         # unique, sorted columns within each row: a column may fail to
         # increase only at a position where a row starts
         drops = np.flatnonzero(indices[1:] <= indices[:-1]) + 1
-        if np.any(indptr[np.searchsorted(indptr, drops)] != drops):
+        increasing = not np.any(indptr[np.searchsorted(indptr, drops)] != drops)
+        if indices.size:
+            if increasing:  # a row's first and last entries are its extremes
+                nonempty = np.diff(indptr) > 0
+                lo, hi = indices[indptr[:-1][nonempty]].min(), indices[indptr[1:][nonempty] - 1].max()
+            else:
+                lo, hi = indices.min(), indices.max()
+            if lo < 0 or hi >= n:
+                raise ValidationError("column index out of range")
+        if not weights.min(initial=np.inf) > 0:  # also false for NaN
+            raise ValidationError("all edge weights must be positive")
+        if not increasing:
             raise ValidationError("column indices must be strictly increasing per row")
         with np.errstate(over="ignore"):  # an overflow is reported below
             row_sums = _row_sums(indptr, weights)
@@ -211,12 +219,18 @@ def transition_apply(g: Graph, v) -> np.ndarray:
     because every row of the operator sums to one: ``g.degrees`` holds the
     same ``reduceat`` row sums of the weights that this function computes.
     Graphs whose weights are all 1.0 (``g.unit_weights``) skip the multiply,
-    which is exact for them, so the result is the same to the bit.
+    which is exact for them, so the result is the same to the bit. A complete
+    graph (``n^2`` stored entries, so every row holds every column in order)
+    skips the column gather instead: its products are the rows of the
+    ``(n, n)`` weights times ``v``, the same products in the same layout.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (g.n,):
         raise ValidationError(f"vector length {v.shape} does not match node count {g.n}")
-    contrib = v[g.indices] if g.unit_weights else g.weights * v[g.indices]
+    if g.indices.size == g.n * g.n:
+        contrib = (g.weights.reshape(g.n, g.n) * v).ravel()
+    else:
+        contrib = v[g.indices] if g.unit_weights else g.weights * v[g.indices]
     # no empty rows (degrees are positive), so reduceat segments are well formed
     return np.add.reduceat(contrib, g.indptr[:-1]) / g.degrees
 

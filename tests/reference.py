@@ -4,14 +4,22 @@ No package path uses them: the package solves every Dirichlet problem with
 ``solve_iterative``. ``solve_exact`` is the direct solve that the iterative
 solver and the block-model closed form are compared with, ``jacobi_sweep``
 the plain relaxation step, ``dense_adjacency`` the dense view of a CSR
-graph, and ``two_stage_build_graph`` the CSR assembly that ``build_graph``
-must reproduce to the bit.
+graph, ``two_stage_build_graph`` the CSR assembly that ``build_graph``
+must reproduce to the bit, and ``validate_layout`` the layout checks that
+``Graph`` must make in the same order, with the same messages.
 """
 
 import numpy as np
 
-from heatprop import DirichletProblem, Graph, NumericalError, TemperatureField, ValidationError
-from heatprop.graph import _edge_arrays, transition_apply
+from heatprop import (
+    DirichletProblem,
+    Graph,
+    IsolatedNodeError,
+    NumericalError,
+    TemperatureField,
+    ValidationError,
+)
+from heatprop.graph import _edge_arrays, _format_nodes, _row_sums, transition_apply
 from heatprop.solver import SolveInfo, _check_boundary_cover, _clip_to_boundary_range
 
 DEFAULT_MAX_DENSE_UNKNOWNS = 10_000
@@ -137,3 +145,38 @@ def _assemble(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> G
     counts = np.bincount(rows, minlength=n)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return Graph(n=n, indptr=indptr, indices=cols, weights=vals)
+
+
+def validate_layout(n: int, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``Graph``'s layout checks in their plain form, each reading the whole
+    arrays it needs: the column range by ``min``/``max``, positive weights by
+    an elementwise test. Takes the arrays as ``Graph`` converts them; returns
+    the row sums of the weights."""
+    if n < 1:
+        raise ValidationError("graph must have at least one node")
+    if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
+        raise ValidationError("malformed row offsets")
+    if np.any(np.diff(indptr) < 0):
+        raise ValidationError("row offsets must be nondecreasing")
+    if indices.size != weights.size:
+        raise ValidationError("indices and weights must have equal length")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValidationError("column index out of range")
+    if not np.all(weights > 0):  # also false for NaN
+        raise ValidationError("all edge weights must be positive")
+    # unique, sorted columns within each row: a column may fail to
+    # increase only at a position where a row starts
+    drops = np.flatnonzero(indices[1:] <= indices[:-1]) + 1
+    if np.any(indptr[np.searchsorted(indptr, drops)] != drops):
+        raise ValidationError("column indices must be strictly increasing per row")
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        row_sums = _row_sums(indptr, weights)
+    # one check per node catches infinite weights and sums that overflow
+    if not np.all(np.isfinite(row_sums)):
+        raise ValidationError("edge weights and their row sums must be finite")
+    if np.any(row_sums <= 0):
+        bad = np.flatnonzero(row_sums <= 0)
+        raise IsolatedNodeError(
+            f"isolated node(s) with zero degree: {_format_nodes(bad)}", bad.tolist()
+        )
+    return row_sums

@@ -182,6 +182,21 @@ class TestClassify:
         s = np.sort(scores_from_fields(fields, seeds, "centered"), axis=1)
         assert np.allclose(classify(fields, seeds, "centered")[1], s[:, -1] - s[:, -2])
 
+    @pytest.mark.parametrize("num_labels", [2, 3, 5, 8])
+    def test_confidence_equals_the_partition_gap_to_the_bit(self, num_labels):
+        # the running top two gives the gap that np.partition gives, ties included
+        rng = np.random.default_rng(43)
+        seeds = SeedSet(nodes=np.arange(num_labels), labels=np.arange(1, num_labels + 1), num_labels=num_labels)
+        for trial in range(100):
+            n = int(rng.integers(num_labels, 300))
+            raw = rng.normal(size=(n, num_labels))
+            if trial % 2:  # a coarse grid: many tied best and runner-up scores
+                raw = rng.integers(0, 4, size=(n, num_labels)) / 4.0
+            fields = tuple(TemperatureField(values=col) for col in raw.T)
+            top2 = np.partition(raw, num_labels - 2, axis=1)[:, -2:]
+            confidence = classify(fields, seeds, "vanilla")[1]
+            assert confidence.tobytes() == (top2[:, 1] - top2[:, 0]).tobytes()
+
 
 def three_label_seeds(rng, n):
     nodes = rng.choice(n, size=9, replace=False)

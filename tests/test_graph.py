@@ -16,7 +16,7 @@ from heatprop import (
 import heatprop.graph
 from heatprop.graph import _sorted_unique
 from conftest import count_calls, dense_from_edges, path_graph, random_connected_graph
-from reference import dense_adjacency, two_stage_build_graph
+from reference import dense_adjacency, two_stage_build_graph, validate_layout
 
 
 class TestBuildGraph:
@@ -134,9 +134,14 @@ class TestTransitionApply:
             v = rng.normal(size=n)
             assert np.abs(transition_apply(g, v) - dense @ v).max() < 1e-12
 
-    @pytest.mark.parametrize("case", ["unweighted-sbm", "merged-pairs", "weighted-karate"])
+    @pytest.mark.parametrize(
+        "case",
+        ["unweighted-sbm", "merged-pairs", "weighted-karate", "complete-blocks", "complete-unit",
+         "self-loop", "near-complete"],
+    )
     def test_equals_the_weighted_reduction_to_the_bit(self, case, karate):
-        # unit weights skip the multiply; the result must not move by a bit
+        # unit weights skip the multiply and complete graphs the gather; the
+        # result must not move by a bit
         rng = np.random.default_rng(185)
         if case == "unweighted-sbm":
             params = BlockModelParams(sizes=(300, 200), seed_counts=(3, 2), p=0.05, q=0.01)
@@ -151,18 +156,134 @@ class TestTransitionApply:
             dst = np.concatenate([hi, np.where(flip, lo, hi)[twice]])
             g = build_graph(200, (src, dst, np.ones(src.size)))
             assert set(g.weights.tolist()) == {1.0, 2.0}
-        else:
+        elif case == "weighted-karate":
             lo, hi, _ = karate.graph.edges()
             g = build_graph(karate.graph.n, (lo, hi, rng.uniform(0.1, 3.0, size=lo.size)))
-        assert g.unit_weights is (case == "unweighted-sbm")
+        elif case == "complete-blocks":
+            g = complete_block_graph()
+        elif case == "complete-unit":
+            params = BlockModelParams(sizes=(30, 20), seed_counts=(1, 1), p=1.0, q=1.0)
+            g = build_deterministic_block_graph(params)[0]
+        elif case == "self-loop":
+            g = build_graph(1, [(0, 0, 0.75)])
+        else:
+            # every pair but one self-loop: one entry short of complete
+            lo, hi = np.triu_indices(25)
+            keep = (lo != 3) | (hi != 3)
+            g = build_graph(25, (lo[keep], hi[keep], rng.uniform(0.1, 3.0, size=keep.sum())))
+        assert g.unit_weights is (case in ("unweighted-sbm", "complete-unit"))
+        if case.startswith("complete") or case == "self-loop":
+            assert g.indices.size == g.n * g.n
+        elif case == "near-complete":
+            assert g.indices.size == g.n * g.n - 1
         for v in (rng.normal(size=g.n), rng.uniform(size=g.n), np.ones(g.n)):
             expect = np.add.reduceat(g.weights * v[g.indices], g.indptr[:-1]) / g.degrees
             assert np.array_equal(transition_apply(g, v), expect)
+
+    def test_complete_graph_reads_no_column_index(self):
+        # with every column index overwritten, a gather would read v[0] alone
+        rng = np.random.default_rng(186)
+        g = complete_block_graph()
+        vs = (rng.normal(size=g.n), rng.uniform(size=g.n))
+        expect = [np.add.reduceat(g.weights * v[g.indices], g.indptr[:-1]) / g.degrees for v in vs]
+        object.__setattr__(g, "indices", np.zeros_like(g.indices))
+        for v, want in zip(vs, expect):
+            assert np.array_equal(transition_apply(g, v), want)
 
     def test_dimension_mismatch(self):
         g = path_graph(3)
         with pytest.raises(ValidationError):
             transition_apply(g, [1.0, 2.0])
+
+
+def complete_block_graph() -> Graph:
+    params = BlockModelParams(sizes=(40, 30, 20), seed_counts=(2, 1, 1), p=0.6, q=0.15)
+    return build_deterministic_block_graph(params)[0]
+
+
+class TestValidateMatchesReference:
+    """``Graph`` accepts and rejects what ``validate_layout`` does, with the
+    same exception type and message, and returns the same degrees."""
+
+    def test_random_layouts(self):
+        rng = np.random.default_rng(187)
+        outcomes = {}
+        for _ in range(4000):
+            n, indptr, indices, weights = random_layout(rng)
+            try:
+                expect = validate_layout(
+                    n,
+                    np.ascontiguousarray(indptr, dtype=np.int64),
+                    np.ascontiguousarray(indices, dtype=np.int64),
+                    np.ascontiguousarray(weights, dtype=np.float64),
+                )
+            except ValidationError as exc:
+                expect = exc
+            try:
+                got = Graph(n=n, indptr=indptr, indices=indices, weights=weights).degrees
+            except ValidationError as exc:
+                got = exc
+            if isinstance(expect, Exception):
+                assert type(got) is type(expect) and str(got) == str(expect), (n, indptr, indices, weights)
+                key = str(expect).split(":")[0]
+            else:
+                assert got.tobytes() == expect.tobytes()
+                key = "accepted"
+            outcomes[key] = outcomes.get(key, 0) + 1
+        # every check is reached, and most layouts are malformed
+        assert len(outcomes) == 10, outcomes
+        assert outcomes["accepted"] < 1000, outcomes
+
+
+def random_layout(rng):
+    """A random CSR layout with up to three defects, so that several checks
+    can fail at once and their order decides the outcome."""
+    n = int(rng.integers(1, 9))
+    counts = rng.integers(0, n + 1, size=n) if rng.random() < 0.3 else rng.integers(1, n + 1, size=n)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indices = np.concatenate([np.sort(rng.choice(n, size=c, replace=False)) for c in counts]).astype(np.int64)
+    weights = rng.uniform(0.1, 3.0, size=indices.size)
+    for _ in range(int(rng.integers(0, 4))):
+        defect = int(rng.integers(0, 10))
+        nnz = indices.size
+        if defect == 0 and rng.random() < 0.2:
+            n = int(rng.integers(-1, 1))
+        elif defect == 0:
+            indptr = indptr.copy()
+            where = ("shape", "first", "last")[int(rng.integers(0, 3))]
+            if where == "shape":
+                indptr = indptr[:-1]
+            else:
+                indptr[0 if where == "first" else -1] += int(rng.choice([-1, 1]))
+        elif defect == 1 and indptr.size > 2:
+            indptr = indptr.copy()
+            i = int(rng.integers(1, indptr.size - 1))
+            indptr[i] = indptr[-1] + 1  # a row offset past its successor
+        elif defect == 2:
+            weights = np.append(weights, 1.0)
+        elif defect in (3, 4) and nnz:
+            indices = indices.copy()
+            indices[rng.integers(0, nnz)] = rng.choice([-1, n, n + 5, -100])
+        elif defect == 5 and nnz:
+            weights = weights.copy()
+            weights[rng.integers(0, nnz)] = rng.choice([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 1e308])
+        elif defect in (6, 7) and nnz > 1:
+            # a repeated or decreasing column, inside a row or at a row start
+            indices = indices.copy()
+            k = int(rng.integers(1, nnz))
+            indices[k] = indices[k - 1] if defect == 6 else indices[k - 1] - int(rng.integers(0, 3))
+        elif defect == 8 and nnz > 1:
+            indices = rng.permutation(indices)
+        elif defect == 9 and n > 1:
+            # empty one row, keeping the total entry count
+            counts = np.diff(indptr)
+            if counts.size == n and counts.min(initial=0) >= 0:
+                i, j = rng.choice(n, size=2, replace=False)
+                counts = counts.copy()
+                counts[j] += counts[i]
+                counts[i] = 0
+                indptr = np.concatenate(([0], np.cumsum(counts)))
+    return n, indptr, indices, weights
 
 
 class TestBipartiteLift:

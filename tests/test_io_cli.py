@@ -479,13 +479,14 @@ class TestCli:
         assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
 
     @pytest.mark.parametrize(
-        "config", ["fig2a-small", "karate-uniform", "blocks2-uniform", "blocks3-uniform"]
+        "config", ["fig2a-small", "karate-uniform", "blocks2-uniform", "blocks3-uniform", "lemma-grid"]
     )
     def test_bench_matches_golden_outputs(self, tmp_path, config):
         # results that change on purpose regenerate these files with
         # `heatprop bench --config <name> --out-dir tests/data/golden/<name>`
         assert self.run("bench", "--config", config, "--out-dir", str(tmp_path)) == 0
-        for name in ("results.csv", "aggregate.csv"):
+        names = ("oracle_agreement.csv",) if config == "lemma-grid" else ("results.csv", "aggregate.csv")
+        for name in names:
             assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / config / name).read_bytes(), name
 
     @pytest.mark.parametrize("name", ["classify-karate", "classify-directed"])
