@@ -184,7 +184,7 @@ def float_list(raw: str) -> tuple[float, ...]:
 
 
 def name_list(raw: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in raw.split(","))
+    return tuple(v.strip() for v in raw.split(",") if v.strip())
 
 
 def _lookup(table: dict):

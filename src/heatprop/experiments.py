@@ -64,9 +64,9 @@ class SamplingPolicy:
 
     ``uniform`` draws ``ceil(fraction * labeled)`` nodes uniformly without
     replacement; ``degree`` draws the same count by sequential weighted draws
-    proportional to degree; ``balanced`` gives each label a quota
-    proportional to its frequency (at least one); ``explicit_counts`` takes
-    exactly ``counts[k-1]`` seeds for label ``k``.
+    proportional to degree; ``explicit_counts`` takes exactly ``counts[k-1]``
+    seeds for label ``k``; ``balanced`` takes per-label counts too, computed
+    in proportion to each label's frequency (at least one).
     """
 
     kind: str
@@ -89,78 +89,61 @@ class SamplingPolicy:
 def sample_seeds(labels: NodePartition, g: Graph, policy: SamplingPolicy) -> SeedSet:
     """Draw a seed set under ``policy``; only labeled nodes are candidates.
 
-    Count-based policies are redrawn (up to 100 times) until every label
-    present in the ground truth received at least one seed.
+    ``uniform`` and ``degree`` draw one count from all labeled nodes and are
+    redrawn (up to 100 times) until every label present in the ground truth
+    received at least one seed. ``balanced`` and ``explicit_counts`` draw a
+    per-label count from each label's labeled nodes, in label order;
+    ``balanced`` computes its counts, ``max(1, floor(fraction * s_k + 0.5))``
+    for a label with ``s_k`` labeled nodes and 0 for a label with none.
     """
     rng = np.random.default_rng(policy.rng_seed)
     labeled = labels.labeled_nodes()
     if labeled.size == 0:
         raise ValidationError("no labeled nodes to sample from")
-    labeled_labels = labels.labels[labeled]
-    present = _sorted_unique(labeled_labels)
-
-    if policy.kind == "explicit_counts":
-        nodes = _sample_explicit(rng, labels, labeled, labeled_labels, present, policy.counts)
-    elif policy.kind == "balanced":
-        nodes = _sample_balanced(rng, labeled, labeled_labels, present, policy.fraction)
+    if policy.kind in ("uniform", "degree"):
+        nodes = _sample_by_count(rng, g, labels, labeled, policy)
     else:
-        nodes = _sample_by_count(rng, g, labels, labeled, labeled_labels, present, policy)
+        labeled_labels = labels.labels[labeled]
+        members = [labeled[labeled_labels == lab] for lab in range(1, labels.num_labels + 1)]
+        counts = policy.counts
+        if policy.kind == "balanced":
+            counts = [max(1, math.floor(policy.fraction * m.size + 0.5)) if m.size else 0 for m in members]
+        _check_counts(counts, [m.size for m in members])
+        nodes = np.concatenate([rng.choice(m, size=c, replace=False) for m, c in zip(members, counts) if c])
     nodes = np.sort(nodes)
     return SeedSet(nodes=nodes, labels=labels.labels[nodes], num_labels=labels.num_labels)
 
 
-def _sample_by_count(rng, g, labels, labeled, labeled_labels, present, policy) -> np.ndarray:
-    target = math.ceil(policy.fraction * labeled.size)
+def _check_counts(counts, sizes):
+    """Raise unless ``counts[k-1]`` seeds can be drawn from the ``sizes[k-1]``
+    labeled nodes of each label ``k``: every present label gets at least one
+    seed and at most its size, and an absent label gets none."""
+    if len(counts) != len(sizes):
+        raise ValidationError(f"expected {len(sizes)} per-label counts, got {len(counts)}")
+    for lab, (want, size) in enumerate(zip(counts, sizes), start=1):
+        if size == 0 and want:
+            raise ValidationError(f"label {lab} has no labeled nodes to sample")
+        if size and want < 1:
+            raise ValidationError(f"label {lab} is present but was allotted no seeds")
+        if want > size:
+            raise ValidationError(f"label {lab} has only {size} labeled nodes, requested {want}")
+
+
+def _sample_by_count(rng, g, labels, labeled, policy) -> np.ndarray:
+    present = _sorted_unique(labels.labels[labeled]).size
     # coverage of every present label is a hard requirement downstream
-    target = max(target, present.size)
-    if target > labeled.size:
-        raise ValidationError(
-            f"cannot draw {target} seeds from {labeled.size} labeled nodes"
-        )
+    target = max(math.ceil(policy.fraction * labeled.size), present)
     for _ in range(MAX_SAMPLING_ATTEMPTS):
         if policy.kind == "uniform":
             pick = rng.choice(labeled, size=target, replace=False)
         else:  # degree: exponential race == sequential weighted draws
             keys = rng.exponential(size=labeled.size) / g.degrees[labeled]
             pick = labeled[np.argsort(keys)[:target]]
-        if _sorted_unique(labels.labels[pick]).size == present.size:
+        if _sorted_unique(labels.labels[pick]).size == present:
             return pick
     raise ValidationError(
-        f"failed to cover all {present.size} labels after {MAX_SAMPLING_ATTEMPTS} draws"
+        f"failed to cover all {present} labels after {MAX_SAMPLING_ATTEMPTS} draws"
     )
-
-
-def _sample_balanced(rng, labeled, labeled_labels, present, fraction) -> np.ndarray:
-    parts = []
-    for lab in present:
-        members = labeled[labeled_labels == lab]
-        quota = max(1, int(math.floor(fraction * members.size + 0.5)))
-        quota = min(quota, members.size)
-        parts.append(rng.choice(members, size=quota, replace=False))
-    return np.concatenate(parts)
-
-
-def _sample_explicit(rng, labels, labeled, labeled_labels, present, counts) -> np.ndarray:
-    if len(counts) != labels.num_labels:
-        raise ValidationError(
-            f"expected {labels.num_labels} per-label counts, got {len(counts)}"
-        )
-    parts = []
-    for lab in range(1, labels.num_labels + 1):
-        want = counts[lab - 1]
-        members = labeled[labeled_labels == lab]
-        if members.size == 0:
-            if want:
-                raise ValidationError(f"label {lab} has no labeled nodes to sample")
-            continue
-        if want < 1:
-            raise ValidationError(f"label {lab} is present but was allotted no seeds")
-        if want > members.size:
-            raise ValidationError(
-                f"label {lab} has only {members.size} labeled nodes, requested {want}"
-            )
-        parts.append(rng.choice(members, size=want, replace=False))
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +237,9 @@ class Sweep:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValidationError("sweep needs at least one value")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValidationError(f"sweep value {repeated[0]:g} appears more than once")
         bad = [v for v in values if not 0 < v < math.inf]
         if bad:
             raise ValidationError(f"sweep values must be finite and positive, got {bad[0]!r}")
@@ -280,6 +266,9 @@ class ExperimentConfig:
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
             raise ValidationError(f"unknown variants {', '.join(unknown)}; expected one of {VARIANTS}")
+        repeated = [v for i, v in enumerate(self.variants) if v in self.variants[:i]]
+        if repeated:
+            raise ValidationError(f"variant {repeated[0]} appears more than once")
         object.__setattr__(self, "variants", tuple(self.variants))
         # a sweep sets the seed counts; a policy that fixes them would override it
         sweep, policy = self.sweep, self.policy
@@ -290,7 +279,16 @@ class ExperimentConfig:
                 raise ValidationError("parameter sweeps apply to block-model sources only")
             if policy is None:
                 raise ValidationError("dataset sources need an explicit sampling policy")
-        elif sweep:
+        if policy and policy.kind == "explicit_counts":
+            # the labels are fixed too (a block model's are its blocks), so
+            # counts that cannot be drawn would fail every repetition
+            if isinstance(self.source, DatasetSource):
+                truth = self.source.labels
+                sizes = np.bincount(truth.labels, minlength=truth.num_labels + 1)[1:]
+            else:
+                sizes = self.source.params.sizes
+            _check_counts(policy.counts, sizes)
+        if sweep:
             blocks = self.source.params.num_blocks
             if sweep.kind == "seed_ratio" and blocks < 2:
                 raise ValidationError("seed_ratio sweep needs at least two blocks")

@@ -23,7 +23,7 @@ from heatprop import (
     sample_seeds,
 )
 from heatprop.experiments import derive_seed
-from conftest import count_calls, random_connected_graph, star_graph
+from conftest import count_calls, path_graph, random_connected_graph, star_graph
 
 
 def count_field_solves(monkeypatch) -> list:
@@ -118,6 +118,27 @@ class TestSampling:
         policy = SamplingPolicy(kind="explicit_counts", counts=(50, 1), rng_seed=8)
         with pytest.raises(ValidationError, match="only"):
             sample_seeds(labels, g, policy)
+
+    @pytest.mark.parametrize(
+        ("raw", "num_labels", "policy", "message"),
+        [
+            ([0, 0, 0, 0], 2, SamplingPolicy(kind="uniform", fraction=0.5), "no labeled nodes to sample from"),
+            # one label-2 node among 5,000: two uniform picks rarely cover it
+            ([2] + [1] * 4999, 2, SamplingPolicy(kind="uniform", fraction=1e-9, rng_seed=9),
+             "failed to cover all 2 labels after 100 draws"),
+            ([1, 2, 1, 2], 2, SamplingPolicy(kind="explicit_counts", counts=(1, 1, 1)),
+             "expected 2 per-label counts, got 3"),
+            ([1, 2, 1, 2], 3, SamplingPolicy(kind="explicit_counts", counts=(1, 1, 1)),
+             "label 3 has no labeled nodes to sample"),
+            ([1, 2, 1, 2], 2, SamplingPolicy(kind="explicit_counts", counts=(1, 0)),
+             "label 2 is present but was allotted no seeds"),
+        ],
+        ids=["no-labeled", "no-coverage", "count-number", "absent-label", "no-seeds"],
+    )
+    def test_sampler_errors(self, raw, num_labels, policy, message):
+        labels = NodePartition(labels=np.array(raw), num_labels=num_labels)
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            sample_seeds(labels, path_graph(len(raw)), policy)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(127)
@@ -295,6 +316,34 @@ class TestRunExperiment:
     def test_unknown_variant_rejected_at_config_time(self):
         with pytest.raises(ValidationError, match="unknown variants centred"):
             self.small_cfg(variants=("vanilla", "centred"))
+
+    def test_repeated_variant_rejected_at_config_time(self):
+        with pytest.raises(ValidationError, match="^variant centered appears more than once$"):
+            self.small_cfg(variants=("centered", "centered", "vanilla"))
+
+    def test_repeated_sweep_value_rejected(self):
+        with pytest.raises(ValidationError, match="^sweep value 1 appears more than once$"):
+            Sweep(kind="seed_ratio", values=(1, 1.0, 2))
+
+    @pytest.mark.parametrize(
+        ("counts", "message"),
+        [
+            ((1, 1, 1), "expected 2 per-label counts, got 3"),
+            ((0, 2), "label 1 is present but was allotted no seeds"),
+            ((100, 2), "label 1 has only 17 labeled nodes, requested 100"),
+        ],
+    )
+    def test_undrawable_explicit_counts_rejected_at_config_time(self, karate, counts, message):
+        source = DatasetSource(graph=karate.graph, labels=karate.labels)
+        policy = SamplingPolicy(kind="explicit_counts", counts=counts)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ExperimentConfig(source=source, policy=policy)
+
+    def test_block_model_labels_are_its_blocks(self):
+        policy = SamplingPolicy(kind="explicit_counts", counts=(61, 1))
+        with pytest.raises(ValidationError, match="^label 1 has only 60 labeled nodes, requested 61$"):
+            self.small_cfg(sweep=None, policy=policy)
+        assert self.small_cfg(sweep=None, policy=dataclasses.replace(policy, counts=(60, 1))).policy.counts == (60, 1)
 
     @pytest.mark.parametrize(
         ("sweep", "policy", "rejected"),

@@ -489,21 +489,27 @@ class TestCli:
         for name in names:
             assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / config / name).read_bytes(), name
 
-    @pytest.mark.parametrize("name", ["classify-karate", "classify-directed"])
+    @pytest.mark.parametrize(
+        "name", ["classify-karate", "classify-karate-balanced", "classify-karate-degree", "classify-directed"]
+    )
     def test_classify_matches_golden_labels(self, tmp_path, name):
         # labels that change on purpose regenerate these files with
         # `heatprop classify --graph karate --sample uniform
-        #  --out tests/data/golden/classify-karate/labels.csv` and, in
+        #  --out tests/data/golden/classify-karate/labels.csv`, in
+        # tests/data/golden/classify-karate-<kind>, `heatprop classify --graph karate
+        #  --sample <kind> --fraction 0.2 --seed 3 --out labels.csv` and, in
         # tests/data/golden/classify-directed, `heatprop classify --graph graph.edges
         #  --labels graph.labels --directed --weighted --sample uniform --out labels.csv`
         golden = GOLDEN_DIR / name
         if name == "classify-karate":
-            flags = ["--graph", "karate"]
+            flags = ["--graph", "karate", "--sample", "uniform"]
+        elif name.startswith("classify-karate-"):
+            flags = ["--graph", "karate", "--sample", name.rsplit("-", 1)[1], "--fraction", "0.2", "--seed", "3"]
         else:
             flags = ["--graph", str(golden / "graph.edges"), "--labels", str(golden / "graph.labels"),
-                     "--directed", "--weighted"]
+                     "--directed", "--weighted", "--sample", "uniform"]
         out = tmp_path / "labels.csv"
-        assert self.run("classify", *flags, "--sample", "uniform", "--out", str(out)) == 0
+        assert self.run("classify", *flags, "--out", str(out)) == 0
         assert out.read_bytes() == (golden / "labels.csv").read_bytes()
 
     def test_classify_seeds_file_reads_delimiter(self, tmp_path):
@@ -630,6 +636,11 @@ class TestCli:
             "sizes = 20,20,20\nseeds = 2,2,2\nsweep = size_ratio\nsweep_values = 1,2",
             "source = blocks\nsizes = 3000,3000",
             "source = karate\ndirected = true",
+            "source = karate\npolicy = explicit\nseeds = 1,1,1",
+            "source = karate\npolicy = explicit\nseeds = 0,2",
+            "source = karate\npolicy = explicit\nseeds = 100,2",
+            "sweep = seed_ratio\nsweep_values = 1,1,2",
+            "variants = centered,centered,vanilla",
             "master_seed = -5",
             "sweep = seed_ratio\nsweep_values = 0.1,1",
             "sweep = seed_ratio\nsweep_values = 11",
@@ -665,12 +676,16 @@ class TestCli:
             ("sizes = 20,20\nseeds = 2,2\np = 0.3", "a block-model source needs the 'q' config key"),
             ("source = files\ngraph_file = nowhere\npolicy = uniform", "source = files needs the 'labels_file' config key"),
             ("source = karate\npolicy = explicit", "policy = explicit needs the 'seeds' config key"),
+            ("source = karate\npolicy = uniform\nvariants =", "need at least one variant"),
             (
                 "sizes = 20,20\nseeds = 2,2\np = 0.3\nq = 0.05\nsweep = seed_ratio",
                 "a sweep needs the 'sweep_values' config key",
             ),
         ],
-        ids=["sbm", "oracle-grid", "no-sweep", "policy", "no-q", "no-labels-file", "explicit-no-seeds", "no-sweep-values"],
+        ids=[
+            "sbm", "oracle-grid", "no-sweep", "policy", "no-q", "no-labels-file", "explicit-no-seeds",
+            "no-variants", "no-sweep-values",
+        ],
     )
     def test_bench_rejects_keys_it_does_not_read(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "unread.cfg"
