@@ -2,8 +2,10 @@
 
 ``classify`` prints as ``residual=`` the largest harmonicity defect
 ``max|P t - t|`` of its fields at the solver's stop: it bounds the true defect
-at a tolerance stop and sits at the rounding floor with ``--tol 0``. Output
-destinations are checked before any solve or run.
+at a tolerance stop and sits at the rounding floor with ``--tol 0``.
+
+``classify`` and ``bench`` decode every flag or config key, and check the
+output destination, before they read a graph, label or seed file.
 
 Exit codes: 0 success, 1 validation or usage error or an input or output
 file that cannot be read or written, 2 numerical failure (including solver
@@ -58,6 +60,14 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with each ``"`` doubled, when it
+    holds ``,`` or ``"`` (the minimal quoting of the ``csv`` module)."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -66,8 +76,9 @@ def _add_classify(sub):
     p = sub.add_parser("classify", help="label the non-seed nodes of a dataset")
     p.add_argument("--graph", required=True, help="edge list file, or a bundled dataset name")
     p.add_argument("--labels", help="label file (required with --sample)")
-    p.add_argument("--seeds-file", help="seed file of `node label` lines")
-    p.add_argument("--sample", choices=["uniform", "degree", "balanced"], help="sample seeds from --labels")
+    seeds = p.add_mutually_exclusive_group(required=True)
+    seeds.add_argument("--seeds-file", help="seed file of `node label` lines")
+    seeds.add_argument("--sample", choices=["uniform", "degree", "balanced"], help="sample seeds from --labels")
     p.add_argument("--fraction", type=float, default=DEFAULT_SEED_FRACTION, help="seed fraction for --sample")
     p.add_argument("--variant", choices=VARIANTS, default="centered")
     p.add_argument("--max-iter", type=int, default=SolverOptions.max_iterations)
@@ -99,49 +110,43 @@ def _seeds_from_file(path, bundle, label_names, delimiter=None):
 def _cmd_classify(args) -> int:
     """Label every non-seed node; the stderr summary's ``residual=`` is the
     largest ``SolveInfo.final_change``, the solver's defect at the stop (see
-    the module docstring)."""
+    the module docstring). Every flag is decoded, and ``--out`` checked,
+    before ``load_bundle`` reads the first file."""
     if args.sample and not (args.labels or args.graph in BUILTIN_DATASETS):
         raise ValidationError("--sample needs --labels to draw seeds from")
-    if not args.sample and not args.seeds_file:
-        raise ValidationError("provide either --seeds-file or --sample")
-    if args.sample and args.seeds_file:
-        raise ValidationError("--seeds-file and --sample are mutually exclusive")
     if args.use_destination and not args.directed:
         raise ValidationError("--use-destination needs a directed edge list (--directed)")
     if args.out != "-" and not Path(args.out).parent.is_dir():
         raise ValidationError(f"cannot write {args.out}: {Path(args.out).parent} is not an existing directory")
+    if args.out != "-" and Path(args.out).is_dir():
+        raise ValidationError(f"cannot write {args.out}: it is a directory")
+    opts = SolverOptions(max_iterations=args.max_iter, tolerance=args.tol)
+    policy = SamplingPolicy(kind=args.sample, fraction=args.fraction, rng_seed=args.seed) if args.sample else None
 
     bundle = load_bundle(args.graph, args.labels, args.directed, args.weighted, args.delimiter, args.use_destination)
-    label_names = bundle.label_names or {}
-    opts = SolverOptions(max_iterations=args.max_iter, tolerance=args.tol)
-
-    if args.seeds_file:
-        seeds, label_names = _seeds_from_file(args.seeds_file, bundle, label_names, args.delimiter)
+    if policy:
+        seeds, label_names = sample_seeds(bundle.labels, bundle.graph, policy), bundle.label_names
     else:
-        policy = SamplingPolicy(kind=args.sample, fraction=args.fraction, rng_seed=args.seed)
-        seeds = sample_seeds(bundle.labels, bundle.graph, policy)
+        seeds, label_names = _seeds_from_file(args.seeds_file, bundle, bundle.label_names, args.delimiter)
 
     start = time.perf_counter()
     fields = one_vs_all_fields(bundle.graph, seeds, opts)
     labels, confidence = classify(fields, seeds, args.variant)
     wall = time.perf_counter() - start
 
-    strict_failure = args.tol == 0 and any(
-        fld.info.stop_reason == "max_iterations" and fld.info.final_change > 0 for fld in fields
-    )
+    strict_failure = args.tol == 0 and any(fld.info.stop_reason == "max_iterations" for fld in fields)
 
     index = np.fromiter(bundle.id_map.values(), dtype=np.int64, count=len(bundle.id_map))
     is_seed = np.zeros(bundle.graph.n, dtype=bool)
     is_seed[seeds.nodes] = True
     originals = np.flatnonzero(~is_seed[index])
     index = index[originals]
-    labels = labels[index].tolist()
-    names = {lab: label_names.get(lab, str(lab)) for lab in set(labels)}
-    external = list(bundle.id_map)
+    external = list(map(_csv_field, bundle.id_map))
+    names = {lab: _csv_field(name) for lab, name in label_names.items()}
     rows = map(
         "{},{},{}\n".format,
         map(external.__getitem__, originals.tolist()),
-        map(names.__getitem__, labels),
+        map(names.__getitem__, labels[index].tolist()),
         map(_fmt, confidence[index].tolist()),
     )
     text = "node_id,label,confidence\n" + "".join(rows)
@@ -266,30 +271,29 @@ def _reject_unread(cfgv: dict):
 
 def _config_experiment(cfgv: dict) -> ExperimentConfig:
     """The experiment a config describes; consumes the keys of ``cfgv`` it
-    reads and rejects any left over."""
+    reads and rejects any left over. Every key is decoded before a dataset
+    source's files are read, so a rejected config reads no file."""
     source_kind = cfgv.pop("source", "sbm")
-    if source_kind in ("sbm", "blocks"):
-        sizes, seeds, p, q = _take(cfgv, "a block-model source", "sizes", "seeds", "p", "q")
-        params = BlockModelParams(sizes=sizes, seed_counts=seeds, p=p, q=q)
-        source = SbmSource(params=params) if source_kind == "sbm" else BlockSource(params=params)
-    elif source_kind in BUILTIN_DATASETS or source_kind == "files":
+    dataset = source_kind in BUILTIN_DATASETS or source_kind == "files"
+    if dataset:
         if source_kind == "files":
             graph, labels = _take(cfgv, "source = files", "graph_file", "labels_file")
         else:
             graph, labels = source_kind, cfgv.pop("labels_file", None)
         flags = {k: cfgv.pop(k) for k in ("directed", "weighted") if k in cfgv}
-        bundle = load_bundle(graph, labels, **flags)
-        source = DatasetSource(graph=bundle.graph, labels=bundle.labels)
+    elif source_kind in ("sbm", "blocks"):
+        sizes, seeds, p, q = _take(cfgv, "a block-model source", "sizes", "seeds", "p", "q")
+        params = BlockModelParams(sizes=sizes, seed_counts=seeds, p=p, q=q)
+        source = SbmSource(params=params) if source_kind == "sbm" else BlockSource(params=params)
     else:
         raise ValidationError(f"unknown source {source_kind!r}")
 
     policy = None
     kind = cfgv.pop("policy", None)
     if kind == "explicit_counts":
-        dataset = isinstance(source, DatasetSource)
-        counts = _take(cfgv, "policy = explicit", "seeds")[0] if dataset else source.params.seed_counts
+        counts = _take(cfgv, "policy = explicit", "seeds")[0] if dataset else params.seed_counts
         policy = SamplingPolicy(kind=kind, counts=counts)
-    elif kind is not None or isinstance(source, DatasetSource):
+    elif kind is not None or dataset:
         policy = SamplingPolicy(kind=kind or "uniform", fraction=cfgv.pop("fraction", DEFAULT_SEED_FRACTION))
 
     sweep = None
@@ -300,6 +304,9 @@ def _config_experiment(cfgv: dict) -> ExperimentConfig:
     solver = SolverOptions(**{k: cfgv.pop(k) for k in ("max_iterations", "tolerance") if k in cfgv})
     run = {k: cfgv.pop(k) for k in ("variants", "repetitions", "master_seed") if k in cfgv}
     _reject_unread(cfgv)
+    if dataset:
+        bundle = load_bundle(graph, labels, **flags)
+        source = DatasetSource(graph=bundle.graph, labels=bundle.labels)
     return ExperimentConfig(source=source, solver=solver, policy=policy, sweep=sweep, **run)
 
 

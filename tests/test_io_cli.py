@@ -1,3 +1,5 @@
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -5,10 +7,11 @@ import pytest
 
 import heatprop.classify
 import heatprop.cli
+import heatprop.io
 from heatprop import ValidationError, build_graph, load_edge_list, load_labels
 from heatprop.blockmodel import BlockModelParams, _block_disagreement, default_seeds
 from heatprop.classify import classify, one_vs_all_fields
-from heatprop.cli import _config_experiment, _fmt, _seeds_from_file, main, parse_config
+from heatprop.cli import _config_experiment, _csv_field, _fmt, _seeds_from_file, main, parse_config
 from heatprop.datasets import config_path, data_path, load_bundle
 from heatprop.io import write_edge_list
 from heatprop.solver import SolverOptions
@@ -448,6 +451,91 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path / out_dir) in err[0], err
         assert runs == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        ["--max-iter 0", "--tol -1", "--sample uniform --fraction 2", "--out {dir}"],
+        ids=["max-iter", "tol", "fraction", "out-is-dir"],
+    )
+    def test_classify_rejects_flags_before_any_read(self, tmp_path, capsys, monkeypatch, flags):
+        loads = count_calls(monkeypatch, heatprop.io, "load_edge_list")
+        (tmp_path / "g.edges").write_text("a b\nb c\n")
+        (tmp_path / "g.labels").write_text("a x\nc y\n")
+        (tmp_path / "dir").mkdir()
+        argv = ["classify", "--graph", str(tmp_path / "g.edges"), "--labels", str(tmp_path / "g.labels"),
+                "--out", str(tmp_path / "x.csv")]
+        if not flags.startswith("--sample"):
+            argv += ["--sample", "uniform"]
+        assert self.run(*argv, *flags.format(dir=tmp_path / "dir").split()) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert loads == []
+        assert not (tmp_path / "x.csv").exists() and not any((tmp_path / "dir").iterdir())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "policy = uniform\ngrid_points = 3",
+            "policy = uniform\nmax_iterations = 0",
+            "policy = uniform\ntolerance = -1",
+            "policy = uniform\nfraction = 2",
+            "policy = explicit",
+            "policy = uniform\nsweep = seed_ratio\nsweep_values = 0,1",
+        ],
+        ids=["unread-key", "max-iterations", "tolerance", "fraction", "explicit-no-seeds", "sweep-values"],
+    )
+    def test_bench_rejects_keys_before_any_read(self, tmp_path, capsys, monkeypatch, text):
+        loads = count_calls(monkeypatch, heatprop.io, "load_edge_list")
+        (tmp_path / "g.edges").write_text("a b\nb c\n")
+        (tmp_path / "g.labels").write_text("a x\nc y\n")
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(
+            f"source = files\ngraph_file = {tmp_path / 'g.edges'}\nlabels_file = {tmp_path / 'g.labels'}\n{text}\n"
+        )
+        assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert loads == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("", "one of the arguments --seeds-file --sample is required"),
+            ("--sample uniform --seeds-file {seeds}", "argument --seeds-file: not allowed with argument --sample"),
+        ],
+        ids=["neither", "both"],
+    )
+    def test_classify_needs_exactly_one_seed_source(self, tmp_path, capsys, flags, message):
+        seeds = tmp_path / "g.seeds"
+        seeds.write_text("0 mr_hi\n33 officer\n")
+        with pytest.raises(SystemExit) as exc:
+            self.run("classify", "--graph", "karate", "--out", str(tmp_path / "x.csv"),
+                     *flags.format(seeds=seeds).split())
+        assert exc.value.code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == [f"heatprop classify: error: {message}"]
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_classify_quotes_ids_and_labels_holding_commas(self, tmp_path):
+        (tmp_path / "g.edges").write_text("a,1\tb\nb\tc\nc\td\nd\ta,1\n")
+        (tmp_path / "g.labels").write_text("a,1\tx,y\nb\tz\nc\tx,y\nd\tz\n")
+        out = tmp_path / "x.csv"
+        assert self.run(
+            "classify", "--graph", str(tmp_path / "g.edges"), "--labels", str(tmp_path / "g.labels"),
+            "--sample", "uniform", "--fraction", "0.5", "--seed", "1", "--out", str(out),
+        ) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[0] == ["node_id", "label", "confidence"]
+        assert [row[:2] for row in rows[1:]] == [["a,1", "z"], ["d", "x,y"]]
+        assert all(len(row) == 3 for row in rows)
+
+    @pytest.mark.parametrize("text", ["plain", "a,1", 'say "hi"', '"', ",", 'x,"y"'])
+    def test_csv_field_quotes_as_the_csv_module(self, text):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([text, "z"])
+        assert _csv_field(text) + ",z\n" == buffer.getvalue()
+        assert next(csv.reader([_csv_field(text)])) == [text]
 
     def test_bench_missing_config_exits_1(self, tmp_path):
         assert self.run("bench", "--config", str(tmp_path / "nope.cfg")) == 1
