@@ -30,7 +30,8 @@ VARIANTS = ("vanilla", "weighted", "centered")
 @dataclass(frozen=True)
 class SeedSet:
     """Labeled boundary nodes: ``labels[i]`` in ``[1, num_labels]`` is the
-    class of seed node ``nodes[i]``."""
+    class of seed node ``nodes[i]``. Every label in ``[1, num_labels]`` has
+    at least one seed, so each one-vs-all diffusion has a hot boundary."""
 
     nodes: np.ndarray
     labels: np.ndarray
@@ -52,6 +53,9 @@ class SeedSet:
             raise ValidationError("need at least one label")
         if self.labels.min() < 1 or self.labels.max() > self.num_labels:
             raise ValidationError(f"seed labels must lie in [1, {self.num_labels}]")
+        missing = np.flatnonzero(self.seed_counts()[1:] == 0) + 1
+        if missing.size:
+            raise ValidationError(f"label(s) without seeds: {missing.tolist()}")
         self.nodes.setflags(write=False)
         self.labels.setflags(write=False)
 
@@ -67,18 +71,12 @@ class SeedSet:
         """Seeds per label id; entry 0 is unused."""
         return np.bincount(self.labels, minlength=self.num_labels + 1)
 
-    def missing_labels(self) -> np.ndarray:
-        counts = self.seed_counts()
-        return np.flatnonzero(counts[1:] == 0) + 1
-
 
 def one_vs_all_problem(g: Graph, seeds: SeedSet, k: int) -> DirichletProblem:
     """Dirichlet problem for label ``k``: its seeds pinned hot (1), every
     other seed pinned cold (0)."""
     if not 1 <= k <= seeds.num_labels:
         raise ValidationError(f"label {k} out of range [1, {seeds.num_labels}]")
-    if seeds.seed_counts()[k] == 0:
-        raise ValidationError(f"label {k} has no seeds")
     temps = (seeds.labels == k).astype(np.float64)
     return DirichletProblem(graph=g, boundary=seeds.nodes, boundary_temps=temps)
 
@@ -94,9 +92,6 @@ def one_vs_all_fields(
     final change, the sum of theirs, which bounds its harmonicity defect.
     K=1 solves its one field: there is no other to derive it from.
     """
-    missing = seeds.missing_labels()
-    if missing.size:
-        raise ValidationError(f"label(s) without seeds: {missing.tolist()}")
     num_labels = seeds.num_labels
     if num_labels == 1:
         return (solve_iterative(one_vs_all_problem(g, seeds, 1), opts),)

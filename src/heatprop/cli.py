@@ -79,7 +79,7 @@ def _add_classify(sub):
     seeds = p.add_mutually_exclusive_group(required=True)
     seeds.add_argument("--seeds-file", help="seed file of `node label` lines")
     seeds.add_argument("--sample", choices=["uniform", "degree", "balanced"], help="sample seeds from --labels")
-    p.add_argument("--fraction", type=float, default=DEFAULT_SEED_FRACTION, help="seed fraction for --sample")
+    p.add_argument("--fraction", type=float, help=f"seed fraction for --sample (default {DEFAULT_SEED_FRACTION})")
     p.add_argument("--variant", choices=VARIANTS, default="centered")
     p.add_argument("--max-iter", type=int, default=SolverOptions.max_iterations)
     p.add_argument("--tol", type=float, default=SolverOptions.tolerance)
@@ -88,7 +88,7 @@ def _add_classify(sub):
     p.add_argument("--use-destination", action="store_true",
                    help="classify destination copies instead of source copies (directed only)")
     p.add_argument("--delimiter", help="override the auto-detected column delimiter")
-    p.add_argument("--seed", type=nonnegative_int, default=SamplingPolicy.rng_seed, help="master RNG seed")
+    p.add_argument("--seed", type=nonnegative_int, help=f"RNG seed for --sample (default {SamplingPolicy.rng_seed})")
     p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
 
 
@@ -114,6 +114,9 @@ def _cmd_classify(args) -> int:
     before ``load_bundle`` reads the first file."""
     if args.sample and not (args.labels or args.graph in BUILTIN_DATASETS):
         raise ValidationError("--sample needs --labels to draw seeds from")
+    sampling = [flag for flag, value in (("--fraction", args.fraction), ("--seed", args.seed)) if value is not None]
+    if args.seeds_file and sampling:
+        raise ValidationError(f"{' and '.join(sampling)}: only used with --sample, not with --seeds-file")
     if args.use_destination and not args.directed:
         raise ValidationError("--use-destination needs a directed edge list (--directed)")
     if args.out != "-" and not Path(args.out).parent.is_dir():
@@ -121,7 +124,10 @@ def _cmd_classify(args) -> int:
     if args.out != "-" and Path(args.out).is_dir():
         raise ValidationError(f"cannot write {args.out}: it is a directory")
     opts = SolverOptions(max_iterations=args.max_iter, tolerance=args.tol)
-    policy = SamplingPolicy(kind=args.sample, fraction=args.fraction, rng_seed=args.seed) if args.sample else None
+    policy = None
+    if args.sample:
+        fraction = DEFAULT_SEED_FRACTION if args.fraction is None else args.fraction
+        policy = SamplingPolicy(kind=args.sample, fraction=fraction, rng_seed=args.seed or SamplingPolicy.rng_seed)
 
     bundle = load_bundle(args.graph, args.labels, args.directed, args.weighted, args.delimiter, args.use_destination)
     if policy:
@@ -230,8 +236,10 @@ CONFIG_SCHEMA = {
 
 def parse_config(text: str) -> dict:
     """Flat `key = value` lines; '#' starts a comment; keys checked
-    exhaustively and each value decoded by its ``CONFIG_SCHEMA`` entry."""
+    exhaustively, each set at most once and each value decoded by its
+    ``CONFIG_SCHEMA`` entry."""
     values = {}
+    lines = {}
     unknown = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -241,6 +249,9 @@ def parse_config(text: str) -> dict:
             raise ValidationError(f"config line {ln}: expected `key = value`")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in lines:
+            raise ValidationError(f"config line {ln}: {key} is already set on line {lines[key]}")
+        lines[key] = ln
         if key not in CONFIG_SCHEMA:
             unknown.append(key)
             continue

@@ -16,5 +16,8 @@ class IsolatedNodeError(ValidationError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical procedure failed: singular system, non-convergence,
-    or a generator that could not produce a valid sample."""
+    """A numerical procedure failed. Raised by ``closed_form_temperatures``
+    (a nonpositive mean-temperature denominator) and by the block-model
+    generator's ``_repair_isolated`` (a node still isolated after its row
+    resamples). The iterative solver does not raise it: it records
+    ``max_iterations`` as its stop reason instead."""

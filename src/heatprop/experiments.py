@@ -89,17 +89,16 @@ class SamplingPolicy:
 def sample_seeds(labels: NodePartition, g: Graph, policy: SamplingPolicy) -> SeedSet:
     """Draw a seed set under ``policy``; only labeled nodes are candidates.
 
-    ``uniform`` and ``degree`` draw one count from all labeled nodes and are
-    redrawn (up to 100 times) until every label present in the ground truth
-    received at least one seed. ``balanced`` and ``explicit_counts`` draw a
-    per-label count from each label's labeled nodes, in label order;
-    ``balanced`` computes its counts, ``max(1, floor(fraction * s_k + 0.5))``
-    for a label with ``s_k`` labeled nodes and 0 for a label with none.
+    Every label of ``labels`` is carried by some node, so every label gets
+    at least one seed. ``uniform`` and ``degree`` draw one count from all
+    labeled nodes and are redrawn (up to 100 times) until every label
+    received a seed. ``balanced`` and ``explicit_counts`` draw a per-label
+    count from each label's labeled nodes, in label order; ``balanced``
+    computes its counts, ``max(1, floor(fraction * s_k + 0.5))`` for a label
+    with ``s_k`` labeled nodes.
     """
     rng = np.random.default_rng(policy.rng_seed)
     labeled = labels.labeled_nodes()
-    if labeled.size == 0:
-        raise ValidationError("no labeled nodes to sample from")
     if policy.kind in ("uniform", "degree"):
         nodes = _sample_by_count(rng, g, labels, labeled, policy)
     else:
@@ -107,42 +106,39 @@ def sample_seeds(labels: NodePartition, g: Graph, policy: SamplingPolicy) -> See
         members = [labeled[labeled_labels == lab] for lab in range(1, labels.num_labels + 1)]
         counts = policy.counts
         if policy.kind == "balanced":
-            counts = [max(1, math.floor(policy.fraction * m.size + 0.5)) if m.size else 0 for m in members]
+            counts = [max(1, math.floor(policy.fraction * m.size + 0.5)) for m in members]
         _check_counts(counts, [m.size for m in members])
-        nodes = np.concatenate([rng.choice(m, size=c, replace=False) for m, c in zip(members, counts) if c])
+        nodes = np.concatenate([rng.choice(m, size=c, replace=False) for m, c in zip(members, counts)])
     nodes = np.sort(nodes)
     return SeedSet(nodes=nodes, labels=labels.labels[nodes], num_labels=labels.num_labels)
 
 
 def _check_counts(counts, sizes):
     """Raise unless ``counts[k-1]`` seeds can be drawn from the ``sizes[k-1]``
-    labeled nodes of each label ``k``: every present label gets at least one
-    seed and at most its size, and an absent label gets none."""
+    labeled nodes of each label ``k``: every label, which has at least one
+    labeled node, gets at least one seed and at most its size."""
     if len(counts) != len(sizes):
         raise ValidationError(f"expected {len(sizes)} per-label counts, got {len(counts)}")
     for lab, (want, size) in enumerate(zip(counts, sizes), start=1):
-        if size == 0 and want:
-            raise ValidationError(f"label {lab} has no labeled nodes to sample")
-        if size and want < 1:
+        if want < 1:
             raise ValidationError(f"label {lab} is present but was allotted no seeds")
         if want > size:
             raise ValidationError(f"label {lab} has only {size} labeled nodes, requested {want}")
 
 
 def _sample_by_count(rng, g, labels, labeled, policy) -> np.ndarray:
-    present = _sorted_unique(labels.labels[labeled]).size
-    # coverage of every present label is a hard requirement downstream
-    target = max(math.ceil(policy.fraction * labeled.size), present)
+    # SeedSet refuses a label without seeds, so every label must be drawn
+    target = max(math.ceil(policy.fraction * labeled.size), labels.num_labels)
     for _ in range(MAX_SAMPLING_ATTEMPTS):
         if policy.kind == "uniform":
             pick = rng.choice(labeled, size=target, replace=False)
         else:  # degree: exponential race == sequential weighted draws
             keys = rng.exponential(size=labeled.size) / g.degrees[labeled]
             pick = labeled[np.argsort(keys)[:target]]
-        if _sorted_unique(labels.labels[pick]).size == present:
+        if _sorted_unique(labels.labels[pick]).size == labels.num_labels:
             return pick
     raise ValidationError(
-        f"failed to cover all {present} labels after {MAX_SAMPLING_ATTEMPTS} draws"
+        f"failed to cover all {labels.num_labels} labels after {MAX_SAMPLING_ATTEMPTS} draws"
     )
 
 
@@ -368,6 +364,8 @@ def _swept_params(params: BlockModelParams, sweep: Sweep | None, value: float) -
         return params
     if sweep.kind == "seed_ratio":
         s = list(params.seed_counts)
+        if math.isinf(value * s[1]):
+            raise ValidationError(f"block 1 seed count {value:g} * {s[1]} is not finite")
         s[0] = int(round(value * s[1]))
         return BlockModelParams(sizes=params.sizes, seed_counts=tuple(s), p=params.p, q=params.q)
     # size_ratio; ExperimentConfig admits it for two blocks only

@@ -304,7 +304,8 @@ class NodePartition:
     """Ground-truth class labels, one optional label per node.
 
     ``labels[i]`` is in ``[1, num_labels]`` for labeled nodes and 0 for
-    unlabeled ones.
+    unlabeled ones. Every label in ``[1, num_labels]`` is carried by at
+    least one node.
     """
 
     labels: np.ndarray
@@ -316,6 +317,9 @@ class NodePartition:
             raise ValidationError("need at least one class")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() > self.num_labels):
             raise ValidationError(f"labels must lie in [0, {self.num_labels}] (0 = unlabeled)")
+        unused = np.flatnonzero(np.bincount(self.labels, minlength=self.num_labels + 1)[1:] == 0) + 1
+        if unused.size:
+            raise ValidationError(f"label(s) carried by no node: {unused.tolist()}")
         self.labels.setflags(write=False)
 
     def labeled_nodes(self) -> np.ndarray:

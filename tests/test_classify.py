@@ -50,10 +50,9 @@ class TestDiffuse:
         assert np.allclose(f.values, 1.0, atol=1e-12)
 
     def test_unseeded_label_rejected(self):
-        g = path_graph(4)
-        seeds = SeedSet.from_dict({0: 1, 3: 1}, num_labels=2)
-        with pytest.raises(ValidationError, match="no seeds"):
-            diffuse(g, seeds, 2)
+        # a label without seeds has no hot boundary: the seed set is refused
+        with pytest.raises(ValidationError, match=r"^label\(s\) without seeds: \[2\]$"):
+            SeedSet.from_dict({0: 1, 3: 1}, num_labels=2)
 
 
 class TestCenter:
@@ -116,10 +115,9 @@ class TestClassify:
         assert calls == [(g,)]
 
     def test_missing_label_errors_before_solving(self):
-        g = path_graph(4)
-        seeds = SeedSet.from_dict({0: 1, 3: 1}, num_labels=3)
-        with pytest.raises(ValidationError, match=r"without seeds: \[2, 3\]"):
-            one_vs_all_fields(g, seeds)
+        # the seed set is refused at construction, so no field is solved
+        with pytest.raises(ValidationError, match=r"^label\(s\) without seeds: \[2, 3\]$"):
+            SeedSet(nodes=np.array([0, 3]), labels=np.array([1, 1]), num_labels=3)
 
     def test_centered_columns_have_zero_mean(self, karate):
         seeds = karate_two_seeds(karate)

@@ -122,18 +122,15 @@ class TestSampling:
     @pytest.mark.parametrize(
         ("raw", "num_labels", "policy", "message"),
         [
-            ([0, 0, 0, 0], 2, SamplingPolicy(kind="uniform", fraction=0.5), "no labeled nodes to sample from"),
             # one label-2 node among 5,000: two uniform picks rarely cover it
             ([2] + [1] * 4999, 2, SamplingPolicy(kind="uniform", fraction=1e-9, rng_seed=9),
              "failed to cover all 2 labels after 100 draws"),
             ([1, 2, 1, 2], 2, SamplingPolicy(kind="explicit_counts", counts=(1, 1, 1)),
              "expected 2 per-label counts, got 3"),
-            ([1, 2, 1, 2], 3, SamplingPolicy(kind="explicit_counts", counts=(1, 1, 1)),
-             "label 3 has no labeled nodes to sample"),
             ([1, 2, 1, 2], 2, SamplingPolicy(kind="explicit_counts", counts=(1, 0)),
              "label 2 is present but was allotted no seeds"),
         ],
-        ids=["no-labeled", "no-coverage", "count-number", "absent-label", "no-seeds"],
+        ids=["no-coverage", "count-number", "no-seeds"],
     )
     def test_sampler_errors(self, raw, num_labels, policy, message):
         labels = NodePartition(labels=np.array(raw), num_labels=num_labels)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from heatprop import (
     BlockModelParams,
     Graph,
     IsolatedNodeError,
+    NodePartition,
     ValidationError,
     build_deterministic_block_graph,
     build_graph,
@@ -389,6 +392,22 @@ def union_find_components(n, src, dst):
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
     return sorted(groups.values())
+
+
+class TestNodePartition:
+    def test_unlabeled_nodes_allowed(self):
+        labels = NodePartition(labels=np.array([0, 2, 0, 1]), num_labels=2)
+        assert np.array_equal(labels.labeled_nodes(), [1, 3])
+
+    @pytest.mark.parametrize(
+        ("raw", "num_labels", "unused"),
+        [([0, 0, 0, 0], 2, "[1, 2]"), ([1, 2, 1, 2], 3, "[3]"), ([3, 0, 1], 3, "[2]"), ([], 1, "[1]")],
+        ids=["no-labeled", "absent-label", "gap", "empty"],
+    )
+    def test_unused_label_rejected(self, raw, num_labels, unused):
+        # every label 1..num_labels is carried by some node
+        with pytest.raises(ValidationError, match=re.escape(f"label(s) carried by no node: {unused}")):
+            NodePartition(labels=np.array(raw, dtype=np.int64), num_labels=num_labels)
 
 
 class TestSortedUnique:

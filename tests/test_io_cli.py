@@ -8,6 +8,7 @@ import pytest
 import heatprop.classify
 import heatprop.cli
 import heatprop.io
+import heatprop.solver
 from heatprop import ValidationError, build_graph, load_edge_list, load_labels
 from heatprop.blockmodel import BlockModelParams, _block_disagreement, default_seeds
 from heatprop.classify import classify, one_vs_all_fields
@@ -21,6 +22,43 @@ from reference import dense_adjacency
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 BUNDLED_CONFIGS = sorted(path.stem for path in data_path("configs").glob("*.cfg"))
 UNREAD = "config keys that this run never reads: "
+# each malformed config line (set after a valid prefix) and a part of its one error line
+MALFORMED_CONFIGS = {
+    "repetitions = ten": "bad value 'ten' for repetitions",
+    "p = abc": "bad value 'abc' for p",
+    "sizes = 4,x": "bad value '4,x' for sizes",
+    "directed = yes": "bad value 'yes' for directed",
+    "grid_points = many": "bad value 'many' for grid_points",
+    "task = oracle-grid": "bad value 'oracle-grid' for task",
+    "sweep = seed_ratio": "a sweep needs the 'sweep_values' config key",
+    "variants = centred": "unknown variants centred",
+    "policy = explicit\nsweep = seed_ratio\nsweep_values = 1,2": "overrides the seed counts of the seed_ratio sweep",
+    "source = karate\nsweep = size_ratio\nsweep_values = 1,2": "parameter sweeps apply to block-model sources only",
+    "sweep = seed_ratio\nsweep_values = 1,nan": "sweep values must be finite and positive, got nan",
+    "sweep = seed_ratio\nsweep_values = 1,inf": "sweep values must be finite and positive, got inf",
+    "sweep = seed_ratio\nsweep_values = 0,1": "sweep values must be finite and positive, got 0.0",
+    "sweep = size_ratio\nsweep_values = -1,1": "sweep values must be finite and positive, got -1.0",
+    "p = nan": "edge weights p and q must be positive and finite",
+    "source = blocks\np = inf": "edge weights p and q must be positive and finite",
+    "tolerance = inf": "tolerance must be finite and nonnegative",
+    "mode = exact": "unknown config keys: mode;",
+    "p = 2": "p and q must be probabilities in (0, 1]",
+    "sizes = 20\nseeds = 2\nsweep = seed_ratio\nsweep_values = 1,2": "seed_ratio sweep needs at least two blocks",
+    "sizes = 20,20,20\nseeds = 2,2,2\nsweep = size_ratio\nsweep_values = 1,2": "size_ratio sweep is defined for two blocks",
+    "source = blocks\nsizes = 3000,3000": "6000 nodes exceed the dense block-graph guard",
+    "source = karate\ndirected = true": "bipartite lift leaves isolated copies",
+    "source = karate\npolicy = explicit\nseeds = 1,1,1": "expected 2 per-label counts, got 3",
+    "source = karate\npolicy = explicit\nseeds = 0,2": "label 1 is present but was allotted no seeds",
+    "source = karate\npolicy = explicit\nseeds = 100,2": "label 1 has only 17 labeled nodes, requested 100",
+    "sweep = seed_ratio\nsweep_values = 1,1,2": "sweep value 1 appears more than once",
+    "variants = centered,centered,vanilla": "variant centered appears more than once",
+    "master_seed = -5": "bad value '-5' for master_seed",
+    "sweep = seed_ratio\nsweep_values = 0.1,1": "sweep value 0.1: seed count 0 must satisfy",
+    "sweep = seed_ratio\nsweep_values = 11": "sweep value 11: seed count 22 must satisfy",
+    "sweep = size_ratio\nsweep_values = 100": "sweep value 100: every block needs at least one node",
+    "sweep = seed_ratio\nsweep_values = 1e308": "sweep value 1e+308: block 1 seed count 1e+308 * 2 is not finite",
+    "repetitions = 1\nrepetitions = 2": "config line 6: repetitions is already set on line 5",
+}
 
 
 class TestLoadEdgeList:
@@ -206,6 +244,10 @@ class TestConfigParsing:
     def test_missing_equals(self):
         with pytest.raises(ValidationError, match="line 1"):
             parse_config("sizes 4,4\n")
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValidationError, match="^config line 4: repetitions is already set on line 2$"):
+            parse_config("sizes = 4,4\nrepetitions = 1\n# again\nrepetitions = 2\n")
 
 
 class TestCli:
@@ -499,6 +541,37 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "flags, named",
+        [("--fraction 2", "--fraction"), ("--seed 7", "--seed"), ("--fraction 0.5 --seed 0", "--fraction and --seed")],
+        ids=["fraction", "seed", "both"],
+    )
+    def test_classify_sampling_flags_rejected_with_seeds_file(self, tmp_path, capsys, monkeypatch, flags, named):
+        loads = count_calls(monkeypatch, heatprop.io, "load_edge_list")
+        (tmp_path / "g.edges").write_text("a b\nb c\n")
+        (tmp_path / "g.seeds").write_text("a x\nc y\n")
+        out = tmp_path / "x.csv"
+        argv = ["classify", "--graph", str(tmp_path / "g.edges"), "--seeds-file", str(tmp_path / "g.seeds")]
+        assert self.run(*argv, *flags.split(), "--out", str(out)) == 1
+        message = f"error: {named}: only used with --sample, not with --seeds-file"
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert loads == []
+        assert not out.exists()
+
+    def test_classify_seeds_file_missing_a_label_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        solves = count_calls(monkeypatch, heatprop.solver, "solve_iterative")
+        (tmp_path / "g.edges").write_text("a b\nb c\nc d\n")
+        (tmp_path / "g.labels").write_text("a x\nb y\nc x\nd y\n")
+        (tmp_path / "g.seeds").write_text("a x\nc x\n")
+        out = tmp_path / "x.csv"
+        assert self.run(
+            "classify", "--graph", str(tmp_path / "g.edges"), "--labels", str(tmp_path / "g.labels"),
+            "--seeds-file", str(tmp_path / "g.seeds"), "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: label(s) without seeds: [2]"]
+        assert solves == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             ("", "one of the arguments --seeds-file --sample is required"),
@@ -698,54 +771,21 @@ class TestCli:
         cfg.write_text("nonsense = yes\n")
         assert self.run("bench", "--config", str(cfg)) == 1
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "repetitions = ten",
-            "p = abc",
-            "sizes = 4,x",
-            "directed = yes",
-            "grid_points = many",
-            "task = oracle-grid",
-            "sweep = seed_ratio",
-            "variants = centred",
-            "policy = explicit\nsweep = seed_ratio\nsweep_values = 1,2",
-            "source = karate\nsweep = size_ratio\nsweep_values = 1,2",
-            "sweep = seed_ratio\nsweep_values = 1,nan",
-            "sweep = seed_ratio\nsweep_values = 1,inf",
-            "sweep = seed_ratio\nsweep_values = 0,1",
-            "sweep = size_ratio\nsweep_values = -1,1",
-            "p = nan",
-            "source = blocks\np = inf",
-            "tolerance = inf",
-            "mode = exact",
-            "p = 2",
-            "sizes = 20\nseeds = 2\nsweep = seed_ratio\nsweep_values = 1,2",
-            "sizes = 20,20,20\nseeds = 2,2,2\nsweep = size_ratio\nsweep_values = 1,2",
-            "source = blocks\nsizes = 3000,3000",
-            "source = karate\ndirected = true",
-            "source = karate\npolicy = explicit\nseeds = 1,1,1",
-            "source = karate\npolicy = explicit\nseeds = 0,2",
-            "source = karate\npolicy = explicit\nseeds = 100,2",
-            "sweep = seed_ratio\nsweep_values = 1,1,2",
-            "variants = centered,centered,vanilla",
-            "master_seed = -5",
-            "sweep = seed_ratio\nsweep_values = 0.1,1",
-            "sweep = seed_ratio\nsweep_values = 11",
-            "sweep = size_ratio\nsweep_values = 100",
-        ],
-    )
+    @pytest.mark.parametrize("bad", list(MALFORMED_CONFIGS))
     def test_bench_malformed_config_is_one_error_line(self, tmp_path, capsys, bad):
         # a dataset source reads no block-model keys, so its cases get a
-        # prefix of keys it reads, and fail for their own reason
-        prefix = "policy = uniform\n"
+        # prefix of keys it reads, and fail for their own reason; the prefix
+        # leaves out every key the case sets, since a key may be set once
+        prefix = ["policy = uniform", "repetitions = 1"]
         if not bad.startswith("source = karate"):
-            prefix = "sizes = 20,20\nseeds = 2,2\np = 0.3\nq = 0.05\n"
+            prefix = ["sizes = 20,20", "seeds = 2,2", "p = 0.3", "q = 0.05", "repetitions = 1"]
+        own = {line.partition("=")[0].strip() for line in bad.splitlines()}
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(prefix + "repetitions = 1\n" + bad + "\n")
+        cfg.write_text("".join(f"{line}\n" for line in prefix if line.partition("=")[0].strip() not in own) + bad + "\n")
         assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert MALFORMED_CONFIGS[bad] in err[0], err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
