@@ -18,7 +18,6 @@ from .blockmodel import (
 from .classify import SeedSet, one_vs_all_fields
 from .errors import IsolatedNodeError, NumericalError, ValidationError
 from .experiments import (
-    BlockSource,
     DatasetSource,
     ExperimentConfig,
     SamplingPolicy,
@@ -48,7 +47,6 @@ from .solver import (
 
 __all__ = [
     "BlockModelParams",
-    "BlockSource",
     "DatasetSource",
     "DirichletProblem",
     "ExperimentConfig",

@@ -119,11 +119,6 @@ def default_seeds(params: BlockModelParams) -> SeedSet:
     return SeedSet(nodes=nodes, labels=labels, num_labels=params.num_blocks)
 
 
-def _check_dense_guard(n: int):
-    if n > DEFAULT_MAX_DENSE_NODES:
-        raise ValidationError(f"{n} nodes exceed the dense block-graph guard ({DEFAULT_MAX_DENSE_NODES})")
-
-
 def build_deterministic_block_graph(params: BlockModelParams) -> tuple[Graph, NodePartition, SeedSet]:
     """Complete weighted block graph (dense: n^2 stored entries, so
     ``transition_apply`` reads no column index on it).
@@ -135,7 +130,8 @@ def build_deterministic_block_graph(params: BlockModelParams) -> tuple[Graph, No
     agreement with the solver.
     """
     n = params.n
-    _check_dense_guard(n)
+    if n > DEFAULT_MAX_DENSE_NODES:
+        raise ValidationError(f"{n} nodes exceed the dense block-graph guard ({DEFAULT_MAX_DENSE_NODES})")
     # the kb x kb block weights, expanded to one dense row per node
     templates = np.full((params.num_blocks, params.num_blocks), params.q, dtype=np.float64)
     np.fill_diagonal(templates, params.p)
@@ -178,6 +174,9 @@ def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[int, 
         raise ValidationError(f"the oracle grid needs at least 1 point, got {points}")
     if max_block_nodes < 2:
         raise ValidationError(f"the oracle grid needs max_block_nodes of at least 2, got {max_block_nodes}")
+    cap = DEFAULT_MAX_DENSE_NODES + 1  # every draw then fits the dense guard
+    if max_block_nodes > cap:
+        raise ValidationError(f"the oracle grid needs max_block_nodes of at most {cap}, got {max_block_nodes}")
     rng = np.random.default_rng(rng_seed)
     rows = []
     for idx in range(points):

@@ -34,7 +34,6 @@ from .datasets import BUILTIN_DATASETS, config_path, load_bundle
 from .errors import NumericalError, ValidationError
 from .experiments import (
     DEFAULT_SEED_FRACTION,
-    BlockSource,
     DatasetSource,
     ExperimentConfig,
     SamplingPolicy,
@@ -282,7 +281,8 @@ def _reject_unread(cfgv: dict):
 
 def _config_experiment(cfgv: dict) -> ExperimentConfig:
     """The experiment a config describes; consumes the keys of ``cfgv`` it
-    reads and rejects any left over. Every key is decoded before a dataset
+    reads and rejects any left over. ``source`` is ``sbm`` (the default),
+    ``files`` or a bundled dataset name. Every key is decoded before a dataset
     source's files are read, so a rejected config reads no file."""
     source_kind = cfgv.pop("source", "sbm")
     dataset = source_kind in BUILTIN_DATASETS or source_kind == "files"
@@ -292,12 +292,13 @@ def _config_experiment(cfgv: dict) -> ExperimentConfig:
         else:
             graph, labels = source_kind, cfgv.pop("labels_file", None)
         flags = {k: cfgv.pop(k) for k in ("directed", "weighted") if k in cfgv}
-    elif source_kind in ("sbm", "blocks"):
+    elif source_kind == "sbm":
         sizes, seeds, p, q = _take(cfgv, "a block-model source", "sizes", "seeds", "p", "q")
         params = BlockModelParams(sizes=sizes, seed_counts=seeds, p=p, q=q)
-        source = SbmSource(params=params) if source_kind == "sbm" else BlockSource(params=params)
+        source = SbmSource(params=params)
     else:
-        raise ValidationError(f"unknown source {source_kind!r}")
+        bundled = ", ".join(BUILTIN_DATASETS)
+        raise ValidationError(f"unknown source {source_kind!r}; expected sbm, files or a bundled dataset ({bundled})")
 
     policy = None
     kind = cfgv.pop("policy", None)

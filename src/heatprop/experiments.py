@@ -27,12 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blockmodel import (
-    BlockModelParams,
-    _check_dense_guard,
-    build_deterministic_block_graph,
-    sbm_generate,
-)
+from .blockmodel import BlockModelParams, sbm_generate
 from .classify import VARIANTS, SeedSet, classify, one_vs_all_fields
 from .errors import NumericalError, ValidationError
 from .graph import Graph, NodePartition, _sorted_unique
@@ -192,16 +187,6 @@ class SbmSource:
 
 
 @dataclass(frozen=True)
-class BlockSource:
-    """Deterministic complete block graph (no graph randomness)."""
-
-    params: BlockModelParams
-
-    def __post_init__(self):
-        _check_dense_guard(self.params.n)
-
-
-@dataclass(frozen=True)
 class DatasetSource:
     """A fixed, pre-loaded graph with ground-truth labels, one per node."""
 
@@ -244,7 +229,12 @@ class Sweep:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    source: SbmSource | BlockSource | DatasetSource
+    """One benchmark run. The source is an ``SbmSource``, drawn anew per
+    repetition, or a fixed ``DatasetSource``. ``policy = None`` takes
+    per-block ``explicit_counts`` from the (swept) block model. A dataset
+    source needs a policy and takes no sweep."""
+
+    source: SbmSource | DatasetSource
     variants: tuple[str, ...] = ("vanilla", "centered")
     repetitions: int = 10
     solver: SolverOptions = field(default_factory=SolverOptions)
@@ -253,7 +243,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.source, (SbmSource, BlockSource, DatasetSource)):
+        if not isinstance(self.source, (SbmSource, DatasetSource)):
             raise ValidationError(f"experiment config needs a graph source, got {type(self.source).__name__}")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be at least 1")
@@ -378,16 +368,6 @@ def _swept_params(params: BlockModelParams, sweep: Sweep | None, value: float) -
     return BlockModelParams(sizes=(n1, n2), seed_counts=(s1, s_total - s1), p=params.p, q=params.q)
 
 
-def _realize(source, params, graph_seed):
-    if isinstance(source, DatasetSource):
-        return source.graph, source.labels
-    if isinstance(source, SbmSource):
-        graph, truth, _ = sbm_generate(params, graph_seed)
-    else:
-        graph, truth, _ = build_deterministic_block_graph(params)
-    return graph, truth
-
-
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Run every (sweep point, repetition) cell and keep one ``Repetition``
     record per completed cell, in (point, repetition) order.
@@ -423,7 +403,10 @@ def _run_one(cfg: ExperimentConfig, pi: int, value: float, rep: int, drawn: dict
     gi = 0 if cfg.sweep is not None and cfg.sweep.kind == "seed_ratio" else pi
     if gi not in drawn:
         drawn.clear()  # hold one graph at a time
-        drawn[gi] = _realize(source, params, derive_seed(cfg.master_seed, gi, rep, 0))
+        if params is None:
+            drawn[gi] = source.graph, source.labels
+        else:
+            drawn[gi] = sbm_generate(params, derive_seed(cfg.master_seed, gi, rep, 0))[:2]
     graph, truth = drawn[gi]
 
     policy = cfg.policy

@@ -305,10 +305,8 @@ PERFBENCH_ONLY = {
 def run_entry_points(tmp: Path):
     """The command line over the small bundled configs, each subcommand and
     the error inputs that reach their own code, plus ``write_edge_list``."""
-    blocks = tmp / "blocks.cfg"
-    blocks.write_text("source = blocks\nsizes = 10,10\nseeds = 1,1\np = 2\nq = 1\nrepetitions = 1\n")
-    for name in ("fig2a-small", "karate-uniform", "blocks2-uniform", "blocks3-uniform", "lemma-grid", str(blocks)):
-        assert main(["bench", "--config", name, "--out-dir", str(tmp / Path(name).stem)]) == 0
+    for name in ("fig2a-small", "karate-uniform", "blocks2-uniform", "blocks3-uniform", "lemma-grid"):
+        assert main(["bench", "--config", name, "--out-dir", str(tmp / name)]) == 0
     # a directed, weighted 3-cycle in both directions, ids longer than one
     # 64-bit word and a two-character delimiter
     edges, labels, seeds = tmp / "g.edges", tmp / "g.labels", tmp / "karate.seeds"

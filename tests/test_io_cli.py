@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import heatprop.blockmodel
 import heatprop.classify
 import heatprop.cli
 import heatprop.io
@@ -39,13 +40,13 @@ MALFORMED_CONFIGS = {
     "sweep = seed_ratio\nsweep_values = 0,1": "sweep values must be finite and positive, got 0.0",
     "sweep = size_ratio\nsweep_values = -1,1": "sweep values must be finite and positive, got -1.0",
     "p = nan": "edge weights p and q must be positive and finite",
-    "source = blocks\np = inf": "edge weights p and q must be positive and finite",
+    "p = inf": "edge weights p and q must be positive and finite",
     "tolerance = inf": "tolerance must be finite and nonnegative",
     "mode = exact": "unknown config keys: mode;",
     "p = 2": "p and q must be probabilities in (0, 1]",
     "sizes = 20\nseeds = 2\nsweep = seed_ratio\nsweep_values = 1,2": "seed_ratio sweep needs at least two blocks",
     "sizes = 20,20,20\nseeds = 2,2,2\nsweep = size_ratio\nsweep_values = 1,2": "size_ratio sweep is defined for two blocks",
-    "source = blocks\nsizes = 3000,3000": "6000 nodes exceed the dense block-graph guard",
+    "source = blocks": "unknown source 'blocks'; expected sbm, files or a bundled dataset (karate, blocks2, blocks3)",
     "source = karate\ndirected = true": "bipartite lift leaves isolated copies",
     "source = karate\npolicy = explicit\nseeds = 1,1,1": "expected 2 per-label counts, got 3",
     "source = karate\npolicy = explicit\nseeds = 0,2": "label 1 is present but was allotted no seeds",
@@ -954,6 +955,18 @@ class TestCli:
             f"error: the oracle grid needs max_block_nodes of at least 2, got {nodes}"
         ]
         assert not (tmp_path / "grid").exists()
+
+    @pytest.mark.parametrize("nodes", [5002, 6000])
+    def test_oracle_grid_above_the_dense_guard_exits_1_before_any_draw(self, tmp_path, capsys, monkeypatch, nodes):
+        builds = count_calls(monkeypatch, heatprop.blockmodel, "build_deterministic_block_graph")
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"task = oracle_grid\ngrid_points = 5\nmax_block_nodes = {nodes}\nmaster_seed = 5\n")
+        assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "grid")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the oracle grid needs max_block_nodes of at most 5001, got {nodes}"
+        ]
+        assert not (tmp_path / "grid").exists()
+        assert builds == []
 
     def test_block_disagreement_matches_per_block_loop(self):
         params = BlockModelParams(sizes=(4, 1, 6), seed_counts=(2, 1, 3), p=2.0, q=0.5)
