@@ -62,9 +62,8 @@ class BlockModelParams:
 @dataclass(frozen=True)
 class BlockTemperatures:
     """Equilibrium temperatures of non-seed nodes, one value per block, for
-    the diffusion where block ``hot``'s seeds are pinned at 1."""
+    the diffusion where the hot block's seeds are pinned at 1."""
 
-    hot: int
     per_block: np.ndarray
     mean: float
     deltas: np.ndarray
@@ -101,7 +100,7 @@ def closed_form_temperatures(params: BlockModelParams, hot: int = 1) -> BlockTem
 
     per_block = n * mean * q / a
     per_block[h] = (seeds[h] * (p - q) + n * mean * q) / a[h]
-    return BlockTemperatures(hot=hot, per_block=per_block, mean=mean, deltas=per_block - mean)
+    return BlockTemperatures(per_block=per_block, mean=mean, deltas=per_block - mean)
 
 
 def block_labels(params: BlockModelParams) -> NodePartition:

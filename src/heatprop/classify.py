@@ -40,13 +40,13 @@ class SeedSet:
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=np.int64)
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        if nodes.size != labels.size:
+            raise ValidationError("every seed needs exactly one label")
         order = np.argsort(nodes)
         object.__setattr__(self, "nodes", nodes[order])
         object.__setattr__(self, "labels", labels[order])
         if self.nodes.size == 0:
             raise ValidationError("seed set must be nonempty")
-        if self.nodes.size != self.labels.size:
-            raise ValidationError("every seed needs exactly one label")
         if np.any(np.diff(self.nodes) == 0):
             raise ValidationError("duplicate seed node")
         if self.num_labels < 1:

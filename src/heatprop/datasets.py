@@ -18,10 +18,7 @@ BUILTIN_DATASETS = {
 
 
 def data_path(filename: str) -> Path:
-    path = _DATA_DIR / filename
-    if not path.exists():
-        raise ValidationError(f"no bundled data file {filename!r}")
-    return path
+    return _DATA_DIR / filename
 
 
 def config_path(name: str) -> Path:

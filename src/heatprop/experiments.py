@@ -417,6 +417,8 @@ def _run_one(cfg: ExperimentConfig, pi: int, value: float, rep: int, drawn: dict
 
     eval_mask = truth.labels > 0
     eval_mask[seeds.nodes] = False
+    if not eval_mask.any():
+        raise ValidationError("every labeled node is a seed: no node is left to score")
     truth_eval = truth.labels[eval_mask]
     fields = one_vs_all_fields(graph, seeds, cfg.solver)
     scores = {}

@@ -82,12 +82,9 @@ class Graph:
 
     @cached_property
     def component_ids(self) -> np.ndarray:
-        """Read-only index of each node's connected component, in the order
-        of ``connected_components`` (by smallest member). Computed on first
-        use and kept with the graph."""
-        ids = np.empty(self.n, dtype=np.int64)
-        for c, members in enumerate(connected_components(self)):
-            ids[members] = c
+        """Read-only ``connected_components`` index of the graph, computed on
+        first use and kept with it."""
+        ids = connected_components(self)
         ids.setflags(write=False)
         return ids
 
@@ -129,10 +126,10 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return out[np.concatenate(([True], out[1:] != out[:-1]))] if out.size else out
 
 
-def _format_nodes(nodes, limit: int = 10) -> str:
+def _format_nodes(nodes) -> str:
     nodes = list(nodes)
-    head = ", ".join(str(v) for v in nodes[:limit])
-    if len(nodes) > limit:
+    head = ", ".join(str(v) for v in nodes[:10])
+    if len(nodes) > 10:
         head += f", ... ({len(nodes)} total)"
     return head
 
@@ -156,8 +153,8 @@ def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValidationError("edges must be (i, j, w) triples")
         src, dst, w = arr[:, 0], arr[:, 1], arr[:, 2]
-        if np.any(src != np.floor(src)) or np.any(dst != np.floor(dst)):
-            raise ValidationError("node ids must be integers")
+    if any(ids.dtype.kind == "f" and np.any(ids != np.floor(ids)) for ids in (src, dst)):
+        raise ValidationError("node ids must be integers")
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
@@ -171,7 +168,7 @@ def build_graph(n: int, edges) -> Graph:
 
     Parameters
     ----------
-    n : total node count; ids must lie in ``[0, n)``.
+    n : total node count; ids, in either form, must be integral and lie in ``[0, n)``.
     edges : sequence of ``(i, j, w)`` triples with finite ``w > 0``, or a tuple of
         three aligned arrays. Input is treated as undirected; duplicate pairs
         (in either orientation) have their weights summed in input order.
@@ -261,42 +258,40 @@ def directed_to_bipartite(n: int, arcs, names=None) -> Graph:
         ) from None
 
 
-def connected_components(g: Graph) -> list[np.ndarray]:
-    """Partition nodes by connectivity (breadth-first); each component is a
-    sorted array of node ids, ordered by smallest member. The search stops
-    once every node is seen."""
+def connected_components(g: Graph) -> np.ndarray:
+    """The int64 index of each node's connected component, found breadth
+    first, with the components numbered 0, 1, ... by smallest member. The
+    search stops once every node is seen."""
+    ids = np.empty(g.n, dtype=np.int64)
     seen = np.zeros(g.n, dtype=bool)
     unseen = g.n
-    components = []
+    component = 0
     for start in range(g.n):
         if seen[start]:
             continue
         seen[start] = True
+        ids[start] = component
         unseen -= 1
         frontier = np.array([start], dtype=np.int64)
-        members = [frontier]
         while frontier.size and unseen:
             nbrs = g.indices[_concat_ranges(g.indptr, frontier)]
             nbrs = _sorted_unique(nbrs[~seen[nbrs]])
             seen[nbrs] = True
+            ids[nbrs] = component
             unseen -= nbrs.size
-            members.append(nbrs)
             frontier = nbrs
-        components.append(np.sort(np.concatenate(members)))
+        component += 1
         if not unseen:
             break
-    return components
+    return ids
 
 
 def _concat_ranges(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Indices of all CSR entries belonging to ``nodes``, concatenated."""
     starts = indptr[nodes]
     counts = indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return np.arange(total, dtype=np.int64) + np.repeat(starts - offsets, counts)
+    return np.arange(counts.sum(), dtype=np.int64) + np.repeat(starts - offsets, counts)
 
 
 @dataclass(frozen=True)

@@ -78,16 +78,15 @@ def read_text(path) -> str:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _tokenize(path, delimiter: str | None, comment_prefix: str) -> _Fields:
+def _tokenize(path, delimiter: str | None) -> _Fields:
     """Split a file as ``str.splitlines``, ``str.strip`` and ``str.split``
     would, line by line.
 
-    A line whose stripped text is empty or starts with ``comment_prefix`` is
-    skipped. With a delimiter, each line is split at its occurrences and the
-    parts are stripped; without one (or with ``""``) it is split at
-    whitespace. Empty parts are dropped. Unless a delimiter is given, the
-    first data line picks it for the whole file: tab if it holds one, else
-    comma, else whitespace.
+    A line whose stripped text is empty or starts with ``#`` is skipped.
+    With a delimiter, each line is split at its occurrences and the parts are
+    stripped; without one (or with ``""``) it is split at whitespace. Empty
+    parts are dropped. Unless a delimiter is given, the first data line picks
+    it for the whole file: tab if it holds one, else comma, else whitespace.
     """
     text = read_text(path)
     codes = _code_units(text)
@@ -100,14 +99,9 @@ def _tokenize(path, delimiter: str | None, comment_prefix: str) -> _Fields:
     line_bound = np.concatenate(([0], breaks + 1, [codes.size + 1]))
     bounds = np.searchsorted(run_start, line_bound)
     lines = np.flatnonzero(bounds[1:] > bounds[:-1])  # nonblank lines
+    lines = lines[codes[run_start[bounds[lines]]] != ord("#")]  # data lines
     content_start = run_start[bounds[lines]]
     content_end = run_end[bounds[lines + 1] - 1]
-    if comment_prefix:
-        comment = np.ones(lines.size, dtype=bool)
-        for k, char in enumerate(comment_prefix):
-            at = content_start + k
-            comment &= (at < content_end) & (codes[np.minimum(at, codes.size - 1)] == ord(char))
-        lines, content_start, content_end = lines[~comment], content_start[~comment], content_end[~comment]
     if not lines.size:
         empty = np.empty(0, dtype=np.int64)
         return _Fields(text, codes, empty, empty, empty, empty)
@@ -283,35 +277,34 @@ def load_edge_list(
     path,
     directed: bool = False,
     weighted: bool = False,
-    comment_prefix: str = "#",
     delimiter: str | None = None,
     use_destination: bool = False,
 ) -> DatasetBundle:
     """Parse ``src dst [weight]`` lines into a graph.
 
-    Unless a delimiter is given, the first data line picks it for the whole
-    file: tab if it holds one, else comma, else whitespace. Tokens become
-    dense node ids in first-seen order. With ``weighted`` a third column is
-    required per line; without it a third column is rejected so that a wrong
-    delimiter cannot silently corrupt the weights. Weights must be positive
-    and finite. The first bad line is reported by number. Directed inputs are
-    lifted to their bipartite form; ``use_destination`` maps their ids to the
-    destination copies (see ``DatasetBundle``).
+    Blank lines and lines starting with ``#`` are skipped. Unless a delimiter
+    is given, the first data line picks it: tab if it holds one, else comma,
+    else whitespace. Tokens become dense node ids in first-seen order. With
+    ``weighted`` a third column is required per line; without it a third
+    column is rejected so that a wrong delimiter cannot corrupt the weights.
+    Weights must be positive and finite. Errors name the first bad line.
+    Directed inputs are lifted to their bipartite form; ``use_destination``
+    maps their ids to the destination copies (see ``DatasetBundle``).
     """
     if use_destination and not directed:
         raise ValidationError("use_destination needs a directed edge list")
-    names, arrays = _read_edges(path, weighted, comment_prefix, delimiter)
+    names, arrays = _read_edges(path, weighted, delimiter)
     n = len(names)
     graph = directed_to_bipartite(n, arrays, names) if directed else build_graph(n, arrays)
     offset = n if use_destination else 0
     return DatasetBundle(graph=graph, id_map=dict(zip(names, range(offset, offset + n))))
 
 
-def _read_edges(path, weighted: bool, comment_prefix: str, delimiter: str | None):
+def _read_edges(path, weighted: bool, delimiter: str | None):
     """The ids in first-seen order and the ``(src, dst, weight)`` arrays of an
     edge-list file. A function of its own, so that the file's fields are
     freed before the graph is built."""
-    fields = _tokenize(path, delimiter, comment_prefix)
+    fields = _tokenize(path, delimiter)
     width = 3 if weighted else 2
     bad = np.flatnonzero(fields.counts != width)
     rows = int(bad[0]) if bad.size else fields.counts.size  # lines before the first bad count
@@ -377,17 +370,16 @@ def load_labels(
     path,
     id_map: dict[str, int],
     num_nodes: int,
-    comment_prefix: str = "#",
     delimiter: str | None = None,
 ) -> tuple[NodePartition, dict[int, str]]:
-    """Parse ``node label`` lines against an existing id map.
+    """Parse ``node label`` lines against an id map, split as in ``load_edge_list``.
 
     Label strings map to dense ids 1..K in first-seen order. Partial
     labelings are fine. A node repeated with a different label is an error.
     Errors name the first bad line: a conflicting label or a wrong column
     count. Lines with ids missing from ``id_map`` are reported after that.
     """
-    fields = _tokenize(path, delimiter, comment_prefix)
+    fields = _tokenize(path, delimiter)
     bad = np.flatnonzero(fields.counts != 2)
     rows = int(bad[0]) if bad.size else fields.counts.size  # lines before the first bad count
     token_starts, token_ends = fields.starts[0 : 2 * rows : 2], fields.ends[0 : 2 * rows : 2]
@@ -421,14 +413,8 @@ def load_labels(
     return NodePartition(labels=partition, num_labels=len(label_names)), label_names
 
 
-def write_edge_list(path, graph: Graph, id_of=None, delimiter: str = "\t", weighted: bool = False):
-    """Emit the canonical (i <= j) edge list; inverse of ``load_edge_list``
-    up to node renaming."""
-    src, dst, w = graph.edges()
-    id_of = id_of or str
-    columns = [map(id_of, src.tolist()), map(id_of, dst.tolist())]
-    if weighted:
-        columns.append(map(repr, w.tolist()))
-    text = "".join(map("{}\n".format, map(delimiter.join, zip(*columns))))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+def write_edge_list(path, graph: Graph):
+    """Write the canonical (i <= j) edges as unweighted ``i<TAB>j`` lines of
+    node numbers, which ``load_edge_list`` reads back up to node renaming."""
+    src, dst, _ = graph.edges()
+    Path(path).write_text("".join(map("{}\t{}\n".format, src.tolist(), dst.tolist())), encoding="utf-8")

@@ -55,6 +55,25 @@ class TestDiffuse:
             SeedSet.from_dict({0: 1, 3: 1}, num_labels=2)
 
 
+class TestSeedSet:
+    @pytest.mark.parametrize(
+        "nodes, labels, num_labels, message",
+        [
+            ([], [], 1, "seed set must be nonempty"),
+            ([0, 1], [1], 1, "every seed needs exactly one label"),
+            ([1, 0], [1, 1, 1], 1, "every seed needs exactly one label"),
+            ([2, 0, 2], [1, 1, 1], 1, "duplicate seed node"),
+            ([0], [1], 0, "need at least one label"),
+            ([0, 1], [1, 3], 2, r"seed labels must lie in \[1, 2\]"),
+            ([0, 1], [0, 1], 1, r"seed labels must lie in \[1, 1\]"),
+        ],
+        ids=["empty", "labels-short", "labels-long", "duplicate", "no-label", "label-above", "label-zero"],
+    )
+    def test_rejected(self, nodes, labels, num_labels, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SeedSet(nodes=np.array(nodes), labels=np.array(labels), num_labels=num_labels)
+
+
 class TestCenter:
     @staticmethod
     def centered(values):
@@ -179,6 +198,14 @@ class TestClassify:
         fields = one_vs_all_fields(g, seeds, SolverOptions())
         s = np.sort(scores_from_fields(fields, seeds, "centered"), axis=1)
         assert np.allclose(classify(fields, seeds, "centered")[1], s[:, -1] - s[:, -2])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_single_label_has_zero_confidence(self, variant):
+        g = path_graph(5)
+        seeds = SeedSet.from_dict({0: 1, 4: 1})
+        labels, confidence = classify_graph(g, seeds, variant)
+        assert labels.tolist() == [1] * 5
+        assert np.array_equal(confidence, np.zeros(5))
 
     @pytest.mark.parametrize("num_labels", [2, 3, 5, 8])
     def test_confidence_equals_the_partition_gap_to_the_bit(self, num_labels):

@@ -71,6 +71,20 @@ class TestBuildGraph:
         with pytest.raises(ValidationError):
             build_graph(2, [(0, 2, 1.0)])
 
+    @pytest.mark.parametrize("build", [build_graph, directed_to_bipartite], ids=["build_graph", "bipartite"])
+    @pytest.mark.parametrize("form", ["triples", "arrays"])
+    @pytest.mark.parametrize("end", ["src", "dst"])
+    def test_rejects_fractional_ids(self, build, form, end):
+        ids = (np.array([0.5, 1.7]), np.array([1.0, 2.0]))
+        src, dst = ids if end == "src" else ids[::-1]
+        edges = (src, dst, np.ones(2))
+        with pytest.raises(ValidationError, match="node ids must be integers"):
+            build(3, list(zip(*edges)) if form == "triples" else edges)
+
+    def test_integral_float_ids_accepted(self):
+        g = build_graph(3, (np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.ones(2)))
+        assert g.indices.tolist() == [1, 0, 2, 1]
+
     def test_self_loop_counts_once_in_degree(self):
         g = build_graph(2, [(0, 0, 2.0), (0, 1, 1.0)])
         assert np.array_equal(g.degrees, [3.0, 1.0])
@@ -328,30 +342,27 @@ class TestBipartiteLift:
 
 class TestConnectedComponents:
     def test_path_single_component(self):
-        comps = connected_components(path_graph(3))
-        assert len(comps) == 1
-        assert set(comps[0]) == {0, 1, 2}
+        ids = connected_components(path_graph(3))
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [0, 0, 0]
 
     def test_two_disjoint_edges(self):
         g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        comps = connected_components(g)
-        assert [set(c) for c in comps] == [{0, 1}, {2, 3}]
+        assert connected_components(g).tolist() == [0, 0, 1, 1]
         assert g.component_ids.tolist() == [0, 0, 1, 1]
         assert not g.component_ids.flags.writeable
 
     def test_karate_is_one_component(self, karate):
-        comps = connected_components(karate.graph)
-        assert len(comps) == 1
-        assert comps[0].size == 34
+        assert connected_components(karate.graph).tolist() == [0] * 34
 
     def test_complete_graph_stops_after_first_expansion(self, monkeypatch):
         params = BlockModelParams(sizes=(30, 20, 1), seed_counts=(1, 1, 1), p=2.0, q=0.5)
         g, _, _ = build_deterministic_block_graph(params)
         calls = count_calls(monkeypatch, heatprop.graph, "_concat_ranges")
-        comps = connected_components(g)
+        ids = connected_components(g)
         # node 0's neighbors are every node, so no frontier is expanded after it
         assert len(calls) == 1
-        assert len(comps) == 1 and np.array_equal(comps[0], np.arange(g.n))
+        assert np.array_equal(ids, np.zeros(g.n))
 
     def test_many_small_components_match_union_find(self):
         rng = np.random.default_rng(17)
@@ -367,10 +378,10 @@ class TestConnectedComponents:
             g = build_graph(n, (src, dst, np.ones(src.size)))
             expect = union_find_components(n, src.tolist(), dst.tolist())
             assert expect[-1] == [n - 1]
-            assert [c.tolist() for c in connected_components(g)] == expect
             ids = np.empty(n, dtype=np.int64)
             for c, members in enumerate(expect):
                 ids[members] = c
+            assert connected_components(g).tolist() == ids.tolist()
             assert g.component_ids.tolist() == ids.tolist()
 
 

@@ -188,18 +188,98 @@ def test_unreferenced_definitions_detected():
     assert unreferenced_definitions(defining, referenced_names(reading)) == ["SPARE", "spare", "A.old"]
 
 
+# only package code and perfbench count: a name or a setting that only tests
+# use does not belong in the package; __init__ only re-exports
+READERS = [p for p in SOURCES if p.name != "__init__.py"]
+READERS += [p for p in sorted(PERFBENCH_DIR.rglob("*.py")) if "tests" not in p.relative_to(PERFBENCH_DIR).parts]
+
+
 def test_every_public_definition_is_named():
-    # only package code and perfbench count: a name that only tests use
-    # does not belong in the package; __init__ only re-exports
-    readers = [p for p in SOURCES if p.name != "__init__.py"]
-    readers += [p for p in sorted(PERFBENCH_DIR.rglob("*.py")) if "tests" not in p.relative_to(PERFBENCH_DIR).parts]
-    referenced = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in readers))
+    referenced = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in READERS))
     unreferenced = [
         f"{path.stem}.{name}"
         for path in SOURCES
         for name in unreferenced_definitions(path.read_text(encoding="utf-8"), referenced)
     ]
     assert unreferenced == []
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """``(function, parameter, position)`` for each defaulted parameter of
+    the functions and methods a source defines, nested ones included. A
+    method's positions start after ``self``/``cls``; a keyword-only
+    parameter has no position."""
+    found = []
+
+    def visit(body, in_class):
+        for node in body:
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                if in_class and positional and positional[0].arg in ("self", "cls"):
+                    positional = positional[1:]
+                first = len(positional) - len(args.defaults)
+                found.extend((node.name, a.arg, i) for i, a in enumerate(positional) if i >= first)
+                found.extend((node.name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d)
+                visit(node.body, False)
+            elif isinstance(node, ast.ClassDef):
+                visit(node.body, True)
+
+    visit(ast.parse(source).body, False)
+    return found
+
+
+def set_arguments(source: str) -> set[tuple[str, str | int]]:
+    """``(callee, keyword)`` and ``(callee, position)`` for each argument the
+    calls of a source pass, the callee by its bare name. A ``*`` or ``**``
+    argument sets nothing it can name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                found.add((callee, i))
+            found.update((callee, kw.arg) for kw in node.keywords if kw.arg)
+    return found
+
+
+def unset_parameters(source: str, set_by_calls: set) -> list[str]:
+    """``function(parameter, ...)`` for each function of ``source`` with
+    defaulted parameters that no call in ``set_by_calls`` sets, by keyword
+    or by position."""
+    unset = {}
+    for function, name, position in defaulted_parameters(source):
+        if (function, name) not in set_by_calls and (function, position) not in set_by_calls:
+            unset.setdefault(function, []).append(name)
+    return [f"{function}({', '.join(names)})" for function, names in unset.items()]
+
+
+def test_unset_parameters_detected():
+    defining = (
+        "def f(a, b=1, c=2, *, d=3, e=None):\n    def inner(x=0):\n        pass\n\n\n"
+        "class A:\n    def m(self, y=1, z=2):\n        pass\n\n    @staticmethod\n    def s(y=1):\n        pass\n"
+    )
+    assert defaulted_parameters(defining) == [
+        ("f", "b", 1), ("f", "c", 2), ("f", "d", None), ("f", "e", None), ("inner", "x", 0),
+        ("m", "y", 0), ("m", "z", 1), ("s", "y", 0),
+    ]
+    calling = "f(0, 1, e=4)\nobj.m(5)\nA.s(*args, **options)\nm(z=6)\n"
+    assert set_arguments(calling) == {("f", 0), ("f", 1), ("f", "e"), ("m", 0), ("m", "z")}
+    assert unset_parameters(defining, set_arguments(calling)) == ["f(c, d)", "inner(x)", "s(y)"]
+
+
+def test_every_defaulted_parameter_is_set():
+    # a setting that no flag, config key or perfbench call can change is a
+    # constant, not a parameter
+    set_by_calls = set().union(*(set_arguments(p.read_text(encoding="utf-8")) for p in READERS))
+    unset = [
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in unset_parameters(path.read_text(encoding="utf-8"), set_by_calls)
+    ]
+    assert unset == []
 
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -340,8 +420,7 @@ def run_entry_points(tmp: Path):
     assert main(["classify", "--graph", "karate", "--directed", "--sample", "uniform", "--out", out]) == 1
     with pytest.raises(SystemExit):
         main(["classify"])
-    bundle = load_bundle("karate")
-    write_edge_list(tmp / "karate.edges", bundle.graph, list(bundle.id_map).__getitem__, weighted=True)
+    write_edge_list(tmp / "karate.edges", load_bundle("karate").graph)
 
 
 def test_every_package_function_is_entered(tmp_path):

@@ -75,6 +75,11 @@ class TestLoadEdgeList:
         f.write_text("# header\n\n0\t1\n# trailing\n1\t2\n")
         assert load_edge_list(f).graph.n == 3
 
+    def test_only_a_leading_hash_marks_a_comment(self, tmp_path):
+        f = tmp_path / "g.edges"
+        f.write_text("  #\tpadded\na#1 b\n\u3000#wide padding\nb c#\n#\n", encoding="utf-8")
+        assert load_edge_list(f).id_map == {"a#1": 0, "b": 1, "c#": 2}
+
     def test_comma_delimiter_autodetected(self, tmp_path):
         f = tmp_path / "g.csv"
         f.write_text("a,b\nb,c\n")
@@ -151,47 +156,32 @@ class TestLoadEdgeList:
         assert dense_adjacency(bundle.graph)[0, 1] == 2.5
 
     def test_round_trip_isomorphic(self, tmp_path):
+        # the file holds no weights: the graph reads back with unit weights
         rng = np.random.default_rng(151)
         g = random_connected_graph(rng, 25, extra_edges=30)
         f = tmp_path / "g.edges"
-        write_edge_list(f, g, weighted=True)
-        bundle = load_edge_list(f, weighted=True)
+        write_edge_list(f, g)
+        bundle = load_edge_list(f)
         assert bundle.graph.n == g.n
-        assert sorted(bundle.graph.degrees) == pytest.approx(sorted(g.degrees))
-        dense_in = dense_adjacency(g)
-        dense_out = dense_adjacency(bundle.graph)
-        for i in range(g.n):
-            for j in range(g.n):
-                assert dense_out[bundle.id_map[str(i)], bundle.id_map[str(j)]] == pytest.approx(
-                    dense_in[i, j]
-                )
+        node = np.array([bundle.id_map[str(i)] for i in range(g.n)])
+        assert np.array_equal(dense_adjacency(bundle.graph)[np.ix_(node, node)], dense_adjacency(g) > 0)
 
 
-def per_row_write_edge_list(path, graph, id_of=None, delimiter="\t", weighted=False):
+def per_row_write_edge_list(path, graph):
     """Reference: one write per edge."""
-    src, dst, w = graph.edges()
-    id_of = id_of or (lambda i: str(i))
+    src, dst, _ = graph.edges()
     with open(path, "w", encoding="utf-8") as handle:
-        for i, j, weight in zip(src, dst, w):
-            row = [id_of(int(i)), id_of(int(j))]
-            if weighted:
-                row.append(repr(float(weight)))
-            handle.write(delimiter.join(row) + "\n")
+        for i, j in zip(src, dst):
+            handle.write(f"{int(i)}\t{int(j)}\n")
 
 
-@pytest.mark.parametrize(
-    "options",
-    [{}, {"weighted": True}, {"id_of": lambda i: f"n{i}é", "delimiter": " {} "},
-     {"id_of": lambda i: f"v{i:03d}", "weighted": True, "delimiter": ","}],
-    ids=["unweighted", "weighted", "id_of", "id_of-weighted"],
-)
-def test_write_edge_list_matches_per_row_writer(tmp_path, options):
+def test_write_edge_list_matches_per_row_writer(tmp_path):
     rng = np.random.default_rng(152)
     g = random_connected_graph(rng, 40, extra_edges=60)
     src, dst, w = g.edges()
     g = build_graph(g.n, (np.append(src, 3), np.append(dst, 3), np.append(w, 0.1)))  # with a self-loop
-    write_edge_list(tmp_path / "bulk", g, **options)
-    per_row_write_edge_list(tmp_path / "per_row", g, **options)
+    write_edge_list(tmp_path / "bulk", g)
+    per_row_write_edge_list(tmp_path / "per_row", g)
     assert (tmp_path / "bulk").read_bytes() == (tmp_path / "per_row").read_bytes()
 
 
@@ -572,6 +562,61 @@ class TestCli:
         assert solves == []
         assert not out.exists()
 
+    def test_classify_seed_label_missing_from_labels_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        solves = count_calls(monkeypatch, heatprop.solver, "solve_iterative")
+        (tmp_path / "g.edges").write_text("a b\nb c\nc d\n")
+        (tmp_path / "g.labels").write_text("a x\nb y\nc x\nd y\n")
+        (tmp_path / "g.seeds").write_text("a x\nb z\n")
+        out = tmp_path / "x.csv"
+        assert self.run(
+            "classify", "--graph", str(tmp_path / "g.edges"), "--labels", str(tmp_path / "g.labels"),
+            "--seeds-file", str(tmp_path / "g.seeds"), "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed label 'z' does not appear in --labels"]
+        assert solves == []
+        assert not out.exists()
+
+    def test_classify_labels_file_with_a_bundled_dataset_exits_1(self, tmp_path, capsys):
+        labels = tmp_path / "g.labels"
+        labels.write_bytes(data_path("karate.labels").read_bytes())
+        out = tmp_path / "x.csv"
+        argv = ["classify", "--graph", "karate", "--labels", str(labels), "--sample", "uniform", "--out", str(out)]
+        assert self.run(*argv) == 1
+        message = "error: bundled datasets already carry labels; drop the label file"
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
+    def test_classify_without_out_writes_stdout(self, tmp_path, capsys):
+        argv = ["classify", "--graph", "karate", "--sample", "uniform", "--seed", "3"]
+        assert self.run(*argv, "--out", str(tmp_path / "x.csv")) == 0
+        capsys.readouterr()
+        assert self.run(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (tmp_path / "x.csv").read_text()
+        assert captured.out.startswith("node_id,label,confidence\n")
+        assert captured.err.startswith("classified ")
+
+    @pytest.mark.parametrize(
+        "text, repetitions",
+        [
+            ("source = karate\npolicy = uniform\nfraction = 1\nrepetitions = 2\n", 2),
+            ("sizes = 5,5\nseeds = 5,5\np = 0.5\nq = 0.2\n", 10),
+        ],
+        ids=["karate-fraction-1", "sbm-all-seeds"],
+    )
+    def test_bench_repetition_with_no_node_to_score_fails(self, tmp_path, capsys, monkeypatch, text, repetitions):
+        solves = count_calls(monkeypatch, heatprop.solver, "solve_iterative")
+        cfg = tmp_path / "all-seeds.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert self.run("bench", "--config", str(cfg), "--out-dir", str(out)) == 0
+        assert (out / "results.csv").read_text() == "variant,sweep,rep,macro_f1,accuracy,iters\n"
+        assert (out / "aggregate.csv").read_text() == "variant,sweep,mean,std\n"
+        message = "every labeled node is a seed: no node is left to score"
+        expected = [f"failed: sweep=0.0 rep={rep}: {message}" for rep in range(repetitions)]
+        assert capsys.readouterr().err.splitlines() == expected
+        assert solves == []
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -915,6 +960,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: edge weights p and q must be positive and finite"]
+
+    def test_oracle_counts_not_matching_k_exit_1(self, capsys):
+        assert self.run("oracle", "--K", "2", "--sizes", "2", "--seeds", "1,1", "--p", "2", "--q", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --sizes and --seeds must list exactly K values"]
+
+    def test_oracle_numerical_failure_exits_2(self, capsys):
+        # p / q = 1e-300 rounds the mean-temperature denominator to zero; the
+        # true temperatures are all 1
+        assert self.run("oracle", "--K", "1", "--sizes", "10", "--seeds", "1", "--p", "1e-300", "--q", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (err,) = captured.err.splitlines()
+        assert err.startswith("numerical failure: mean-temperature denominator is nonpositive")
 
     def test_usage_error_exit_code_1(self):
         with pytest.raises(SystemExit) as exc:
