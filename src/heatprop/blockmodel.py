@@ -119,8 +119,8 @@ def default_seeds(params: BlockModelParams) -> SeedSet:
 
 
 def build_deterministic_block_graph(params: BlockModelParams) -> tuple[Graph, NodePartition, SeedSet]:
-    """Complete weighted block graph (dense: n^2 stored entries, so
-    ``transition_apply`` reads no column index on it).
+    """Complete weighted block graph (dense: n^2 stored entries, one run of
+    equal rows per block, so ``transition_apply`` multiplies one row a block).
 
     Every ordered intra-block pair carries weight ``p`` including a self-loop
     on each node; inter-block pairs carry weight ``q``. The self-loop makes a

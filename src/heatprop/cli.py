@@ -15,6 +15,7 @@ non-convergence when run with --tol 0).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from itertools import permutations
@@ -234,14 +235,14 @@ CONFIG_SCHEMA = {
 
 
 def parse_config(text: str) -> dict:
-    """Flat `key = value` lines; '#' starts a comment; keys checked
-    exhaustively, each set at most once and each value decoded by its
-    ``CONFIG_SCHEMA`` entry."""
+    """Flat `key = value` lines; a '#' opening a line or after whitespace
+    starts a comment; keys checked exhaustively, each set at most once and
+    each value decoded by its ``CONFIG_SCHEMA`` entry."""
     values = {}
     lines = {}
     unknown = []
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw.strip(), maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -94,6 +94,15 @@ class Graph:
         Computed on first use and kept with the graph."""
         return bool(self.weights.min() == 1.0 == self.weights.max())
 
+    @cached_property
+    def row_runs(self) -> np.ndarray:
+        """On a complete graph, the first row of each run of equal consecutive
+        rows of ``weights.reshape(n, n)``, then ``n``; computed on first use."""
+        w = self.weights.reshape(self.n, self.n)
+        runs = np.concatenate(([0], np.flatnonzero(np.any(w[1:] != w[:-1], axis=1)) + 1, [self.n]))
+        runs.setflags(write=False)
+        return runs
+
     @property
     def num_edges(self) -> int:
         """Number of undirected edges; a self-loop counts as one edge."""
@@ -219,13 +228,18 @@ def transition_apply(g: Graph, v) -> np.ndarray:
     which is exact for them, so the result is the same to the bit. A complete
     graph (``n^2`` stored entries, so every row holds every column in order)
     skips the column gather instead: its products are the rows of the
-    ``(n, n)`` weights times ``v``, the same products in the same layout.
+    ``(n, n)`` weights times ``v``, the same products in the same layout, and
+    where rows repeat (``g.row_runs``) one row per run is summed and repeated.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (g.n,):
         raise ValidationError(f"vector length {v.shape} does not match node count {g.n}")
     if g.indices.size == g.n * g.n:
-        contrib = (g.weights.reshape(g.n, g.n) * v).ravel()
+        w, runs = g.weights.reshape(g.n, g.n), g.row_runs
+        if runs.size <= g.n:  # some row repeats; otherwise no row is copied
+            sums = np.add.reduceat((w[runs[:-1]] * v).ravel(), g.indptr[: runs.size - 1])
+            return np.repeat(sums, np.diff(runs)) / g.degrees
+        contrib = (w * v).ravel()
     else:
         contrib = v[g.indices] if g.unit_weights else g.weights * v[g.indices]
     # no empty rows (degrees are positive), so reduceat segments are well formed

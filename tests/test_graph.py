@@ -213,6 +213,77 @@ class TestTransitionApply:
             transition_apply(g, [1.0, 2.0])
 
 
+def _assert_weighted_reduction(g: Graph, rng):
+    for v in (rng.normal(size=g.n), rng.uniform(size=g.n), np.ones(g.n)):
+        expect = np.add.reduceat(g.weights * v[g.indices], g.indptr[:-1]) / g.degrees
+        assert np.array_equal(transition_apply(g, v), expect)
+
+
+class TestRowRuns:
+    """A complete graph's matvec sums one row per run of equal rows and
+    repeats the sum; the result must not move by a bit."""
+
+    @pytest.mark.parametrize("sizes", [(7,), (9, 3), (5, 11, 1), (3, 5, 7, 9), (1, 3, 5, 7, 13)])
+    def test_block_graphs_have_one_run_per_block(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        p, q = rng.uniform(0.2, 3.0, size=2)
+        params = BlockModelParams(sizes=sizes, seed_counts=(1,) * len(sizes), p=p, q=q)
+        g = build_deterministic_block_graph(params)[0]
+        assert np.array_equal(g.row_runs, params.block_offsets())
+        _assert_weighted_reduction(g, rng)
+
+    def test_complete_unit_graph_is_one_run(self):
+        lo, hi = np.triu_indices(23)
+        g = build_graph(23, (lo, hi, np.ones(lo.size)))
+        assert g.indices.size == g.n * g.n and g.unit_weights
+        assert g.row_runs.tolist() == [0, 23]
+        _assert_weighted_reduction(g, np.random.default_rng(3))
+
+    def test_distinct_rows_are_runs_of_one(self):
+        rng = np.random.default_rng(4)
+        lo, hi = np.triu_indices(40)
+        g = build_graph(40, (lo, hi, rng.uniform(0.1, 3.0, size=lo.size)))
+        assert np.array_equal(g.row_runs, np.arange(41))
+        _assert_weighted_reduction(g, rng)
+
+    def test_interleaved_blocks_split_into_runs(self):
+        # a block graph whose nodes are shuffled: equal rows are not all adjacent
+        rng = np.random.default_rng(5)
+        block = rng.integers(0, 3, size=45)
+        lo, hi = np.triu_indices(45)
+        g = build_graph(45, (lo, hi, np.where(block[lo] == block[hi], 0.9, 0.2)))
+        dense = g.weights.reshape(g.n, g.n).tolist()
+        starts = [i for i in range(g.n) if i == 0 or dense[i] != dense[i - 1]]
+        assert g.row_runs.tolist() == starts + [g.n]
+        assert 3 < len(starts) < g.n
+        _assert_weighted_reduction(g, rng)
+
+    def test_single_node(self):
+        g = build_graph(1, [(0, 0, 0.75)])
+        assert g.row_runs.tolist() == [0, 1]
+        _assert_weighted_reduction(g, np.random.default_rng(6))
+
+    def test_block_graph_multiplies_one_row_per_block(self, monkeypatch):
+        g = complete_block_graph()
+        assert g.row_runs.size - 1 == 3
+        sizes = []
+
+        class Add:
+            def reduceat(self, values, starts):
+                sizes.append(values.size)
+                return np.add.reduceat(values, starts)
+
+        class Numpy:
+            add = Add()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(heatprop.graph, "np", Numpy())
+        transition_apply(g, np.ones(g.n))
+        assert sizes == [3 * g.n]
+
+
 def complete_block_graph() -> Graph:
     params = BlockModelParams(sizes=(40, 30, 20), seed_counts=(2, 1, 1), p=0.6, q=0.15)
     return build_deterministic_block_graph(params)[0]

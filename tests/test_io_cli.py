@@ -232,6 +232,16 @@ class TestConfigParsing:
         got = parse_config("# c\nsizes = 4,4  # inline\np = 1e-3\n")
         assert got == {"sizes": (4, 4), "p": 1e-3}
 
+    def test_hash_inside_a_value_is_kept(self):
+        got = parse_config("graph_file = run#1/g.edges  # a comment\n#sizes = 1\n  # indented\n")
+        assert got == {"graph_file": "run#1/g.edges"}
+
+    @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+    def test_bundled_configs_decode_as_with_any_hash_a_comment(self, name):
+        text = config_path(name).read_text(encoding="utf-8")
+        cut_at_any_hash = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+        assert parse_config(text) == parse_config(cut_at_any_hash)
+
     def test_missing_equals(self):
         with pytest.raises(ValidationError, match="line 1"):
             parse_config("sizes 4,4\n")
@@ -779,6 +789,20 @@ class TestCli:
         results = [(tmp_path / name / "results.csv").read_bytes() for name in ("bundled", "files")]
         assert results[0] == results[1]
         assert len(results[0].splitlines()) == 1 + 3 * 2
+
+    def test_bench_files_source_under_a_hash_directory(self, tmp_path):
+        # classify --graph reads this path, and so must a config's graph_file
+        run = tmp_path / "run#1"
+        run.mkdir()
+        for ext in ("edges", "labels"):
+            (run / f"blocks2.{ext}").write_bytes(data_path(f"blocks2.{ext}").read_bytes())
+        cfg = run / "files.cfg"
+        cfg.write_text(
+            f"source = files\ngraph_file = {run / 'blocks2.edges'}\n"
+            f"labels_file = {run / 'blocks2.labels'}  # inline\npolicy = uniform\nrepetitions = 2\n"
+        )
+        assert self.run("bench", "--config", str(cfg), "--out-dir", str(run / "out")) == 0
+        assert len((run / "out" / "results.csv").read_text().splitlines()) == 1 + 2 * 2
 
     def test_bench_directed_files_source(self, tmp_path, capsys):
         # the labels sit on the source copies of the bipartite lift, which

@@ -220,8 +220,8 @@ def random_lines(rng, rows, fields_of, sep, comment_prefix, fault):
 def random_case(rng):
     delimiter, sep = MODES[int(rng.integers(len(MODES)))]
     alphabet = ASCII + (WIDE if rng.random() < 0.4 else "") + (":|" if rng.random() < 0.2 else "")
-    # the loaders skip "#" lines only: both read a "//" line as data
-    comment_prefix = str(rng.choice(["#", "#", "//", ""]))
+    # the loaders skip "#" lines only
+    comment_prefix = str(rng.choice(["#", "#", ""]))
     weighted = bool(rng.random() < 0.4)
     ids = [random_token(rng, alphabet) for _ in range(int(rng.integers(2, 25)))]
     rows = int(rng.integers(0, 40))
