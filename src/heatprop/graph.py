@@ -227,21 +227,21 @@ def transition_apply(g: Graph, v) -> np.ndarray:
     Graphs whose weights are all 1.0 (``g.unit_weights``) skip the multiply,
     which is exact for them, so the result is the same to the bit. A complete
     graph (``n^2`` stored entries, so every row holds every column in order)
-    skips the column gather instead: its products are the rows of the
-    ``(n, n)`` weights times ``v``, the same products in the same layout, and
-    where rows repeat (``g.row_runs``) one row per run is summed and repeated.
+    skips the column gather instead and multiplies only the first row of each
+    run of equal rows (``g.row_runs``) by ``v``: equal rows give the same
+    products in the same layout, so one sum per run, repeated over the run,
+    is the same to the bit.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (g.n,):
         raise ValidationError(f"vector length {v.shape} does not match node count {g.n}")
     if g.indices.size == g.n * g.n:
-        w, runs = g.weights.reshape(g.n, g.n), g.row_runs
-        if runs.size <= g.n:  # some row repeats; otherwise no row is copied
-            sums = np.add.reduceat((w[runs[:-1]] * v).ravel(), g.indptr[: runs.size - 1])
-            return np.repeat(sums, np.diff(runs)) / g.degrees
-        contrib = (w * v).ravel()
-    else:
-        contrib = v[g.indices] if g.unit_weights else g.weights * v[g.indices]
+        runs = g.row_runs
+        rows = g.weights.reshape(g.n, g.n)[runs[:-1]]  # a copy: multiplied in place
+        rows *= v
+        sums = np.add.reduceat(rows.ravel(), g.indptr[: runs.size - 1])
+        return np.repeat(sums, np.diff(runs)) / g.degrees
+    contrib = v[g.indices] if g.unit_weights else g.weights * v[g.indices]
     # no empty rows (degrees are positive), so reduceat segments are well formed
     return np.add.reduceat(contrib, g.indptr[:-1]) / g.degrees
 

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -14,14 +15,16 @@ def load_recorder():
 
 def test_bundled_point_holds_its_keys(tmp_path):
     recorder = load_recorder()
+    path_before = sys.path[:]
     point = recorder.record_bundled(ROOT, ["fig2a-small"], repeats=1, work=tmp_path / "work")
+    assert sys.path == path_before and "tracing" not in sys.modules
     path = tmp_path / "BENCH_bundled.json"
     recorder.append_point(path, point)
     recorder.append_point(path, point)  # the same commit and sources: replaced, not added
     (saved,) = json.loads(path.read_text(encoding="utf-8"))["points"]
     assert set(saved) == {
-        "commit", "dirty", "source_sha256", "python", "numpy", "nproc", "cpu_model",
-        "num_threads_env", "repeats", "configs",
+        "commit", "source_sha256", "python", "numpy", "nproc", "cpu_model", "num_threads_env",
+        "HEATPROP_THREADS_before_unset", "num_threads_env_before_pinning", "repeats", "configs",
     }
     assert saved["repeats"] == 1 and list(saved["configs"]) == ["fig2a-small"]
     run = saved["configs"]["fig2a-small"]

@@ -14,8 +14,12 @@ For the checkout (default: this one) it
 
 Each part appends one point per commit to ``BENCH_<workload>.json`` and
 ``BENCH_bundled.json`` at the root of this repository. A point recorded again
-for the same commit and sources replaces the old one. The ``*_NUM_THREADS``
-variables are pinned to 1 before numpy is imported, as run.py pins them. To
+for the same commit and sources replaces the old one. A point opens with the
+environment that the checkout's run.py reports: the commit (None without a
+``.git`` directory), the source digest, the Python and numpy versions, the
+core count, the CPU model and the thread variables. As in run.py,
+``HEATPROP_THREADS`` is unset and the ``*_NUM_THREADS`` variables are pinned
+to 1 before numpy is imported. To
 record another commit, check it out elsewhere (for example with ``git
 clone``) and pass it as ``--checkout``.
 """
@@ -25,11 +29,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import cProfile
-import hashlib
+import importlib.util
 import io
 import json
 import os
-import platform
 import pstats
 import statistics
 import subprocess
@@ -40,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+BEFORE = {k: v for k, v in sorted(os.environ.items()) if k == "HEATPROP_THREADS" or k.endswith("_NUM_THREADS")}
 REPEATS = 3
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 # traced metrics that time functions the package no longer has; they read 0
@@ -66,44 +70,35 @@ LAYERS = {
 }
 
 
-def _git(checkout: Path, *args: str) -> str:
-    return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True, check=True).stdout.strip()
-
-
-def _cpu_model() -> str:
+@contextlib.contextmanager
+def _path_first(directory: Path):
+    """Put ``directory`` first on sys.path for the block, then restore sys.path."""
+    saved = sys.path[:]
+    sys.path.insert(0, str(directory))
     try:
-        with open("/proc/cpuinfo", encoding="utf-8") as handle:
-            for line in handle:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
+        yield
+    finally:
+        sys.path[:] = saved
 
 
-def _source_digest(checkout: Path) -> str:
-    """The digest run.py reports as ``source_sha256``."""
-    h = hashlib.sha256()
-    for path in sorted((checkout / "src" / "heatprop").rglob("*.py")):
-        h.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
-
-
-def machine(checkout: Path) -> dict:
-    """The commit and sources a point measures, and where it ran. ``dirty``
-    is true when the package or the benchmark differ from the commit."""
-    import numpy
-
-    return {
-        "commit": _git(checkout, "rev-parse", "HEAD"),
-        "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src", "perfbench")),
-        "source_sha256": _source_digest(checkout),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "nproc": len(os.sched_getaffinity(0)),
-        "cpu_model": _cpu_model(),
-        "num_threads_env": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
-    }
+def environment(checkout: Path) -> dict:
+    """The commit and sources a point measures, and where it ran, from the
+    checkout's own ``perfbench/run.py``. That module and the ones it imports
+    from its directory are dropped again, so they shadow nothing later."""
+    bench = checkout / "perfbench"
+    spec = importlib.util.spec_from_file_location("_bench_run", bench / "run.py")
+    siblings = {name: sys.modules.get(name) for name in [spec.name, *(p.stem for p in bench.glob("*.py"))]}
+    run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    try:
+        with _path_first(bench):
+            spec.loader.exec_module(run)
+    finally:
+        for name, module in siblings.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module
+    return run.environment(BEFORE)
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +125,14 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trac
 def record_workload(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """A point of ``BENCH_<workload>.json``: the end-to-end metrics of an
     untraced run and the per-layer metrics of a traced one, each as run.py
-    reports them (a timing is the median over a slot's timed calls)."""
-    point = {**machine(checkout), "workload": workload, "seed": seed, "seconds": seconds, "errors": []}
+    reports them (a timing is the median over a slot's timed calls), with
+    the environment of the first report."""
+    point, env = {"workload": workload, "seed": seed, "seconds": seconds, "errors": []}, None
     for trace, key in ((0, "end_to_end"), (1, "per_layer")):
         data, errors = run_perfbench(checkout, workload, seed, seconds, trace)
         point["errors"] += errors
+        if data and env is None:
+            env = data["info"]["environment"]
         metrics = {name: m["value"] for name, m in data["result"]["metrics"].items()} if data else {}
         point[key] = metrics
         if data and trace == 0:
@@ -143,7 +141,7 @@ def record_workload(checkout: Path, workload: str, seed: int, seconds: float) ->
         if trace == 1:
             point["counters"] = {name: metrics[name] for name in COUNTERS if name in metrics}
             point["always_zero"] = {name: why for name, why in DEAD_METRICS.items() if metrics.get(name) == 0}
-    return point
+    return {**(env or environment(checkout)), **point}
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +149,8 @@ def record_workload(checkout: Path, workload: str, seed: int, seconds: float) ->
 
 
 def _import_cli(checkout: Path):
-    sys.path.insert(0, str(checkout / "src"))
-    import heatprop.cli
+    with _path_first(checkout / "src"):
+        import heatprop.cli
 
     if not Path(heatprop.cli.__file__).resolve().is_relative_to(checkout.resolve() / "src"):
         raise RuntimeError(f"heatprop imported from {heatprop.cli.__file__}, not from {checkout}")
@@ -243,7 +241,7 @@ def record_bundled(checkout: Path, configs: list[str], repeats: int, work: Path)
     ``record_config``, with its outputs written under ``work``."""
     cli = _import_cli(checkout)
     package = Path(cli.__file__).resolve().parent
-    point = {**machine(checkout), "repeats": repeats, "configs": {}}
+    point = {**environment(checkout), "repeats": repeats, "configs": {}}
     for config in configs:
         point["configs"][config] = record_config(cli.main, package, config, repeats, work)
     return point
@@ -265,6 +263,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--checkout", type=Path, default=ROOT, help="source checkout to measure")
     checkout = p.parse_args(argv).checkout.resolve()
+    os.environ.pop("HEATPROP_THREADS", None)
     os.environ.update(PINNED_ENV)  # before numpy is imported
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     for workload in (w["name"] for w in bench["workloads"]):
