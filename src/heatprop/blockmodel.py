@@ -61,46 +61,45 @@ class BlockModelParams:
 
 @dataclass(frozen=True)
 class BlockTemperatures:
-    """Equilibrium temperatures of non-seed nodes, one value per block, for
-    the diffusion where the hot block's seeds are pinned at 1."""
+    """Equilibrium temperatures of non-seed nodes for all K one-vs-all
+    diffusions: ``per_block[k - 1, b]`` is block ``b``'s value in the
+    diffusion where label ``k``'s seeds are pinned at 1, and ``mean[k - 1]``
+    is that diffusion's mean temperature over all nodes."""
 
     per_block: np.ndarray
-    mean: float
-    deltas: np.ndarray
+    mean: np.ndarray
 
 
-def closed_form_temperatures(params: BlockModelParams, hot: int = 1) -> BlockTemperatures:
+def closed_form_temperatures(params: BlockModelParams) -> BlockTemperatures:
     """Exact non-seed temperatures on the deterministic block graph.
 
-    With ``a_k = s_k (p - q) + n q``, the mean temperature is
+    With ``a_k = s_k (p - q) + n q``, the mean temperature of label ``h``'s
+    diffusion is
 
-        mean = (s_h / n) * (n_h (p-q) + n q) / a_h
-               / (1 - sum_k (n_k - s_k) q / a_k)
+        mean_h = (s_h / n) * (n_h (p-q) + n q) / a_h
+                 / (1 - sum_k (n_k - s_k) q / a_k)
 
-    and the per-block values follow from ``a_h T_h = s_h (p-q) + n q mean``
-    (hot block) and ``a_k T_k = n q mean`` (all others). Every term is
+    and its per-block values follow from ``a_h T_h = s_h (p-q) + n q mean_h``
+    (hot block) and ``a_k T_k = n q mean_h`` (all others). The denominator
+    does not depend on ``h``, so it is computed once. Every term is
     homogeneous in ``(p, q)``, so the result depends only on ``p / q``; both
     weights are first divided by the largest power of two not above the
     larger one, which keeps ``n q`` finite and changes no rounding.
     """
-    if not 1 <= hot <= params.num_blocks:
-        raise ValidationError(f"hot label {hot} out of range [1, {params.num_blocks}]")
     sizes = np.asarray(params.sizes, dtype=np.float64)
     seeds = np.asarray(params.seed_counts, dtype=np.float64)
     scale = math.ldexp(1.0, math.frexp(max(params.p, params.q))[1] - 1)
     p, q, n = params.p / scale, params.q / scale, float(params.n)
-    h = hot - 1
 
     a = seeds * (p - q) + n * q  # equals s_k p + (n - s_k) q > 0
-    numerator = (seeds[h] / n) * (sizes[h] * (p - q) + n * q) / a[h]
     denominator = 1.0 - float(np.sum((sizes - seeds) * q / a))
     if denominator <= 0:
         raise NumericalError("mean-temperature denominator is nonpositive; parameters out of the valid range")
-    mean = numerator / denominator
+    mean = (seeds / n) * (sizes * (p - q) + n * q) / a / denominator
 
-    per_block = n * mean * q / a
-    per_block[h] = (seeds[h] * (p - q) + n * mean * q) / a[h]
-    return BlockTemperatures(per_block=per_block, mean=mean, deltas=per_block - mean)
+    per_block = n * mean[:, None] * q / a
+    np.fill_diagonal(per_block, (seeds * (p - q) + n * mean * q) / a)
+    return BlockTemperatures(per_block=per_block, mean=mean)
 
 
 def block_labels(params: BlockModelParams) -> NodePartition:
@@ -145,7 +144,7 @@ def vanilla_consistency_condition(params: BlockModelParams, hot: int, other: int
     """Whether uncentered scores classify block ``hot``'s interior correctly
     against label ``other``: true iff the hot block's non-seed temperature in
     its own diffusion exceeds its temperature in ``other``'s diffusion, both
-    taken from ``closed_form_temperatures``.
+    read from the one ``closed_form_temperatures`` table.
 
     Can be false even when ``p > q``, which is the failure mode that
     temperature centering removes.
@@ -153,12 +152,11 @@ def vanilla_consistency_condition(params: BlockModelParams, hot: int, other: int
     kb = params.num_blocks
     if not (1 <= hot <= kb and 1 <= other <= kb) or hot == other:
         raise ValidationError("hot and other must be distinct labels in range")
-    own = closed_form_temperatures(params, hot).per_block[hot - 1]
-    rival = closed_form_temperatures(params, other).per_block[hot - 1]
-    return bool(own > rival)
+    t = closed_form_temperatures(params).per_block
+    return bool(t[hot - 1, hot - 1] > t[other - 1, hot - 1])
 
 
-def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[int, BlockModelParams, int, float]]:
+def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[BlockModelParams, int, float]]:
     """Compare ``closed_form_temperatures`` with ``solve_iterative`` on
     ``points`` random block models. A draw has 1-5 blocks; with ``kb``
     blocks, each has 2 to ``max(2, max_block_nodes // kb - 1)`` nodes, so
@@ -166,8 +164,9 @@ def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[int, 
     ``max_block_nodes // kb`` is at least 3. Each draw is solved at
     tolerance 0, which runs conjugate gradients to the rounding level.
 
-    Returns ``(point, params, hot, gap)`` per draw with non-seed nodes; the gap
-    is the largest distance of a non-seed temperature from its block's value.
+    Returns one row ``(params, hot, gap)`` per draw, in draw order; the gap
+    is the largest distance of a non-seed temperature from its block's value,
+    and 0 when every node is a seed.
     """
     if points < 1:
         raise ValidationError(f"the oracle grid needs at least 1 point, got {points}")
@@ -178,7 +177,7 @@ def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[int, 
         raise ValidationError(f"the oracle grid needs max_block_nodes of at most {cap}, got {max_block_nodes}")
     rng = np.random.default_rng(rng_seed)
     rows = []
-    for idx in range(points):
+    for _ in range(points):
         kb = int(rng.integers(1, 6))
         sizes, seeds_c = [], []
         for _ in range(kb):
@@ -188,13 +187,11 @@ def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[int, 
         p, q = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0))
         params = BlockModelParams(sizes=tuple(sizes), seed_counts=tuple(seeds_c), p=p, q=q)
         hot = int(rng.integers(1, kb + 1))
-        if params.seed_counts == params.sizes:  # no non-seed node to compare
-            continue
         graph, _, seeds = build_deterministic_block_graph(params)
-        oracle = closed_form_temperatures(params, hot=hot)
+        per_block = closed_form_temperatures(params).per_block[hot - 1]
         problem = one_vs_all_problem(graph, seeds, hot)
         values = solve_iterative(problem, SolverOptions(tolerance=0.0)).values
-        rows.append((idx, params, hot, _block_disagreement(params, seeds, values, oracle.per_block)))
+        rows.append((params, hot, _block_disagreement(params, seeds, values, per_block)))
     return rows
 
 
@@ -292,8 +289,6 @@ def _distinct_integers(rng, total: int, count: int) -> np.ndarray:
     """
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    if count > total:
-        raise ValidationError("cannot sample more distinct integers than the population")
     pick = _sorted_unique(rng.integers(0, total, size=count))
     while pick.size < count:
         extra = rng.integers(0, total, size=2 * (count - pick.size) + 8)

@@ -332,12 +332,12 @@ def _run_oracle_grid(cfgv: dict, out_dir: Path) -> int:
     _reject_unread(cfgv)
     rows = oracle_grid(points, max_block_nodes, seed)
     lines = ["point,num_blocks,n,p,q,hot,max_abs_diff"]
-    for idx, params, hot, diff in rows:
+    for idx, (params, hot, diff) in enumerate(rows):
         lines.append(f"{idx},{params.num_blocks},{params.n},{_fmt(params.p)},{_fmt(params.q)},{hot},{diff!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "oracle_agreement.csv"
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    worst = max([0.0, *(diff for *_, diff in rows)])
+    worst = max(diff for *_, diff in rows)
     print(f"oracle grid: {points} points, worst block disagreement {worst:.3e} -> {out}")
     return 0
 
@@ -379,24 +379,22 @@ def _cmd_bench(args) -> int:
 
 def _add_oracle(sub):
     p = sub.add_parser("oracle", help="closed-form block-model temperatures")
-    p.add_argument("--K", type=int, required=True, dest="num_blocks")
     p.add_argument("--sizes", type=int_list, required=True, help="comma-separated block sizes")
     p.add_argument("--seeds", type=int_list, required=True, help="comma-separated per-block seed counts")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--hot", type=int, default=1)
+    p.add_argument("--hot", type=int, default=1, help="label whose diffusion is printed, 1..K")
 
 
 def _cmd_oracle(args) -> int:
-    if len(args.sizes) != args.num_blocks or len(args.seeds) != args.num_blocks:
-        raise ValidationError("--sizes and --seeds must list exactly K values")
     params = BlockModelParams(sizes=args.sizes, seed_counts=args.seeds, p=args.p, q=args.q)
-    temps = closed_form_temperatures(params, hot=args.hot)
-    print(f"mean temperature = {_fmt(temps.mean)}")
+    if not 1 <= args.hot <= params.num_blocks:
+        raise ValidationError(f"hot label {args.hot} out of range [1, {params.num_blocks}]")
+    temps = closed_form_temperatures(params)
+    row, mean = temps.per_block[args.hot - 1], temps.mean[args.hot - 1]
+    print(f"mean temperature = {_fmt(mean)}")
     for k in range(params.num_blocks):
-        print(
-            f"block {k + 1}: T = {_fmt(temps.per_block[k])}  delta = {_fmt(temps.deltas[k])}"
-        )
+        print(f"block {k + 1}: T = {_fmt(row[k])}  delta = {_fmt(row[k] - mean)}")
     for b, other in permutations(range(1, params.num_blocks + 1), 2):
         ok = vanilla_consistency_condition(params, hot=b, other=other)
         print(f"vanilla condition block {b} vs {other}: {'TRUE' if ok else 'FALSE'}")

@@ -5,13 +5,18 @@ No package path uses them: the package solves every Dirichlet problem with
 solver and the block-model closed form are compared with, ``jacobi_sweep``
 the plain relaxation step, ``dense_adjacency`` the dense view of a CSR
 graph, ``two_stage_build_graph`` the CSR assembly that ``build_graph``
-must reproduce to the bit, and ``validate_layout`` the layout checks that
-``Graph`` must make in the same order, with the same messages.
+must reproduce to the bit, ``validate_layout`` the layout checks that
+``Graph`` must make in the same order, with the same messages, and
+``closed_form_row`` the one-diffusion block-model closed form whose rows
+``closed_form_temperatures`` must reproduce to the bit.
 """
+
+import math
 
 import numpy as np
 
 from heatprop import (
+    BlockModelParams,
     DirichletProblem,
     Graph,
     IsolatedNodeError,
@@ -180,3 +185,26 @@ def validate_layout(n: int, indptr: np.ndarray, indices: np.ndarray, weights: np
             f"isolated node(s) with zero degree: {_format_nodes(bad)}", bad.tolist()
         )
     return row_sums
+
+
+def closed_form_row(params: BlockModelParams, hot: int) -> tuple[np.ndarray, float]:
+    """Per-block non-seed temperatures and the mean temperature of label
+    ``hot``'s diffusion, computed for that one label alone."""
+    if not 1 <= hot <= params.num_blocks:
+        raise ValidationError(f"hot label {hot} out of range [1, {params.num_blocks}]")
+    sizes = np.asarray(params.sizes, dtype=np.float64)
+    seeds = np.asarray(params.seed_counts, dtype=np.float64)
+    scale = math.ldexp(1.0, math.frexp(max(params.p, params.q))[1] - 1)
+    p, q, n = params.p / scale, params.q / scale, float(params.n)
+    h = hot - 1
+
+    a = seeds * (p - q) + n * q  # equals s_k p + (n - s_k) q > 0
+    numerator = (seeds[h] / n) * (sizes[h] * (p - q) + n * q) / a[h]
+    denominator = 1.0 - float(np.sum((sizes - seeds) * q / a))
+    if denominator <= 0:
+        raise NumericalError("mean-temperature denominator is nonpositive; parameters out of the valid range")
+    mean = numerator / denominator
+
+    per_block = n * mean * q / a
+    per_block[h] = (seeds[h] * (p - q) + n * mean * q) / a[h]
+    return per_block, mean

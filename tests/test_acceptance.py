@@ -75,9 +75,9 @@ def test_criterion_01_oracle_agreement_randomized():
         graph, _, seeds = build_deterministic_block_graph(params)
         if seeds.nodes.size == graph.n:
             continue
-        oracle = closed_form_temperatures(params, hot)
+        oracle = closed_form_temperatures(params).per_block[hot - 1]
         field = solve_exact(_hot_problem(graph, seeds, hot))
-        worst = max(worst, _blockwise_disagreement(params, seeds, field.values, oracle.per_block))
+        worst = max(worst, _blockwise_disagreement(params, seeds, field.values, oracle))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10
     assert elapsed < 10.0
@@ -86,10 +86,10 @@ def test_criterion_01_oracle_agreement_randomized():
 
 def test_criterion_02_worked_instance():
     params = BlockModelParams(sizes=(2, 2), seed_counts=(1, 1), p=2.0, q=1.0)
-    oracle = closed_form_temperatures(params, hot=1)
-    assert abs(oracle.mean - 0.5) <= 1e-12
-    assert abs(oracle.per_block[0] - 0.6) <= 1e-12
-    assert abs(oracle.per_block[1] - 0.4) <= 1e-12
+    oracle = closed_form_temperatures(params)
+    assert abs(oracle.mean[0] - 0.5) <= 1e-12
+    assert abs(oracle.per_block[0, 0] - 0.6) <= 1e-12
+    assert abs(oracle.per_block[0, 1] - 0.4) <= 1e-12
     graph, _, seeds = build_deterministic_block_graph(params)
     field = solve_exact(_hot_problem(graph, seeds))
     assert np.abs(field.values - np.array([1.0, 0.6, 0.0, 0.4])).max() <= 1e-12

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import heatprop.blockmodel
 import heatprop.solver
 from heatprop import (
     BlockModelParams,
@@ -20,7 +21,7 @@ from heatprop import (
 from heatprop.blockmodel import _distinct_integers, _upper_triangle_decode, oracle_grid
 from heatprop.classify import classify, one_vs_all_fields, scores_from_fields
 from conftest import count_calls
-from reference import dense_adjacency, solve_exact
+from reference import closed_form_row, dense_adjacency, solve_exact
 
 
 def random_params(rng, max_nodes=200, require_p_gt_q=False):
@@ -57,51 +58,81 @@ def solver_block_temps(params, hot):
 class TestClosedForm:
     def test_worked_instance(self):
         params = BlockModelParams(sizes=(2, 2), seed_counts=(1, 1), p=2.0, q=1.0)
-        bt = closed_form_temperatures(params, hot=1)
-        assert bt.mean == pytest.approx(0.5, abs=1e-15)
-        assert bt.per_block[0] == pytest.approx(3 / 5, abs=1e-15)
-        assert bt.per_block[1] == pytest.approx(2 / 5, abs=1e-15)
-        assert np.allclose(bt.deltas, [0.1, -0.1], atol=1e-15)
+        bt = closed_form_temperatures(params)
+        assert bt.mean[0] == pytest.approx(0.5, abs=1e-15)
+        assert bt.per_block[0, 0] == pytest.approx(3 / 5, abs=1e-15)
+        assert bt.per_block[0, 1] == pytest.approx(2 / 5, abs=1e-15)
+        assert np.allclose(bt.per_block[0] - bt.mean[0], [0.1, -0.1], atol=1e-15)
 
     def test_symmetric_blocks_share_cold_temperature(self):
         params = BlockModelParams(sizes=(8, 8, 8), seed_counts=(2, 2, 2), p=1.7, q=0.6)
+        bt = closed_form_temperatures(params)
         for hot in (1, 2, 3):
-            bt = closed_form_temperatures(params, hot)
-            cold = np.delete(bt.per_block, hot - 1)
+            cold = np.delete(bt.per_block[hot - 1], hot - 1)
             assert np.ptp(cold) < 1e-14
 
     def test_equal_weights_flatten_deltas(self):
         params = BlockModelParams(sizes=(5, 9), seed_counts=(2, 3), p=1.3, q=1.3)
-        bt = closed_form_temperatures(params, hot=1)
-        assert np.abs(bt.deltas).max() < 1e-14
+        bt = closed_form_temperatures(params)
+        assert np.abs(bt.per_block - bt.mean[:, None]).max() < 1e-14
 
     def test_mean_identity(self):
         rng = np.random.default_rng(43)
         for _ in range(30):
             params = random_params(rng)
             hot = int(rng.integers(1, params.num_blocks + 1))
-            bt = closed_form_temperatures(params, hot)
+            bt = closed_form_temperatures(params)
             sizes = np.asarray(params.sizes, dtype=float)
             seeds = np.asarray(params.seed_counts, dtype=float)
-            lhs = params.n * bt.mean
-            rhs = seeds[hot - 1] + float(((sizes - seeds) * bt.per_block).sum())
+            lhs = params.n * bt.mean[hot - 1]
+            rhs = seeds[hot - 1] + float(((sizes - seeds) * bt.per_block[hot - 1]).sum())
             assert lhs == pytest.approx(rhs, abs=1e-12 * params.n)
 
     def test_mean_stays_in_unit_interval(self):
         rng = np.random.default_rng(47)
         for _ in range(50):
             params = random_params(rng)
-            bt = closed_form_temperatures(params, hot=1)
+            bt = closed_form_temperatures(params)
             if params.num_blocks == 1:
                 # every seed is hot: the mean is exactly 1 up to rounding
-                assert bt.mean == pytest.approx(1.0, abs=1e-12)
+                assert bt.mean[0] == pytest.approx(1.0, abs=1e-12)
             else:
-                assert 0.0 < bt.mean < 1.0
+                assert 0.0 < bt.mean[0] < 1.0
 
-    def test_hot_out_of_range(self):
-        params = BlockModelParams(sizes=(2, 2), seed_counts=(1, 1), p=2.0, q=1.0)
-        with pytest.raises(ValidationError):
-            closed_form_temperatures(params, hot=3)
+    def test_table_matches_the_per_label_reference(self):
+        # one table equals, to the bit, the K one-label computations it
+        # replaced: K = 1 to 6, p / q from 1e-4 to 1e3 with p = q among
+        # them, and weights from 1e-3 up to near the float maximum
+        rng = np.random.default_rng(83)
+        ratios = np.concatenate([10.0 ** rng.uniform(-4, 3, size=1195), np.ones(5)])
+        for i, ratio in enumerate(ratios):
+            kb = 1 + i % 6
+            sizes = rng.integers(1, 60, size=kb)
+            seeds = rng.integers(1, sizes + 1)
+            base = (1e-3, 1.0, 1e150, 1.7e308 / max(ratio, 1.0))[i % 4]
+            params = BlockModelParams(tuple(sizes), tuple(seeds), p=ratio * base, q=base)
+            if i % 2:
+                params = BlockModelParams(tuple(sizes), tuple(seeds), p=base, q=ratio * base)
+            bt = closed_form_temperatures(params)
+            assert bt.per_block.shape == (kb, kb) and bt.mean.shape == (kb,)
+            for hot in range(1, kb + 1):
+                per_block, mean = closed_form_row(params, hot)
+                assert np.array_equal(bt.per_block[hot - 1], per_block), (params, hot)
+                assert np.array_equal(bt.mean[hot - 1], mean), (params, hot)
+
+    @pytest.mark.parametrize(
+        "sizes, seeds, p, q",
+        [((10,), (1,), 1e-300, 1.0), ((7,), (3,), 1.0, 1e300), ((10,), (1,), 1e-17, 1.0)],
+    )
+    def test_table_raises_where_the_per_label_reference_raises(self, sizes, seeds, p, q):
+        # on one block, p / q below half the float epsilon rounds the
+        # mean-temperature denominator to zero
+        params = BlockModelParams(sizes, seeds, p=p, q=q)
+        for hot in range(1, params.num_blocks + 1):
+            with pytest.raises(NumericalError, match="denominator is nonpositive"):
+                closed_form_row(params, hot)
+        with pytest.raises(NumericalError, match="denominator is nonpositive"):
+            closed_form_temperatures(params)
 
 
 class TestOracleAgreement:
@@ -115,29 +146,46 @@ class TestOracleAgreement:
         for _ in range(25):
             params = random_params(rng)
             hot = int(rng.integers(1, params.num_blocks + 1))
-            oracle = closed_form_temperatures(params, hot)
+            oracle = closed_form_temperatures(params).per_block[hot - 1]
             solved, _ = solver_block_temps(params, hot)
             mask = ~np.isnan(solved)
-            assert np.abs(solved[mask] - oracle.per_block[mask]).max() < 1e-10
+            assert np.abs(solved[mask] - oracle[mask]).max() < 1e-10
 
 
 class TestOracleGrid:
     def test_checks_the_conjugate_gradient_solver(self, monkeypatch):
         iterative = count_calls(monkeypatch, heatprop.solver, "solve_iterative")
         rows = oracle_grid(30, 60, 0)
-        # one solve per draw with non-seed nodes, run to the rounding level
-        assert len(rows) > 0 and len(iterative) == len(rows)
+        # one solve per draw, run to the rounding level
+        assert len(rows) == 30 and len(iterative) == len(rows)
         assert all(opts.tolerance == 0.0 for _, opts in iterative)
         assert max(gap for *_, gap in rows) < 1e-13
 
-    def test_leaves_out_draws_without_a_non_seed_node(self, monkeypatch):
-        iterative = count_calls(monkeypatch, heatprop.solver, "solve_iterative")
-        # blocks of 2 to 5 nodes: many draws seed every node
+    def test_all_seed_draw_is_a_row_with_gap_zero(self, monkeypatch):
+        solves = []
+
+        def recorded(*args, **kwargs):
+            solves.append(heatprop.solver.solve_iterative(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(heatprop.blockmodel, "solve_iterative", recorded)
+        # blocks of 2 to 5 nodes: 5 of the 40 draws seed every node
         rows = oracle_grid(40, 6, 3)
-        assert 0 < len(rows) < 40
-        assert all(sum(params.seed_counts) < params.n for _, params, _, _ in rows)
-        assert len(iterative) == len(rows)
-        assert max(gap for *_, gap in rows) < 1e-13
+        assert len(rows) == len(solves) == 40
+        all_seed = [sum(params.seed_counts) == params.n for params, _, _ in rows]
+        assert sum(all_seed) == 5
+        for (_, _, gap), solve, full in zip(rows, solves, all_seed):
+            if full:
+                assert gap == 0.0 and solve.info.iterations == 0
+        # the other draws are the rows that the grid gave when it skipped
+        # the all-seed draws, to the bit
+        kept = [
+            (params.sizes, params.seed_counts, params.p, params.q, hot, gap)
+            for (params, hot, gap), full in zip(rows, all_seed)
+            if not full
+        ]
+        digest = hashlib.sha256(repr(kept).encode()).hexdigest()
+        assert digest == "d278e55ba5c5de40f3a34fb6e25a926d47f3b56e233324fdcecb8e5952dc3b4f"
 
 
 class TestTheoremConsistency:
@@ -156,13 +204,14 @@ class TestTheoremConsistency:
         for _ in range(30):
             params = random_params(rng, require_p_gt_q=True)
             hot = int(rng.integers(1, params.num_blocks + 1))
-            bt = closed_form_temperatures(params, hot)
+            bt = closed_form_temperatures(params)
+            deltas = bt.per_block[hot - 1] - bt.mean[hot - 1]
             if params.num_blocks == 1:
                 # every seed is hot: the field is constant and the delta is 0
-                assert np.abs(bt.deltas).max() < 1e-12
+                assert np.abs(deltas).max() < 1e-12
                 continue
-            assert bt.deltas[hot - 1] > 0
-            others = np.delete(bt.deltas, hot - 1)
+            assert deltas[hot - 1] > 0
+            others = np.delete(deltas, hot - 1)
             assert (others < 0).all()
 
 

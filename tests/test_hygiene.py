@@ -407,7 +407,7 @@ def run_entry_points(tmp: Path):
     ]
     for argv in runs:
         assert main(["classify", *argv, "--out", out]) == 0, argv
-    assert main(["oracle", "--K", "2", "--sizes", "2,2", "--seeds", "1,1", "--p", "2", "--q", "1"]) == 0
+    assert main(["oracle", "--sizes", "2,2", "--seeds", "1,1", "--p", "2", "--q", "1"]) == 0
     # the bench on directed files, whose labels sit on the source copies
     (tmp / "d.edges").write_text("a b\nb c\nc d\nd a\na c\nc a\nb d\nd b\n")
     (tmp / "d.labels").write_text("a x\nb y\nc x\nd y\n")

@@ -22,6 +22,14 @@ from reference import dense_adjacency
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 BUNDLED_CONFIGS = sorted(path.stem for path in data_path("configs").glob("*.cfg"))
+# `heatprop oracle` command lines whose stdout is kept in tests/data/golden/oracle/<name>.txt
+ORACLE_GOLDENS = {
+    "k1": "--sizes 10 --seeds 3 --p 2 --q 1",
+    "k2": "--sizes 50,50 --seeds 10,2 --p 2 --q 1 --hot 2",
+    "k3": "--sizes 8,12,20 --seeds 2,5,3 --p 1.7 --q 0.6 --hot 3",
+    "k5": "--sizes 7,11,13,17,19 --seeds 1,2,3,4,5 --p 0.9 --q 1.3 --hot 4",
+    "near-max-weights": "--sizes 2,2 --seeds 1,1 --p 1.7e308 --q 1e308",
+}
 UNREAD = "config keys that this run never reads: "
 # each malformed config line (set after a valid prefix) and a part of its one error line
 MALFORMED_CONFIGS = {
@@ -928,7 +936,7 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", ["--sizes", "--seeds"])
     def test_oracle_malformed_counts_are_usage_errors(self, capsys, flag):
-        argv = {"--K": "2", "--sizes": "2,2", "--seeds": "1,1", "--p": "2", "--q": "1"}
+        argv = {"--sizes": "2,2", "--seeds": "1,1", "--p": "2", "--q": "1"}
         argv[flag] = "2,x"
         with pytest.raises(SystemExit) as exc:
             self.run("oracle", *(item for pair in argv.items() for item in pair))
@@ -936,7 +944,7 @@ class TestCli:
         assert f"argument {flag}" in capsys.readouterr().err
 
     def test_oracle_worked_instance(self, capsys):
-        assert self.run("oracle", "--K", "2", "--sizes", "2,2", "--seeds", "1,1",
+        assert self.run("oracle", "--sizes", "2,2", "--seeds", "1,1",
                         "--p", "2", "--q", "1") == 0
         out = capsys.readouterr().out
         assert "mean temperature = 0.5" in out
@@ -944,7 +952,7 @@ class TestCli:
         assert "block 2: T = 0.4" in out
 
     def test_oracle_equal_weights_zero_deltas(self, capsys):
-        assert self.run("oracle", "--K", "2", "--sizes", "5,7", "--seeds", "2,3",
+        assert self.run("oracle", "--sizes", "5,7", "--seeds", "2,3",
                         "--p", "1.5", "--q", "1.5") == 0
         out = capsys.readouterr().out
         deltas = [
@@ -955,7 +963,7 @@ class TestCli:
         assert len(deltas) == 2 and max(deltas) < 1e-12
 
     def test_oracle_asymmetric_seeds_flag_false(self, capsys):
-        assert self.run("oracle", "--K", "2", "--sizes", "50,50", "--seeds", "10,2",
+        assert self.run("oracle", "--sizes", "50,50", "--seeds", "10,2",
                         "--p", "2", "--q", "1") == 0
         out = capsys.readouterr().out
         assert "vanilla condition block 2 vs 1: FALSE" in out
@@ -966,7 +974,7 @@ class TestCli:
         # n q overflows for weights near the float maximum unless both are scaled down first
         outputs = []
         for p, q in (("1", "1"), ("1e308", "1e308"), ("1.7", "1"), ("1.7e308", "1e308")):
-            assert self.run("oracle", "--K", "2", "--sizes", "2,2", "--seeds", "1,1", "--p", p, "--q", q) == 0
+            assert self.run("oracle", "--sizes", "2,2", "--seeds", "1,1", "--p", p, "--q", q) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[2] == outputs[3]
@@ -974,27 +982,50 @@ class TestCli:
         assert outputs[0].count(": FALSE") == 2
 
     def test_oracle_invalid_params_exit_1(self):
-        assert self.run("oracle", "--K", "2", "--sizes", "2,2", "--seeds", "3,1",
+        assert self.run("oracle", "--sizes", "2,2", "--seeds", "3,1",
                         "--p", "2", "--q", "1") == 1
 
     @pytest.mark.parametrize("weights", [("nan", "1"), ("1", "inf")])
     def test_oracle_non_finite_weights_exit_1(self, capsys, weights):
         p, q = weights
-        assert self.run("oracle", "--K", "2", "--sizes", "2,2", "--seeds", "1,1", "--p", p, "--q", q) == 1
+        assert self.run("oracle", "--sizes", "2,2", "--seeds", "1,1", "--p", p, "--q", q) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: edge weights p and q must be positive and finite"]
 
-    def test_oracle_counts_not_matching_k_exit_1(self, capsys):
-        assert self.run("oracle", "--K", "2", "--sizes", "2", "--seeds", "1,1", "--p", "2", "--q", "1") == 1
+    def test_oracle_counts_not_aligned_exit_1(self, capsys):
+        assert self.run("oracle", "--sizes", "2", "--seeds", "1,1", "--p", "2", "--q", "1") == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: --sizes and --seeds must list exactly K values"]
+        assert captured.err.splitlines() == ["error: sizes and seed_counts must be nonempty and aligned"]
+
+    @pytest.mark.parametrize("hot", [0, -1, 3])
+    def test_oracle_hot_out_of_range_exit_1(self, capsys, hot):
+        assert self.run("oracle", "--sizes", "2,2", "--seeds", "1,1", "--p", "2", "--q", "1", "--hot", str(hot)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: hot label {hot} out of range [1, 2]"]
+
+    def test_oracle_has_no_block_count_flag(self, capsys):
+        # the block count is the length of --sizes
+        with pytest.raises(SystemExit) as exc:
+            self.run("oracle", "--K", "2", "--sizes", "2,2", "--seeds", "1,1", "--p", "2", "--q", "1")
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --K 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, argv", ORACLE_GOLDENS.items(), ids=ORACLE_GOLDENS)
+    def test_oracle_matches_golden_output(self, capsys, name, argv):
+        # written by the per-label closed form (then called with the block
+        # count as `--K <blocks> <argv>`); the one-table form prints the same bytes
+        assert self.run("oracle", *argv.split()) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (GOLDEN_DIR / "oracle" / f"{name}.txt").read_text(encoding="utf-8")
 
     def test_oracle_numerical_failure_exits_2(self, capsys):
         # p / q = 1e-300 rounds the mean-temperature denominator to zero; the
         # true temperatures are all 1
-        assert self.run("oracle", "--K", "1", "--sizes", "10", "--seeds", "1", "--p", "1e-300", "--q", "1") == 2
+        assert self.run("oracle", "--sizes", "10", "--seeds", "1", "--p", "1e-300", "--q", "1") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         (err,) = captured.err.splitlines()
@@ -1021,6 +1052,24 @@ class TestCli:
         assert lines[0] == "point,num_blocks,n,p,q,hot,max_abs_diff"
         assert len(lines) == 1 + 50
         assert max(float(line.split(",")[-1]) for line in lines[1:]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "config",
+        ["blocks2-uniform", "blocks3-uniform", "fig2a-small", "karate-uniform", "lemma-grid", "all-seed-grid"],
+    )
+    def test_bench_reports_as_many_rows_as_it_writes(self, tmp_path, capsys, config):
+        if config == "all-seed-grid":
+            # blocks of 2 to 5 nodes: some draws seed every node
+            config = str(tmp_path / "grid.cfg")
+            Path(config).write_text("task = oracle_grid\ngrid_points = 40\nmax_block_nodes = 6\nmaster_seed = 3\n")
+        assert self.run("bench", "--config", config, "--out-dir", str(tmp_path / "out")) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        name = "oracle_agreement.csv" if first.startswith("oracle grid: ") else "results.csv"
+        reported = int(first.removeprefix("oracle grid: ").split()[0])
+        written = (tmp_path / "out" / name).read_text(encoding="utf-8").splitlines()[1:]
+        assert reported == len(written) > 0
+        if name == "oracle_agreement.csv":
+            assert [line.split(",")[0] for line in written] == [str(i) for i in range(reported)]
 
     @pytest.mark.parametrize("points", [0, -3])
     def test_oracle_grid_without_points_exits_1(self, tmp_path, capsys, points):
