@@ -19,10 +19,8 @@ import numpy as np
 
 from .classify import SeedSet, one_vs_all_problem
 from .errors import NumericalError, ValidationError
-from .graph import Graph, NodePartition, _sorted_unique, build_graph
+from .graph import BlockGraph, Graph, NodePartition, _sorted_unique, build_graph
 from .solver import SolverOptions, solve_iterative
-
-DEFAULT_MAX_DENSE_NODES = 5_000
 
 
 @dataclass(frozen=True)
@@ -117,9 +115,8 @@ def default_seeds(params: BlockModelParams) -> SeedSet:
     return SeedSet(nodes=nodes, labels=labels, num_labels=params.num_blocks)
 
 
-def build_deterministic_block_graph(params: BlockModelParams) -> tuple[Graph, NodePartition, SeedSet]:
-    """Complete weighted block graph (dense: n^2 stored entries, one run of
-    equal rows per block, so ``transition_apply`` multiplies one row a block).
+def build_deterministic_block_graph(params: BlockModelParams) -> tuple[BlockGraph, NodePartition, SeedSet]:
+    """Complete weighted block graph, stored as its K distinct rows.
 
     Every ordered intra-block pair carries weight ``p`` including a self-loop
     on each node; inter-block pairs carry weight ``q``. The self-loop makes a
@@ -127,17 +124,8 @@ def build_deterministic_block_graph(params: BlockModelParams) -> tuple[Graph, No
     which is what gives the closed form its exact (not just asymptotic)
     agreement with the solver.
     """
-    n = params.n
-    if n > DEFAULT_MAX_DENSE_NODES:
-        raise ValidationError(f"{n} nodes exceed the dense block-graph guard ({DEFAULT_MAX_DENSE_NODES})")
-    # the kb x kb block weights, expanded to one dense row per node
-    templates = np.full((params.num_blocks, params.num_blocks), params.q, dtype=np.float64)
-    np.fill_diagonal(templates, params.p)
-    weights = np.repeat(np.repeat(templates, params.sizes, axis=1), params.sizes, axis=0).ravel()
-    indptr = np.arange(n + 1, dtype=np.int64) * n
-    indices = np.tile(np.arange(n, dtype=np.int64), n)
-    graph = Graph(n=n, indptr=indptr, indices=indices, weights=weights)
-    return graph, block_labels(params), default_seeds(params)
+    table = np.where(np.eye(params.num_blocks, dtype=bool), params.p, params.q)
+    return BlockGraph(sizes=params.sizes, table=table), block_labels(params), default_seeds(params)
 
 
 def vanilla_consistency_condition(params: BlockModelParams, hot: int, other: int) -> bool:
@@ -161,8 +149,8 @@ def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[Block
     ``points`` random block models. A draw has 1-5 blocks; with ``kb``
     blocks, each has 2 to ``max(2, max_block_nodes // kb - 1)`` nodes, so
     a draw has fewer than ``max_block_nodes`` nodes whenever
-    ``max_block_nodes // kb`` is at least 3. Each draw is solved at
-    tolerance 0, which runs conjugate gradients to the rounding level.
+    ``max_block_nodes // kb`` is at least 3. Each draw's ``BlockGraph`` is
+    solved at tolerance 0, which runs conjugate gradients to rounding level.
 
     Returns one row ``(params, hot, gap)`` per draw, in draw order; the gap
     is the largest distance of a non-seed temperature from its block's value,
@@ -172,9 +160,6 @@ def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[Block
         raise ValidationError(f"the oracle grid needs at least 1 point, got {points}")
     if max_block_nodes < 2:
         raise ValidationError(f"the oracle grid needs max_block_nodes of at least 2, got {max_block_nodes}")
-    cap = DEFAULT_MAX_DENSE_NODES + 1  # every draw then fits the dense guard
-    if max_block_nodes > cap:
-        raise ValidationError(f"the oracle grid needs max_block_nodes of at most {cap}, got {max_block_nodes}")
     rng = np.random.default_rng(rng_seed)
     rows = []
     for _ in range(points):

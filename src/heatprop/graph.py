@@ -17,8 +17,7 @@ class Graph:
     weights ``weights[indptr[i]:indptr[i+1]]``. Off-diagonal edges are stored
     once per incident row; a self-loop is stored once and counts once in the
     degree. Column indices are strictly increasing within each row, so every
-    (row, column) entry is unique, and a graph with ``n^2`` stored entries is
-    complete: row ``i`` holds columns ``0..n-1`` in order.
+    (row, column) entry is unique.
 
     ``degrees[i]`` is the sum of weights incident to ``i`` and is positive
     for every node: isolated nodes are rejected at construction time. The
@@ -94,15 +93,6 @@ class Graph:
         Computed on first use and kept with the graph."""
         return bool(self.weights.min() == 1.0 == self.weights.max())
 
-    @cached_property
-    def row_runs(self) -> np.ndarray:
-        """On a complete graph, the first row of each run of equal consecutive
-        rows of ``weights.reshape(n, n)``, then ``n``; computed on first use."""
-        w = self.weights.reshape(self.n, self.n)
-        runs = np.concatenate(([0], np.flatnonzero(np.any(w[1:] != w[:-1], axis=1)) + 1, [self.n]))
-        runs.setflags(write=False)
-        return runs
-
     @property
     def num_edges(self) -> int:
         """Number of undirected edges; a self-loop counts as one edge."""
@@ -115,6 +105,45 @@ class Graph:
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         keep = rows <= self.indices
         return rows[keep], self.indices[keep], self.weights[keep]
+
+
+@dataclass(frozen=True)
+class BlockGraph:
+    """Complete weighted undirected graph, stored as its K distinct rows.
+
+    Block ``a`` is the next ``sizes[a]`` nodes, each joined to every node of
+    block ``b``, itself included, with weight ``table[a, b]`` (symmetric,
+    positive). ``rows[a]`` is their adjacency row and ``degrees`` their row
+    sums by ``Graph``'s reduction, K·n floats in all. Every pair of nodes is
+    joined, so ``component_ids`` are zeros; ``indices`` are ``rows``' columns."""
+
+    sizes: np.ndarray
+    table: np.ndarray
+    rows: np.ndarray = field(init=False)
+    degrees: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        sizes = np.array(self.sizes, dtype=np.int64)
+        rows = np.repeat(np.asarray(self.table, dtype=np.float64), sizes, axis=1)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            sums = _row_sums(np.arange(sizes.size + 1) * rows.shape[1], rows.ravel())
+        if not np.all(np.isfinite(sums)):
+            raise ValidationError("edge weights and their row sums must be finite")
+        for name, arr in (("sizes", sizes), ("rows", rows), ("degrees", np.repeat(sums, sizes))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[1]
+
+    @property
+    def component_ids(self) -> np.ndarray:
+        return np.zeros(self.n, dtype=np.int64)
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.broadcast_to(np.arange(self.n), self.rows.shape)
 
 
 def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -218,29 +247,22 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n=n, indptr=indptr, indices=key % n, weights=vals)
 
 
-def transition_apply(g: Graph, v) -> np.ndarray:
+def transition_apply(g: Graph | BlockGraph, v) -> np.ndarray:
     """Apply the degree-normalized adjacency operator: ``u_i = (1/d_i) sum_j A_ij v_j``.
 
     One pass over the stored entries. Preserves the all-ones vector exactly
     because every row of the operator sums to one: ``g.degrees`` holds the
     same ``reduceat`` row sums of the weights that this function computes.
-    Graphs whose weights are all 1.0 (``g.unit_weights``) skip the multiply,
-    which is exact for them, so the result is the same to the bit. A complete
-    graph (``n^2`` stored entries, so every row holds every column in order)
-    skips the column gather instead and multiplies only the first row of each
-    run of equal rows (``g.row_runs``) by ``v``: equal rows give the same
-    products in the same layout, so one sum per run, repeated over the run,
-    is the same to the bit.
+    Two shortcuts leave the result the same to the bit: graphs whose weights
+    are all 1.0 (``g.unit_weights``) skip the multiply, and a ``BlockGraph``
+    sums each of its K rows times ``v`` once for its whole block.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (g.n,):
         raise ValidationError(f"vector length {v.shape} does not match node count {g.n}")
-    if g.indices.size == g.n * g.n:
-        runs = g.row_runs
-        rows = g.weights.reshape(g.n, g.n)[runs[:-1]]  # a copy: multiplied in place
-        rows *= v
-        sums = np.add.reduceat(rows.ravel(), g.indptr[: runs.size - 1])
-        return np.repeat(sums, np.diff(runs)) / g.degrees
+    if isinstance(g, BlockGraph):
+        sums = np.add.reduceat((g.rows * v).ravel(), np.arange(g.sizes.size) * g.n)
+        return np.repeat(sums, g.sizes) / g.degrees
     contrib = v[g.indices] if g.unit_weights else g.weights * v[g.indices]
     # no empty rows (degrees are positive), so reduceat segments are well formed
     return np.add.reduceat(contrib, g.indptr[:-1]) / g.degrees

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, transition_apply
+from .graph import BlockGraph, Graph, transition_apply
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -20,7 +20,7 @@ class DirichletProblem:
     none) take the harmonic extension of the boundary values at equilibrium.
     """
 
-    graph: Graph
+    graph: Graph | BlockGraph
     boundary: np.ndarray
     boundary_temps: np.ndarray
 

@@ -3,9 +3,11 @@
 No package path uses them: the package solves every Dirichlet problem with
 ``solve_iterative``. ``solve_exact`` is the direct solve that the iterative
 solver and the block-model closed form are compared with, ``jacobi_sweep``
-the plain relaxation step, ``dense_adjacency`` the dense view of a CSR
-graph, ``two_stage_build_graph`` the CSR assembly that ``build_graph``
-must reproduce to the bit, ``validate_layout`` the layout checks that
+the plain relaxation step, ``dense_adjacency`` the dense view of a graph,
+``dense_block_graph`` the n²-entry ``Graph`` of the deterministic block
+model that its ``BlockGraph`` must match to the bit,
+``two_stage_build_graph`` the CSR assembly that ``build_graph`` must
+reproduce to the bit, ``validate_layout`` the layout checks that
 ``Graph`` must make in the same order, with the same messages, and
 ``closed_form_row`` the one-diffusion block-model closed form whose rows
 ``closed_form_temperatures`` must reproduce to the bit.
@@ -24,7 +26,7 @@ from heatprop import (
     TemperatureField,
     ValidationError,
 )
-from heatprop.graph import _edge_arrays, _format_nodes, _row_sums, transition_apply
+from heatprop.graph import BlockGraph, _edge_arrays, _format_nodes, _row_sums, transition_apply
 from heatprop.solver import SolveInfo, _check_boundary_cover, _clip_to_boundary_range
 
 DEFAULT_MAX_DENSE_UNKNOWNS = 10_000
@@ -50,8 +52,31 @@ def pinned_vector(problem: DirichletProblem) -> np.ndarray:
     return out
 
 
-def dense_adjacency(g: Graph) -> np.ndarray:
+def dense_block_graph(params: BlockModelParams) -> Graph:
+    """The complete block graph with all n² entries stored: one CSR row per
+    node, holding every column in order."""
+    n = params.n
+    # the kb x kb block weights, expanded to one dense row per node
+    templates = np.full((params.num_blocks, params.num_blocks), params.q, dtype=np.float64)
+    np.fill_diagonal(templates, params.p)
+    weights = np.repeat(np.repeat(templates, params.sizes, axis=1), params.sizes, axis=0).ravel()
+    indptr = np.arange(n + 1, dtype=np.int64) * n
+    indices = np.tile(np.arange(n, dtype=np.int64), n)
+    return Graph(n=n, indptr=indptr, indices=indices, weights=weights)
+
+
+def _as_csr(g: Graph | BlockGraph) -> Graph:
+    """``g`` itself, or a ``BlockGraph`` of the deterministic block model
+    expanded by ``dense_block_graph``: ``p`` is its table's diagonal and
+    ``q`` the rest (row 0's last entry, unused with one block)."""
+    if not isinstance(g, BlockGraph):
+        return g
+    return dense_block_graph(BlockModelParams(tuple(g.sizes), tuple(g.sizes), p=g.table[0, 0], q=g.table[0, -1]))
+
+
+def dense_adjacency(g: Graph | BlockGraph) -> np.ndarray:
     """Dense adjacency matrix of a (small) graph."""
+    g = _as_csr(g)
     a = np.zeros((g.n, g.n))
     rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
     a[rows, g.indices] = g.weights
@@ -76,7 +101,7 @@ def solve_exact(
     factorisation at the range's ends.
     """
     _check_boundary_cover(problem)
-    g = problem.graph
+    g = _as_csr(problem.graph)
     interior = np.flatnonzero(~boundary_mask(problem))
     k = interior.size
     if k > max_dense_unknowns:

@@ -16,12 +16,15 @@ from heatprop import (
     build_deterministic_block_graph,
     closed_form_temperatures,
     sbm_generate,
+    solve_iterative,
+    transition_apply,
     vanilla_consistency_condition,
 )
 from heatprop.blockmodel import _distinct_integers, _upper_triangle_decode, oracle_grid
-from heatprop.classify import classify, one_vs_all_fields, scores_from_fields
+from heatprop.classify import classify, one_vs_all_fields, one_vs_all_problem, scores_from_fields
+from heatprop.graph import BlockGraph
 from conftest import count_calls
-from reference import closed_form_row, dense_adjacency, solve_exact
+from reference import closed_form_row, dense_adjacency, dense_block_graph, solve_exact
 
 
 def random_params(rng, max_nodes=200, require_p_gt_q=False):
@@ -319,16 +322,19 @@ class TestDeterministicBuilder:
             q = p if trial % 5 == 0 else float(rng.uniform(0.1, 3.0))
             params = BlockModelParams(sizes=tuple(sizes), seed_counts=(1,) * kb, p=p, q=q)
             g, _, _ = build_deterministic_block_graph(params)
-            # reference: one fancy-indexed block lookup per stored entry
+            # reference: one fancy-indexed block lookup per entry of the n² graph
             n = params.n
             block_of = np.repeat(np.arange(kb), sizes)
             rows = np.repeat(np.arange(n), n)
             cols = np.tile(np.arange(n), n)
             weights = np.where(block_of[rows] == block_of[cols], p, q)
             reference = Graph(n=n, indptr=np.arange(n + 1) * n, indices=cols, weights=weights)
-            for name in ("indptr", "indices", "weights", "degrees"):
-                got, expect = getattr(g, name), getattr(reference, name)
-                assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), name
+            # every node's row is its block's row of the K stored ones
+            expect_rows = reference.weights.reshape(n, n)
+            assert g.rows.dtype == expect_rows.dtype and g.rows[block_of].tobytes() == expect_rows.tobytes()
+            assert g.rows.shape == (kb, n)
+            assert g.degrees.dtype == reference.degrees.dtype
+            assert g.degrees.tobytes() == reference.degrees.tobytes()
 
     def test_single_block_diffusion_is_all_ones(self):
         params = BlockModelParams(sizes=(6,), seed_counts=(2,), p=1.5, q=1.0)
@@ -336,11 +342,34 @@ class TestDeterministicBuilder:
         (f,) = one_vs_all_fields(g, seeds, SolverOptions())
         assert np.allclose(f.values, 1.0, atol=1e-12)
 
-    def test_guard(self):
-        # raised before the n^2 arrays are allocated
-        params = BlockModelParams(sizes=(2500, 2501), seed_counts=(2, 2), p=2.0, q=1.0)
-        with pytest.raises(ValidationError, match="5001 nodes exceed the dense block-graph guard"):
+    def test_row_sums_that_overflow_are_rejected(self):
+        params = BlockModelParams((2, 2), (1, 1), 1.7e308, 1e308)
+        with pytest.raises(ValidationError, match="edge weights and their row sums must be finite"):
             build_deterministic_block_graph(params)
+
+    def test_matches_the_dense_block_graph_to_the_bit(self):
+        # the K stored rows against the n²-entry Graph: same degrees, same
+        # matvecs, and the same fields and solve records for every hot label
+        rng = np.random.default_rng(311)
+        for _ in range(200):
+            kb = int(rng.integers(1, 6))
+            sizes = tuple(int(v) for v in rng.integers(1, 201, size=kb))
+            seeds = tuple(int(rng.integers(1, nk + 1)) for nk in sizes)
+            p, q = rng.uniform(0.2, 3.0, size=2)
+            params = BlockModelParams(sizes=sizes, seed_counts=seeds, p=float(p), q=float(q))
+            g, _, seed_set = build_deterministic_block_graph(params)
+            dense = dense_block_graph(params)
+            assert isinstance(g, BlockGraph) and g.n == dense.n
+            assert np.array_equal(g.degrees, dense.degrees)
+            for v in (rng.normal(size=g.n), rng.uniform(size=g.n), np.ones(g.n)):
+                assert np.array_equal(transition_apply(g, v), transition_apply(dense, v))
+            for hot in range(1, kb + 1):
+                got, want = (
+                    solve_iterative(one_vs_all_problem(graph, seed_set, hot), SolverOptions(tolerance=0.0))
+                    for graph in (g, dense)
+                )
+                assert np.array_equal(got.values, want.values)
+                assert got.info == want.info
 
     def test_equal_weights_degenerate_to_tiebreak(self):
         params = BlockModelParams(sizes=(4, 4), seed_counts=(1, 1), p=1.0, q=1.0)
@@ -356,6 +385,28 @@ class TestDeterministicBuilder:
         assert np.array_equal(seeds.nodes, [0, 4])
         expect = [[0.5, -0.5], [-0.5, 0.5]]
         assert np.abs(scores[seeds.nodes] - expect).max() < 1e-12
+
+
+class TestFig2aExpectedGraph:
+    """fig2a's own sizes and weights, solved exactly on the complete block
+    graph: the non-seeds match the closed form, vanilla takes label 1 once
+    block 1 holds more seeds, and centered labels both blocks right."""
+
+    @pytest.mark.parametrize("ratio", [1, 2, 5, 10])
+    def test_closed_form_and_labels(self, ratio):
+        params = BlockModelParams(sizes=(5000, 5000), seed_counts=(250 * ratio, 250), p=1e-3, q=1e-4)
+        g, truth, seeds = build_deterministic_block_graph(params)
+        fields = one_vs_all_fields(g, seeds, SolverOptions(tolerance=0.0))
+        per_block = closed_form_temperatures(params).per_block
+        non_seed = np.setdiff1d(np.arange(g.n), seeds.nodes)
+        for k, field in enumerate(fields):
+            expect = np.repeat(per_block[k], params.sizes)
+            assert np.abs(field.values - expect)[non_seed].max() <= 1e-13
+        vanilla, _ = classify(fields, seeds, "vanilla")
+        centered, _ = classify(fields, seeds, "centered")
+        if ratio > 1:
+            assert np.all(vanilla[non_seed] == 1)
+        assert np.array_equal(centered[non_seed], truth.labels[non_seed])
 
 
 class TestSbm:

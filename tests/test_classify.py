@@ -126,11 +126,16 @@ class TestClassify:
         import heatprop.graph
 
         calls = count_calls(monkeypatch, heatprop.graph, "connected_components")
-        params = BlockModelParams(sizes=(10, 10, 10), seed_counts=(1, 2, 3), p=2.0, q=1.0)
-        g, _, seeds = build_deterministic_block_graph(params)
+        g = random_connected_graph(np.random.default_rng(12), 30, extra_edges=20)
+        seeds = SeedSet.from_dict({0: 1, 1: 2, 2: 2, 3: 3, 4: 3, 5: 3})
         fields = one_vs_all_fields(g, seeds)
         one_vs_all_fields(g, seeds)
         assert len(fields) == 3
+        assert calls == [(g,)]
+        # every pair of a block graph's nodes is joined: it is never searched
+        params = BlockModelParams(sizes=(10, 10, 10), seed_counts=(1, 2, 3), p=2.0, q=1.0)
+        block, _, block_seeds = build_deterministic_block_graph(params)
+        one_vs_all_fields(block, block_seeds)
         assert calls == [(g,)]
 
     def test_missing_label_errors_before_solving(self):

@@ -17,7 +17,7 @@ from heatprop import (
     transition_apply,
 )
 import heatprop.graph
-from heatprop.graph import _sorted_unique
+from heatprop.graph import BlockGraph, _sorted_unique
 from conftest import count_calls, dense_from_edges, path_graph, random_connected_graph
 from reference import dense_adjacency, two_stage_build_graph, validate_layout
 
@@ -130,9 +130,9 @@ class TestTransitionApply:
             g = random_connected_graph(rng, int(rng.integers(2, 50)), extra_edges=10)
             out = transition_apply(g, np.ones(g.n))
             assert np.array_equal(out, np.ones(g.n))
-        # a dense block graph: summed in another order, its long rows of
-        # equal weights could miss one in the last bit; Graph takes every
-        # degree with the operator's own row reduction
+        # a complete block graph: summed in another order, its long rows of
+        # equal weights could miss one in the last bit; BlockGraph takes
+        # every degree with the operator's own row reduction
         params = BlockModelParams(sizes=(50, 50), seed_counts=(1, 1), p=2 / 3, q=0.1)
         g, _, _ = build_deterministic_block_graph(params)
         assert np.array_equal(transition_apply(g, np.ones(g.n)), np.ones(g.n))
@@ -157,8 +157,8 @@ class TestTransitionApply:
          "self-loop", "near-complete"],
     )
     def test_equals_the_weighted_reduction_to_the_bit(self, case, karate):
-        # unit weights skip the multiply and complete graphs the gather; the
-        # result must not move by a bit
+        # unit weights skip the multiply; complete graphs built here take the
+        # same sparse path; the result must not move by a bit
         rng = np.random.default_rng(185)
         if case == "unweighted-sbm":
             params = BlockModelParams(sizes=(300, 200), seed_counts=(3, 2), p=0.05, q=0.01)
@@ -179,8 +179,7 @@ class TestTransitionApply:
         elif case == "complete-blocks":
             g = complete_block_graph()
         elif case == "complete-unit":
-            params = BlockModelParams(sizes=(30, 20), seed_counts=(1, 1), p=1.0, q=1.0)
-            g = build_deterministic_block_graph(params)[0]
+            g = complete_block_graph((30, 20), 1.0, 1.0)
         elif case == "self-loop":
             g = build_graph(1, [(0, 0, 0.75)])
         else:
@@ -197,15 +196,15 @@ class TestTransitionApply:
             expect = np.add.reduceat(g.weights * v[g.indices], g.indptr[:-1]) / g.degrees
             assert np.array_equal(transition_apply(g, v), expect)
 
-    def test_complete_graph_reads_no_column_index(self):
-        # with every column index overwritten, a gather would read v[0] alone
+    def test_complete_graph_reads_no_column_index(self, monkeypatch):
+        # a BlockGraph multiplies its rows in column order: its column index
+        # is there for tracing only
         rng = np.random.default_rng(186)
-        g = complete_block_graph()
-        vs = (rng.normal(size=g.n), rng.uniform(size=g.n))
-        expect = [np.add.reduceat(g.weights * v[g.indices], g.indptr[:-1]) / g.degrees for v in vs]
-        object.__setattr__(g, "indices", np.zeros_like(g.indices))
-        for v, want in zip(vs, expect):
-            assert np.array_equal(transition_apply(g, v), want)
+        params = BlockModelParams(sizes=(40, 30, 20), seed_counts=(2, 1, 1), p=0.6, q=0.15)
+        g = build_deterministic_block_graph(params)[0]
+        monkeypatch.setattr(BlockGraph, "indices", property(lambda self: pytest.fail("indices read")))
+        for v in (rng.normal(size=g.n), rng.uniform(size=g.n)):
+            assert np.array_equal(transition_apply(g, v), transition_apply(complete_block_graph(), v))
 
     def test_dimension_mismatch(self):
         g = path_graph(3)
@@ -213,15 +212,25 @@ class TestTransitionApply:
             transition_apply(g, [1.0, 2.0])
 
 
-def _assert_weighted_reduction(g: Graph, rng):
+def runs_of(g: Graph) -> BlockGraph:
+    """A complete graph as its runs of equal consecutive rows: one block per
+    run, weighing what the run's first row holds in each run's first column."""
+    w = dense_adjacency(g)
+    starts = np.concatenate(([0], np.flatnonzero(np.any(w[1:] != w[:-1], axis=1)) + 1))
+    return BlockGraph(sizes=np.diff(np.append(starts, g.n)), table=w[np.ix_(starts, starts)])
+
+
+def _assert_same_operator(block: BlockGraph, g: Graph, rng):
+    """``block`` has the degrees and the matvec of ``g``, to the bit."""
+    assert block.n == g.n and np.array_equal(block.degrees, g.degrees)
     for v in (rng.normal(size=g.n), rng.uniform(size=g.n), np.ones(g.n)):
-        expect = np.add.reduceat(g.weights * v[g.indices], g.indptr[:-1]) / g.degrees
-        assert np.array_equal(transition_apply(g, v), expect)
+        assert np.array_equal(transition_apply(block, v), transition_apply(g, v))
 
 
 class TestRowRuns:
-    """A complete graph's matvec sums one row per run of equal rows and
-    repeats the sum; the result must not move by a bit."""
+    """A complete graph is its runs of equal consecutive rows: the
+    ``BlockGraph`` of one block per run has the degrees and the matvec of
+    the ``Graph`` that stores all n² entries, to the bit."""
 
     @pytest.mark.parametrize("sizes", [(7,), (9, 3), (5, 11, 1), (3, 5, 7, 9), (1, 3, 5, 7, 13)])
     def test_block_graphs_have_one_run_per_block(self, sizes):
@@ -229,22 +238,23 @@ class TestRowRuns:
         p, q = rng.uniform(0.2, 3.0, size=2)
         params = BlockModelParams(sizes=sizes, seed_counts=(1,) * len(sizes), p=p, q=q)
         g = build_deterministic_block_graph(params)[0]
-        assert np.array_equal(g.row_runs, params.block_offsets())
-        _assert_weighted_reduction(g, rng)
+        assert g.rows.shape == (len(sizes), params.n)
+        assert np.array_equal(g.sizes, sizes)
+        _assert_same_operator(g, complete_block_graph(sizes, p, q), rng)
 
     def test_complete_unit_graph_is_one_run(self):
         lo, hi = np.triu_indices(23)
         g = build_graph(23, (lo, hi, np.ones(lo.size)))
         assert g.indices.size == g.n * g.n and g.unit_weights
-        assert g.row_runs.tolist() == [0, 23]
-        _assert_weighted_reduction(g, np.random.default_rng(3))
+        assert runs_of(g).sizes.tolist() == [23]
+        _assert_same_operator(runs_of(g), g, np.random.default_rng(3))
 
     def test_distinct_rows_are_runs_of_one(self):
         rng = np.random.default_rng(4)
         lo, hi = np.triu_indices(40)
         g = build_graph(40, (lo, hi, rng.uniform(0.1, 3.0, size=lo.size)))
-        assert np.array_equal(g.row_runs, np.arange(41))
-        _assert_weighted_reduction(g, rng)
+        assert runs_of(g).sizes.tolist() == [1] * 40
+        _assert_same_operator(runs_of(g), g, rng)
 
     def test_interleaved_blocks_split_into_runs(self):
         # a block graph whose nodes are shuffled: equal rows are not all adjacent
@@ -254,18 +264,18 @@ class TestRowRuns:
         g = build_graph(45, (lo, hi, np.where(block[lo] == block[hi], 0.9, 0.2)))
         dense = g.weights.reshape(g.n, g.n).tolist()
         starts = [i for i in range(g.n) if i == 0 or dense[i] != dense[i - 1]]
-        assert g.row_runs.tolist() == starts + [g.n]
+        assert runs_of(g).sizes.tolist() == np.diff(starts + [g.n]).tolist()
         assert 3 < len(starts) < g.n
-        _assert_weighted_reduction(g, rng)
+        _assert_same_operator(runs_of(g), g, rng)
 
     def test_single_node(self):
         g = build_graph(1, [(0, 0, 0.75)])
-        assert g.row_runs.tolist() == [0, 1]
-        _assert_weighted_reduction(g, np.random.default_rng(6))
+        assert runs_of(g).sizes.tolist() == [1]
+        _assert_same_operator(runs_of(g), g, np.random.default_rng(6))
 
     def test_block_graph_multiplies_one_row_per_block(self, monkeypatch):
-        g = complete_block_graph()
-        assert g.row_runs.size - 1 == 3
+        params = BlockModelParams(sizes=(40, 30, 20), seed_counts=(2, 1, 1), p=0.6, q=0.15)
+        g = build_deterministic_block_graph(params)[0]
         sizes = []
 
         class Add:
@@ -284,9 +294,12 @@ class TestRowRuns:
         assert sizes == [3 * g.n]
 
 
-def complete_block_graph() -> Graph:
-    params = BlockModelParams(sizes=(40, 30, 20), seed_counts=(2, 1, 1), p=0.6, q=0.15)
-    return build_deterministic_block_graph(params)[0]
+def complete_block_graph(sizes=(40, 30, 20), p=0.6, q=0.15) -> Graph:
+    """The complete block graph, built through ``build_graph`` from every
+    pair of nodes: weight ``p`` within a block, ``q`` across."""
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    lo, hi = np.triu_indices(block.size)
+    return build_graph(block.size, (lo, hi, np.where(block[lo] == block[hi], p, q)))
 
 
 class TestValidateMatchesReference:
@@ -427,8 +440,7 @@ class TestConnectedComponents:
         assert connected_components(karate.graph).tolist() == [0] * 34
 
     def test_complete_graph_stops_after_first_expansion(self, monkeypatch):
-        params = BlockModelParams(sizes=(30, 20, 1), seed_counts=(1, 1, 1), p=2.0, q=0.5)
-        g, _, _ = build_deterministic_block_graph(params)
+        g = complete_block_graph((30, 20, 1), 2.0, 0.5)
         calls = count_calls(monkeypatch, heatprop.graph, "_concat_ranges")
         ids = connected_components(g)
         # node 0's neighbors are every node, so no frontier is expanded after it

@@ -378,6 +378,7 @@ def entered_functions(run) -> set[str]:
 # defined for perfbench only: the package never calls them
 PERFBENCH_ONLY = {
     "graph.Graph.num_edges": "perfbench's build_graph hook counts the edges of each graph with it",
+    "graph.BlockGraph.indices": "perfbench's transition_apply hook counts the stored entries of each graph with it",
     "solver.residual": "perfbench's solve hook measures the true defect of each returned field with it",
 }
 

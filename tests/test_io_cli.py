@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import heatprop.blockmodel
 import heatprop.classify
 import heatprop.cli
 import heatprop.io
@@ -1089,17 +1088,15 @@ class TestCli:
         ]
         assert not (tmp_path / "grid").exists()
 
-    @pytest.mark.parametrize("nodes", [5002, 6000])
-    def test_oracle_grid_above_the_dense_guard_exits_1_before_any_draw(self, tmp_path, capsys, monkeypatch, nodes):
-        builds = count_calls(monkeypatch, heatprop.blockmodel, "build_deterministic_block_graph")
+    def test_oracle_grid_runs_graphs_of_fig2a_size(self, tmp_path):
+        # block graphs take K·n floats, so draws of up to 12,000 nodes solve
         cfg = tmp_path / "grid.cfg"
-        cfg.write_text(f"task = oracle_grid\ngrid_points = 5\nmax_block_nodes = {nodes}\nmaster_seed = 5\n")
-        assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "grid")) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: the oracle grid needs max_block_nodes of at most 5001, got {nodes}"
-        ]
-        assert not (tmp_path / "grid").exists()
-        assert builds == []
+        cfg.write_text("task = oracle_grid\ngrid_points = 4\nmax_block_nodes = 12000\nmaster_seed = 5\n")
+        assert self.run("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "grid")) == 0
+        rows = [line.split(",") for line in (tmp_path / "grid" / "oracle_agreement.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+        assert max(int(row[2]) for row in rows) > 10_000
+        assert max(float(row[-1]) for row in rows) <= 1e-12
 
     def test_block_disagreement_matches_per_block_loop(self):
         params = BlockModelParams(sizes=(4, 1, 6), seed_counts=(2, 1, 3), p=2.0, q=0.5)
