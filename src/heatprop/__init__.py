@@ -13,7 +13,6 @@ from .blockmodel import (
     build_deterministic_block_graph,
     closed_form_temperatures,
     sbm_generate,
-    vanilla_consistency_condition,
 )
 from .classify import SeedSet, one_vs_all_fields
 from .errors import IsolatedNodeError, NumericalError, ValidationError
@@ -77,5 +76,4 @@ __all__ = [
     "sbm_generate",
     "solve_iterative",
     "transition_apply",
-    "vanilla_consistency_condition",
 ]

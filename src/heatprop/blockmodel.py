@@ -60,9 +60,11 @@ class BlockModelParams:
 @dataclass(frozen=True)
 class BlockTemperatures:
     """Equilibrium temperatures of non-seed nodes for all K one-vs-all
-    diffusions: ``per_block[k - 1, b]`` is block ``b``'s value in the
+    diffusions: ``per_block[k - 1, b - 1]`` is block ``b``'s value in the
     diffusion where label ``k``'s seeds are pinned at 1, and ``mean[k - 1]``
-    is that diffusion's mean temperature over all nodes."""
+    is that diffusion's mean temperature over all nodes. Vanilla scoring
+    labels block ``b``'s non-seeds ``b`` iff ``per_block[b - 1, b - 1] >
+    per_block[o - 1, b - 1]`` for every other label ``o``."""
 
     per_block: np.ndarray
     mean: np.ndarray
@@ -126,22 +128,6 @@ def build_deterministic_block_graph(params: BlockModelParams) -> tuple[BlockGrap
     """
     table = np.where(np.eye(params.num_blocks, dtype=bool), params.p, params.q)
     return BlockGraph(sizes=params.sizes, table=table), block_labels(params), default_seeds(params)
-
-
-def vanilla_consistency_condition(params: BlockModelParams, hot: int, other: int) -> bool:
-    """Whether uncentered scores classify block ``hot``'s interior correctly
-    against label ``other``: true iff the hot block's non-seed temperature in
-    its own diffusion exceeds its temperature in ``other``'s diffusion, both
-    read from the one ``closed_form_temperatures`` table.
-
-    Can be false even when ``p > q``, which is the failure mode that
-    temperature centering removes.
-    """
-    kb = params.num_blocks
-    if not (1 <= hot <= kb and 1 <= other <= kb) or hot == other:
-        raise ValidationError("hot and other must be distinct labels in range")
-    t = closed_form_temperatures(params).per_block
-    return bool(t[hot - 1, hot - 1] > t[other - 1, hot - 1])
 
 
 def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[BlockModelParams, int, float]]:

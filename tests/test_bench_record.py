@@ -36,3 +36,15 @@ def test_bundled_point_holds_its_keys(tmp_path):
     assert counters["solves"] == run["layers"]["solve_iterative"]["calls"] > 0
     assert counters["matvecs"] >= counters["iterations"] > 0
     assert counters["failed_reps"] == 0
+
+
+def test_always_zero_says_whether_the_checkout_has_the_function(tmp_path):
+    recorder = load_recorder()
+    solver = tmp_path / "src" / "heatprop" / "solver.py"
+    solver.parent.mkdir(parents=True)
+    solver.write_text('"""Solvers."""\n\ndef jacobi_sweep(g):\n    pass\n', encoding="utf-8")
+    metrics = {"solver.sweep_ms": 0.0, "solver.exact_s": 0.0, "solver.exact_unknowns": 3.0}
+    assert recorder.always_zero(tmp_path, metrics) == {
+        "solver.sweep_ms": "times solver.jacobi_sweep, which this workload did not call",
+        "solver.exact_s": "times solver.solve_exact, which the package no longer has",
+    }

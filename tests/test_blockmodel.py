@@ -18,10 +18,10 @@ from heatprop import (
     sbm_generate,
     solve_iterative,
     transition_apply,
-    vanilla_consistency_condition,
 )
 from heatprop.blockmodel import _distinct_integers, _upper_triangle_decode, oracle_grid
 from heatprop.classify import classify, one_vs_all_fields, one_vs_all_problem, scores_from_fields
+from heatprop.experiments import Sweep, _swept_params
 from heatprop.graph import BlockGraph
 from conftest import count_calls
 from reference import closed_form_row, dense_adjacency, dense_block_graph, solve_exact
@@ -221,13 +221,15 @@ class TestTheoremConsistency:
 class TestVanillaCondition:
     def test_symmetric_params_true_for_all_pairs(self):
         params = BlockModelParams(sizes=(20, 20, 20), seed_counts=(3, 3, 3), p=2.0, q=1.0)
+        t = closed_form_temperatures(params).per_block
         for b, o in itertools.permutations((1, 2, 3), 2):
-            assert vanilla_consistency_condition(params, b, o)
+            assert t[b - 1, b - 1] > t[o - 1, b - 1]
 
     def test_seed_asymmetry_false_for_starved_block(self):
         params = BlockModelParams(sizes=(50, 50), seed_counts=(10, 2), p=2.0, q=1.0)
-        assert vanilla_consistency_condition(params, 1, 2)
-        assert not vanilla_consistency_condition(params, 2, 1)
+        t = closed_form_temperatures(params).per_block
+        assert t[0, 0] > t[1, 0]
+        assert not t[1, 1] > t[0, 1]
 
     def test_condition_predicts_vanilla_misclassification(self):
         rng = np.random.default_rng(67)
@@ -241,13 +243,14 @@ class TestVanillaCondition:
             vanilla, _ = classify(fields, seeds, "vanilla")
             centered, _ = classify(fields, seeds, "centered")
             assert np.array_equal(centered, truth.labels)
+            t = closed_form_temperatures(params).per_block
             offsets = params.block_offsets()
             for b in range(1, params.num_blocks + 1):
                 interior = np.arange(offsets[b - 1] + params.seed_counts[b - 1], offsets[b])
                 if interior.size == 0:
                     continue
                 ok = all(
-                    vanilla_consistency_condition(params, b, o)
+                    t[b - 1, b - 1] > t[o - 1, b - 1]
                     for o in range(1, params.num_blocks + 1)
                     if o != b
                 )
@@ -290,7 +293,8 @@ class TestVanillaCondition:
             if abs(surrogate) <= 3 * max(s1, s2) ** 2 * (p - q) * p / q:
                 continue
             decisive += 1
-            assert vanilla_consistency_condition(params, 1, 2) == (surrogate > 0)
+            t = closed_form_temperatures(params).per_block
+            assert (t[0, 0] > t[1, 0]) == (surrogate > 0)
         assert decisive > 150
 
 
@@ -387,6 +391,27 @@ class TestDeterministicBuilder:
         assert np.abs(scores[seeds.nodes] - expect).max() < 1e-12
 
 
+def _solve_expected_graph(params):
+    """Solve the complete block graph of ``params`` at tolerance 0. Every
+    non-seed must match the closed form, and each block's non-seeds must take
+    their own label under vanilla exactly when the table's condition holds.
+    Returns the vanilla and centered labels, the truth and the non-seeds."""
+    g, truth, seeds = build_deterministic_block_graph(params)
+    fields = one_vs_all_fields(g, seeds, SolverOptions(tolerance=0.0))
+    t = closed_form_temperatures(params).per_block
+    non_seed = np.setdiff1d(np.arange(g.n), seeds.nodes)
+    for k, field in enumerate(fields):
+        expect = np.repeat(t[k], params.sizes)
+        assert np.abs(field.values - expect)[non_seed].max() <= 1e-13
+    vanilla, _ = classify(fields, seeds, "vanilla")
+    centered, _ = classify(fields, seeds, "centered")
+    for b in range(1, params.num_blocks + 1):
+        block = non_seed[truth.labels[non_seed] == b]
+        ok = all(t[b - 1, b - 1] > t[o - 1, b - 1] for o in range(1, params.num_blocks + 1) if o != b)
+        assert np.all(vanilla[block] == b) == ok
+    return vanilla, centered, truth, non_seed
+
+
 class TestFig2aExpectedGraph:
     """fig2a's own sizes and weights, solved exactly on the complete block
     graph: the non-seeds match the closed form, vanilla takes label 1 once
@@ -395,17 +420,33 @@ class TestFig2aExpectedGraph:
     @pytest.mark.parametrize("ratio", [1, 2, 5, 10])
     def test_closed_form_and_labels(self, ratio):
         params = BlockModelParams(sizes=(5000, 5000), seed_counts=(250 * ratio, 250), p=1e-3, q=1e-4)
-        g, truth, seeds = build_deterministic_block_graph(params)
-        fields = one_vs_all_fields(g, seeds, SolverOptions(tolerance=0.0))
-        per_block = closed_form_temperatures(params).per_block
-        non_seed = np.setdiff1d(np.arange(g.n), seeds.nodes)
-        for k, field in enumerate(fields):
-            expect = np.repeat(per_block[k], params.sizes)
-            assert np.abs(field.values - expect)[non_seed].max() <= 1e-13
-        vanilla, _ = classify(fields, seeds, "vanilla")
-        centered, _ = classify(fields, seeds, "centered")
+        vanilla, centered, truth, non_seed = _solve_expected_graph(params)
         if ratio > 1:
             assert np.all(vanilla[non_seed] == 1)
+        assert np.array_equal(centered[non_seed], truth.labels[non_seed])
+
+
+class TestFig2bExpectedGraph:
+    """fig2b's own sizes, seeds and weights at size ratios 1, 2, 5 and 10,
+    solved exactly on the complete block graph: the non-seeds match the
+    closed form, vanilla puts the smaller block 2 in label 1 once the sizes
+    differ, and centered labels both blocks right."""
+
+    @pytest.mark.parametrize(
+        "ratio, sizes",
+        [(1, (5000, 5000)), (2, (6667, 3333)), (5, (8333, 1667)), (10, (9091, 909))],
+        ids=["1", "2", "5", "10"],
+    )
+    def test_closed_form_and_labels(self, ratio, sizes):
+        base = BlockModelParams(sizes=(5000, 5000), seed_counts=(500, 500), p=1e-3, q=1e-4)
+        params = _swept_params(base, Sweep("size_ratio", (ratio,)), ratio)
+        assert params.sizes == sizes
+        vanilla, centered, truth, non_seed = _solve_expected_graph(params)
+        block2 = non_seed[truth.labels[non_seed] == 2]
+        if ratio > 1:
+            assert np.all(vanilla[block2] == 1)
+        else:
+            assert np.array_equal(vanilla[non_seed], truth.labels[non_seed])
         assert np.array_equal(centered[non_seed], truth.labels[non_seed])
 
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -695,6 +696,22 @@ class TestCli:
         assert all(mean["centered", float(r)] >= 0.95 for r in range(1, 11))
         assert mean["vanilla", 10.0] <= mean["centered", 10.0] - 0.5
 
+    def test_karate_imbalance_centering_recovers_the_starved_label(self, tmp_path):
+        # the paper's claim on real data: with 8 seeds on one karate faction
+        # and 1 on the other, vanilla sends most nodes to the heavily seeded
+        # label and centering undoes it. The margins come from master seeds
+        # 1-7, not the config's own 0: there the mean paired difference
+        # (centered - vanilla per repetition) read 0.498-0.594 and the
+        # centered mean 0.925-0.941.
+        assert self.run("bench", "--config", "karate-imbalance", "--out-dir", str(tmp_path)) == 0
+        with open(tmp_path / "results.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        f1 = {(r["variant"], int(r["rep"])): float(r["macro_f1"]) for r in rows}
+        assert len(f1) == len(rows) == 2 * 50
+        paired = [f1["centered", rep] - f1["vanilla", rep] for rep in range(50)]
+        assert sum(paired) / 50 >= 0.4
+        assert sum(f1["centered", rep] for rep in range(50)) / 50 >= 0.9
+
     def test_bench_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert self.run("bench", "--config", "karate-uniform", "--out-dir", str(a)) == 0
@@ -967,6 +984,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "vanilla condition block 2 vs 1: FALSE" in out
         assert "vanilla condition block 1 vs 2: TRUE" in out
+
+    def test_oracle_builds_the_table_once(self, capsys, monkeypatch):
+        # the printed row and all K(K-1) conditions are read from one table;
+        # a table per condition pair would be 21 builds at K = 5
+        builds = count_calls(monkeypatch, heatprop.cli, "closed_form_temperatures")
+        assert self.run("oracle", "--sizes", "10,20,30,40,50", "--seeds", "1,2,3,4,5", "--p", "2", "--q", "1") == 0
+        assert len(builds) == 1
+        out = capsys.readouterr().out.splitlines()
+        # each block holds a tenth of its nodes as seeds, so the larger block wins every pair
+        assert out[6:] == [
+            f"vanilla condition block {b} vs {o}: {'TRUE' if b > o else 'FALSE'}"
+            for b, o in itertools.permutations(range(1, 6), 2)
+        ]
 
     @pytest.mark.filterwarnings("error")
     def test_oracle_depends_only_on_weight_ratio(self, capsys):

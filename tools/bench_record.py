@@ -46,12 +46,13 @@ SEED = 1
 BEFORE = {k: v for k, v in sorted(os.environ.items()) if k == "HEATPROP_THREADS" or k.endswith("_NUM_THREADS")}
 REPEATS = 3
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-# traced metrics that time functions the package no longer has; they read 0
-# on every workload until the benchmark drops them
+# traced metrics that time solver functions the package no longer has; they
+# read 0 on every workload until the benchmark drops them. An older checkout
+# may still define the function and only not call it on a workload's path.
 DEAD_METRICS = {
-    "solver.sweep_ms": "times solver.jacobi_sweep, which the package no longer has",
-    "solver.exact_s": "times solver.solve_exact, which the package no longer has",
-    "solver.exact_unknowns": "counts the unknowns of solver.solve_exact, which the package no longer has",
+    "solver.sweep_ms": ("times", "jacobi_sweep"),
+    "solver.exact_s": ("times", "solve_exact"),
+    "solver.exact_unknowns": ("counts the unknowns of", "solve_exact"),
 }
 # counters that repeat exactly on every run of one commit and seed
 COUNTERS = ("solver.iterations", "solver.fields", "graph.components_calls", "experiments.reps_failed")
@@ -140,8 +141,20 @@ def record_workload(checkout: Path, workload: str, seed: int, seconds: float) ->
             point["inputs_sha256"] = data["info"]["inputs_sha256"]
         if trace == 1:
             point["counters"] = {name: metrics[name] for name in COUNTERS if name in metrics}
-            point["always_zero"] = {name: why for name, why in DEAD_METRICS.items() if metrics.get(name) == 0}
+            point["always_zero"] = always_zero(checkout, metrics)
     return {**(env or environment(checkout)), **point}
+
+
+def always_zero(checkout: Path, metrics: dict) -> dict:
+    """Each of DEAD_METRICS that reads 0, with why: the checkout's solver
+    module lacks the function, or has it and the workload did not call it."""
+    solver = (checkout / "src" / "heatprop" / "solver.py").read_text(encoding="utf-8")
+    reasons = {}
+    for name, (verb, function) in DEAD_METRICS.items():
+        if metrics.get(name) == 0:
+            why = "which this workload did not call" if f"\ndef {function}(" in solver else "which the package no longer has"
+            reasons[name] = f"{verb} solver.{function}, {why}"
+    return reasons
 
 
 # ---------------------------------------------------------------------------
