@@ -152,7 +152,8 @@ def always_zero(checkout: Path, metrics: dict) -> dict:
     reasons = {}
     for name, (verb, function) in DEAD_METRICS.items():
         if metrics.get(name) == 0:
-            why = "which this workload did not call" if f"\ndef {function}(" in solver else "which the package no longer has"
+            defined = f"\ndef {function}(" in solver
+            why = "which this workload did not call" if defined else "which the package no longer has"
             reasons[name] = f"{verb} solver.{function}, {why}"
     return reasons
 
