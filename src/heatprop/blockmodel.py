@@ -117,8 +117,9 @@ def default_seeds(params: BlockModelParams) -> SeedSet:
     return SeedSet(nodes=nodes, labels=labels, num_labels=params.num_blocks)
 
 
-def build_deterministic_block_graph(params: BlockModelParams) -> tuple[BlockGraph, NodePartition, SeedSet]:
-    """Complete weighted block graph, stored as its K distinct rows.
+def build_deterministic_block_graph(params: BlockModelParams) -> tuple[BlockGraph, SeedSet]:
+    """Complete weighted block graph, stored as its K distinct rows, with
+    its ``default_seeds``; ``block_labels`` gives its ground truth.
 
     Every ordered intra-block pair carries weight ``p`` including a self-loop
     on each node; inter-block pairs carry weight ``q``. The self-loop makes a
@@ -127,7 +128,7 @@ def build_deterministic_block_graph(params: BlockModelParams) -> tuple[BlockGrap
     agreement with the solver.
     """
     table = np.where(np.eye(params.num_blocks, dtype=bool), params.p, params.q)
-    return BlockGraph(sizes=params.sizes, table=table), block_labels(params), default_seeds(params)
+    return BlockGraph(sizes=params.sizes, table=table), default_seeds(params)
 
 
 def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[BlockModelParams, int, float]]:
@@ -158,7 +159,7 @@ def oracle_grid(points: int, max_block_nodes: int, rng_seed) -> list[tuple[Block
         p, q = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0))
         params = BlockModelParams(sizes=tuple(sizes), seed_counts=tuple(seeds_c), p=p, q=q)
         hot = int(rng.integers(1, kb + 1))
-        graph, _, seeds = build_deterministic_block_graph(params)
+        graph, seeds = build_deterministic_block_graph(params)
         per_block = closed_form_temperatures(params).per_block[hot - 1]
         problem = one_vs_all_problem(graph, seeds, hot)
         values = solve_iterative(problem, SolverOptions(tolerance=0.0)).values

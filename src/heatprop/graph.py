@@ -21,9 +21,10 @@ class Graph:
 
     ``degrees[i]`` is the sum of weights incident to ``i`` and is positive
     for every node: isolated nodes are rejected at construction time. The
-    degrees are computed, not given: they are the row sums of the weights,
-    taken with the row reduction ``transition_apply`` performs, so every row
-    of the transition operator sums to exactly one.
+    degrees are computed, not given: they are the row sums of the weights by
+    ``np.add.reduceat``, and ``transition_apply`` adds each row's products
+    in that reduction's order (``_sum_layout``), so every row of the
+    transition operator sums to exactly one.
     """
 
     n: int
@@ -93,6 +94,36 @@ class Graph:
         Computed on first use and kept with the graph."""
         return bool(self.weights.min() == 1.0 == self.weights.max())
 
+    @cached_property
+    def _sum_layout(self) -> _SumLayout:
+        """The order in which ``transition_apply`` reads and adds the stored
+        entries, built on first use and kept with the graph."""
+        first, tail = self.indptr[:-1], np.diff(self.indptr) - 1
+        short = np.flatnonzero(tail <= _PAIRWISE_BLOCKSIZE)
+        long = np.flatnonzero(tail > _PAIRWISE_BLOCKSIZE)
+        by_rest = short[np.argsort(-(tail[short] % 8), kind="stable")]
+        by_blocks = short[np.argsort(-(tail[short] // 8), kind="stable")]
+        blocks, rest = _counts_above(tail[by_blocks] // 8), _counts_above(tail[by_rest] % 8)
+        rest_start = first[by_rest] + 1 + tail[by_rest] // 8 * 8
+        lanes = np.arange(8)[:, None]
+        positions = np.concatenate([
+            *((first[by_blocks[:c]] + 1 + 8 * b + lanes).ravel() for b, c in enumerate(blocks)),
+            *(rest_start[:c] + j for j, c in enumerate(rest)),
+            first[by_rest],
+            _concat_ranges(self.indptr, long),
+        ])
+        place = np.empty(self.n, dtype=np.int64)
+        place[np.concatenate([by_rest, long])] = np.arange(self.n)
+        return _SumLayout(
+            place=place,
+            columns=self.indices[positions],
+            weights=None if self.unit_weights else self.weights[positions],
+            blocks=blocks,
+            blocked=place[by_blocks[tail[by_blocks] >= 8]],
+            rest=rest,
+            long_starts=np.cumsum(tail[long] + 1) - (tail[long] + 1),
+        )
+
     @property
     def num_edges(self) -> int:
         """Number of undirected edges; a self-loop counts as one edge."""
@@ -146,9 +177,42 @@ class BlockGraph:
         return np.broadcast_to(np.arange(self.n), self.rows.shape)
 
 
+# numpy's pairwise sum (``pairwise_sum`` in its ``loops_utils.h.src``) splits
+# a segment longer than this in two and recurses
+_PAIRWISE_BLOCKSIZE = 128
+
+
+@dataclass(frozen=True)
+class _SumLayout:
+    """A ``Graph``'s stored entries laid out for ``transition_apply``.
+
+    ``np.add.reduceat`` takes a row's first entry and adds to it numpy's
+    pairwise sum of the row's other ``L`` entries. For ``L <= 128`` that sum
+    is: eight accumulators, one per lane, over the ``L // 8`` full blocks of
+    8; their tree ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` (or -0.0 when there
+    is no block); then the ``L % 8`` remaining entries one by one. Longer
+    rows keep ``reduceat`` on their own segments. The short rows are sorted
+    twice by descending length, by blocks and by remainder, so that the rows
+    that still add a b-th block, or a j-th remaining entry, lead their order.
+    The matvec then makes one gather and one vector add per step."""
+
+    place: np.ndarray  # where each row's sum is: short rows by remainder, then long rows
+    columns: np.ndarray  # the column of each entry, in the order they are read
+    weights: np.ndarray | None  # their weights; None when every weight is 1.0
+    blocks: tuple[int, ...]  # how many rows add a b-th block, for each b
+    blocked: np.ndarray  # ``place`` of each row with a block, in block order
+    rest: tuple[int, ...]  # how many leading short rows add a j-th remaining entry
+    long_starts: np.ndarray  # offset of each long row within the long rows' entries
+
+
+def _counts_above(values: np.ndarray) -> tuple[int, ...]:
+    """How many of the nonnegative ``values`` exceed j, for j < their maximum."""
+    return tuple(np.cumsum(np.bincount(values)[::-1])[-2::-1].tolist())
+
+
 def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-row sums of CSR ``values`` by ``np.add.reduceat``, the reduction
-    ``transition_apply`` performs; empty rows sum to zero."""
+    """Per-row sums of CSR ``values`` by ``np.add.reduceat``, whose order of
+    additions ``transition_apply`` keeps; empty rows sum to zero."""
     sums = np.zeros(indptr.size - 1)
     nonempty = np.diff(indptr) > 0
     if values.size:
@@ -250,12 +314,17 @@ def build_graph(n: int, edges) -> Graph:
 def transition_apply(g: Graph | BlockGraph, v) -> np.ndarray:
     """Apply the degree-normalized adjacency operator: ``u_i = (1/d_i) sum_j A_ij v_j``.
 
-    One pass over the stored entries. Preserves the all-ones vector exactly
-    because every row of the operator sums to one: ``g.degrees`` holds the
-    same ``reduceat`` row sums of the weights that this function computes.
-    Two shortcuts leave the result the same to the bit: graphs whose weights
-    are all 1.0 (``g.unit_weights``) skip the multiply, and a ``BlockGraph``
-    sums each of its K rows times ``v`` once for its whole block.
+    One pass over the stored entries. The row sums equal
+    ``np.add.reduceat(g.weights * v[g.indices], g.indptr[:-1])`` to the bit,
+    so the all-ones vector is preserved exactly (``g.degrees`` are the
+    ``reduceat`` row sums of the weights): each row's products are added in
+    numpy's pairwise order (see ``_SumLayout``), by one gather and one vector
+    add per step in place of one segment per row. The sum of a row's entries
+    after its first starts from -0.0, as numpy's does: adding -0.0 leaves
+    every float as it is, -0.0 included, where +0.0 would turn -0.0 into
+    +0.0. Two shortcuts leave the result the same to the bit: graphs whose
+    weights are all 1.0 (``g.unit_weights``) skip the multiply, and a
+    ``BlockGraph`` sums each of its K rows times ``v`` once for its block.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (g.n,):
@@ -263,9 +332,29 @@ def transition_apply(g: Graph | BlockGraph, v) -> np.ndarray:
     if isinstance(g, BlockGraph):
         sums = np.add.reduceat((g.rows * v).ravel(), np.arange(g.sizes.size) * g.n)
         return np.repeat(sums, g.sizes) / g.degrees
-    contrib = v[g.indices] if g.unit_weights else g.weights * v[g.indices]
-    # no empty rows (degrees are positive), so reduceat segments are well formed
-    return np.add.reduceat(contrib, g.indptr[:-1]) / g.degrees
+    layout = g._sum_layout
+    x = v.take(layout.columns)
+    if layout.weights is not None:
+        x *= layout.weights
+    short = g.n - layout.long_starts.size
+    acc = np.full(short, -0.0)  # each short row's sum after its first entry
+    at = 0
+    if layout.blocks:
+        lanes = x[: 8 * layout.blocks[0]].reshape(8, -1)
+        at = lanes.size
+        for c in layout.blocks[1:]:
+            lanes[:, :c] += x[at : at + 8 * c].reshape(8, c)
+            at += 8 * c
+        pairs = lanes[0::2] + lanes[1::2]
+        acc[layout.blocked] = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for c in layout.rest:
+        acc[:c] += x[at : at + c]
+        at += c
+    sums = np.empty(g.n)
+    np.add(x[at : at + short], acc, out=sums[:short])
+    if layout.long_starts.size:
+        sums[short:] = np.add.reduceat(x[at + short :], layout.long_starts)
+    return sums.take(layout.place) / g.degrees
 
 
 def directed_to_bipartite(n: int, arcs, names=None) -> Graph:

@@ -23,6 +23,7 @@ from heatprop import (
     sbm_generate,
     solve_iterative,
 )
+from heatprop.blockmodel import block_labels
 from heatprop.classify import classify, one_vs_all_fields
 from heatprop.cli import main as cli_main
 from heatprop.solver import residual
@@ -72,7 +73,7 @@ def test_criterion_01_oracle_agreement_randomized():
         )
         assert params.n <= 200
         hot = int(rng.integers(1, kb + 1))
-        graph, _, seeds = build_deterministic_block_graph(params)
+        graph, seeds = build_deterministic_block_graph(params)
         if seeds.nodes.size == graph.n:
             continue
         oracle = closed_form_temperatures(params).per_block[hot - 1]
@@ -90,7 +91,7 @@ def test_criterion_02_worked_instance():
     assert abs(oracle.mean[0] - 0.5) <= 1e-12
     assert abs(oracle.per_block[0, 0] - 0.6) <= 1e-12
     assert abs(oracle.per_block[0, 1] - 0.4) <= 1e-12
-    graph, _, seeds = build_deterministic_block_graph(params)
+    graph, seeds = build_deterministic_block_graph(params)
     field = solve_exact(_hot_problem(graph, seeds))
     assert np.abs(field.values - np.array([1.0, 0.6, 0.0, 0.4])).max() <= 1e-12
     assert abs(field.values.mean() - 0.5) <= 1e-12
@@ -146,7 +147,8 @@ def test_criterion_03_theorem_consistency_grid():
     assert len(points) >= 200
     for params in points[:200]:
         assert params.p > params.q
-        graph, truth, seeds = build_deterministic_block_graph(params)
+        graph, seeds = build_deterministic_block_graph(params)
+        truth = block_labels(params)
         labels, _ = classify(one_vs_all_fields(graph, seeds, opts), seeds, "centered")
         non_seed = np.setdiff1d(np.arange(graph.n), seeds.nodes)
         assert np.array_equal(labels[non_seed], truth.labels[non_seed]), params
@@ -159,7 +161,8 @@ def test_criterion_04_vanilla_failure_witness():
     params = BlockModelParams(sizes=(50, 50), seed_counts=(10, 2), p=2.0, q=1.0)
     t = closed_form_temperatures(params).per_block
     assert not t[1, 1] > t[0, 1]
-    graph, truth, seeds = build_deterministic_block_graph(params)
+    graph, seeds = build_deterministic_block_graph(params)
+    truth = block_labels(params)
     opts = SolverOptions()
     fields = one_vs_all_fields(graph, seeds, opts)
     vanilla, _ = classify(fields, seeds, "vanilla")

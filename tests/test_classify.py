@@ -3,7 +3,7 @@ import pytest
 
 import heatprop.solver
 from heatprop import SeedSet, SolverOptions, TemperatureField, ValidationError, solve_iterative
-from heatprop.blockmodel import BlockModelParams, build_deterministic_block_graph
+from heatprop.blockmodel import BlockModelParams, block_labels, build_deterministic_block_graph
 from heatprop.classify import VARIANTS, classify, one_vs_all_fields, one_vs_all_problem, scores_from_fields
 from conftest import barbell_graph, count_calls, path_graph, random_connected_graph
 
@@ -96,13 +96,15 @@ class TestCenter:
 class TestClassify:
     def test_block_model_centered_recovers_blocks(self):
         params = BlockModelParams(sizes=(2, 2), seed_counts=(1, 1), p=2.0, q=1.0)
-        g, truth, seeds = build_deterministic_block_graph(params)
+        g, seeds = build_deterministic_block_graph(params)
+        truth = block_labels(params)
         labels, _ = classify_graph(g, seeds, "centered", SolverOptions())
         assert np.array_equal(labels, truth.labels)
 
     def test_seed_asymmetry_vanilla_fails_centered_does_not(self):
         params = BlockModelParams(sizes=(50, 50), seed_counts=(10, 2), p=2.0, q=1.0)
-        g, truth, seeds = build_deterministic_block_graph(params)
+        g, seeds = build_deterministic_block_graph(params)
+        truth = block_labels(params)
         fields = one_vs_all_fields(g, seeds, SolverOptions())
         vanilla, _ = classify(fields, seeds, "vanilla")
         centered, _ = classify(fields, seeds, "centered")
@@ -134,7 +136,7 @@ class TestClassify:
         assert calls == [(g,)]
         # every pair of a block graph's nodes is joined: it is never searched
         params = BlockModelParams(sizes=(10, 10, 10), seed_counts=(1, 2, 3), p=2.0, q=1.0)
-        block, _, block_seeds = build_deterministic_block_graph(params)
+        block, block_seeds = build_deterministic_block_graph(params)
         one_vs_all_fields(block, block_seeds)
         assert calls == [(g,)]
 
@@ -199,7 +201,7 @@ class TestClassify:
 
     def test_confidence_is_score_gap(self):
         params = BlockModelParams(sizes=(3, 3), seed_counts=(1, 1), p=3.0, q=1.0)
-        g, _, seeds = build_deterministic_block_graph(params)
+        g, seeds = build_deterministic_block_graph(params)
         fields = one_vs_all_fields(g, seeds, SolverOptions())
         s = np.sort(scores_from_fields(fields, seeds, "centered"), axis=1)
         assert np.allclose(classify(fields, seeds, "centered")[1], s[:, -1] - s[:, -2])

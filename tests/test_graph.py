@@ -134,7 +134,7 @@ class TestTransitionApply:
         # equal weights could miss one in the last bit; BlockGraph takes
         # every degree with the operator's own row reduction
         params = BlockModelParams(sizes=(50, 50), seed_counts=(1, 1), p=2 / 3, q=0.1)
-        g, _, _ = build_deterministic_block_graph(params)
+        g, _ = build_deterministic_block_graph(params)
         assert np.array_equal(transition_apply(g, np.ones(g.n)), np.ones(g.n))
 
     def test_weighted_triangle_hand_computed(self):
@@ -154,13 +154,16 @@ class TestTransitionApply:
     @pytest.mark.parametrize(
         "case",
         ["unweighted-sbm", "merged-pairs", "weighted-karate", "complete-blocks", "complete-unit",
-         "self-loop", "near-complete"],
+         "self-loop", "near-complete", "mixed-lengths-unit", "mixed-lengths-weighted"],
     )
     def test_equals_the_weighted_reduction_to_the_bit(self, case, karate):
         # unit weights skip the multiply; complete graphs built here take the
         # same sparse path; the result must not move by a bit
         rng = np.random.default_rng(185)
-        if case == "unweighted-sbm":
+        if case.startswith("mixed-lengths"):
+            g = mixed_length_graph(rng, weighted=case.endswith("weighted"))
+            assert np.array_equal(transition_apply(g, np.ones(g.n)), np.ones(g.n))
+        elif case == "unweighted-sbm":
             params = BlockModelParams(sizes=(300, 200), seed_counts=(3, 2), p=0.05, q=0.01)
             g = sbm_generate(params, 0)[0]
         elif case == "merged-pairs":
@@ -187,14 +190,26 @@ class TestTransitionApply:
             lo, hi = np.triu_indices(25)
             keep = (lo != 3) | (hi != 3)
             g = build_graph(25, (lo[keep], hi[keep], rng.uniform(0.1, 3.0, size=keep.sum())))
-        assert g.unit_weights is (case in ("unweighted-sbm", "complete-unit"))
+        assert g.unit_weights is (case in ("unweighted-sbm", "complete-unit", "mixed-lengths-unit"))
         if case.startswith("complete") or case == "self-loop":
             assert g.indices.size == g.n * g.n
         elif case == "near-complete":
             assert g.indices.size == g.n * g.n - 1
-        for v in (rng.normal(size=g.n), rng.uniform(size=g.n), np.ones(g.n)):
-            expect = np.add.reduceat(g.weights * v[g.indices], g.indptr[:-1]) / g.degrees
-            assert np.array_equal(transition_apply(g, v), expect)
+        assert_reduction_to_the_bit(g, rng)
+
+    def test_random_sparse_graphs_equal_the_reduction_to_the_bit(self):
+        # rows of every length and both kinds of weight; a row sum of -0.0
+        # must stay -0.0
+        rng = np.random.default_rng(187)
+        for _ in range(40):
+            n = int(rng.integers(2, 400))
+            src = rng.integers(0, n, size=int(rng.integers(n, 6 * n)))
+            dst = rng.integers(0, n, size=src.size)
+            hubs = np.repeat(rng.integers(0, n, size=3), rng.integers(0, 300, size=3))
+            src = np.concatenate([src, hubs, np.arange(n)])
+            dst = np.concatenate([dst, rng.integers(0, n, size=hubs.size), (np.arange(n) + 1) % n])
+            weights = np.ones(src.size) if rng.random() < 0.5 else rng.uniform(1e-3, 1e3, size=src.size)
+            assert_reduction_to_the_bit(build_graph(n, (src, dst, weights)), rng)
 
     def test_complete_graph_reads_no_column_index(self, monkeypatch):
         # a BlockGraph multiplies its rows in column order: its column index
@@ -292,6 +307,37 @@ class TestRowRuns:
         monkeypatch.setattr(heatprop.graph, "np", Numpy())
         transition_apply(g, np.ones(g.n))
         assert sizes == [3 * g.n]
+
+
+def assert_reduction_to_the_bit(g: Graph, rng):
+    """``transition_apply`` returns the bytes of one ``np.add.reduceat`` over
+    the weighted entries, on vectors that hold +0.0 and -0.0 among others."""
+    vectors = [
+        rng.normal(size=g.n), rng.uniform(size=g.n), np.ones(g.n), np.full(g.n, -0.0),
+        rng.choice([0.0, -0.0], size=g.n), np.where(rng.random(g.n) < 0.8, -0.0, rng.normal(size=g.n)),
+    ]
+    for v in vectors:
+        expect = np.add.reduceat(g.weights * v[g.indices], g.indptr[:-1]) / g.degrees
+        assert transition_apply(g, v).tobytes() == expect.tobytes()
+
+
+# row lengths on both sides of each branch of numpy's pairwise sum of the
+# L entries after a row's first: L under 8, blocks of 8 up to L = 128, and
+# the recursive split above
+MIXED_LENGTHS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 24, 25, 128, 129, 130, 257)
+
+
+def mixed_length_graph(rng, weighted: bool) -> Graph:
+    """Stars whose centres have the ``MIXED_LENGTHS`` above 1, each with
+    leaves of its own (rows of length 1), in a shuffled numbering."""
+    centres = [d for d in MIXED_LENGTHS if d > 1]
+    n = len(centres) + sum(centres)
+    node = rng.permutation(n)
+    src = node[np.repeat(np.arange(len(centres)), centres)]
+    dst = node[len(centres):]
+    g = build_graph(n, (src, dst, rng.uniform(0.1, 3.0, size=src.size) if weighted else np.ones(src.size)))
+    assert sorted(set(np.diff(g.indptr).tolist())) == list(MIXED_LENGTHS)
+    return g
 
 
 def complete_block_graph(sizes=(40, 30, 20), p=0.6, q=0.15) -> Graph:

@@ -47,7 +47,7 @@ def make_fixture_problems():
         )
     for sizes, seeds, p, q in (((2, 2), (1, 1), 2.0, 1.0), ((50, 50), (10, 2), 2.0, 1.0)):
         params = BlockModelParams(sizes=sizes, seed_counts=seeds, p=p, q=q)
-        g, _, seed_set = build_deterministic_block_graph(params)
+        g, seed_set = build_deterministic_block_graph(params)
         temps = (seed_set.labels == 1).astype(float)
         problems.append(
             DirichletProblem(graph=g, boundary=seed_set.nodes, boundary_temps=temps)

@@ -12,9 +12,11 @@ For the checkout (default: this one) it
   checkout: the median wall time of 3 runs, then one run under cProfile for
   the split by layer, with exact solver counters.
 
-Each part appends one point per commit to ``BENCH_<workload>.json`` and
+Each part adds one point per commit to ``BENCH_<workload>.json`` and
 ``BENCH_bundled.json`` at the root of this repository. A point recorded again
-for the same commit and sources replaces the old one. A point opens with the
+for the same commit and sources replaces the old one. Points are kept in the
+order of their commit dates, read from this repository's history (a point
+whose commit it lacks goes last, in recorded order). A point opens with the
 environment that the checkout's run.py reports: the commit (None without a
 ``.git`` directory), the source digest, the Python and numpy versions, the
 core count, the CPU model and the thread variables. As in run.py,
@@ -39,6 +41,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from datetime import datetime
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -264,13 +267,35 @@ def record_bundled(checkout: Path, configs: list[str], repeats: int, work: Path)
 # ---------------------------------------------------------------------------
 
 
-def append_point(path: Path, point: dict) -> None:
+def commit_date(commit: str | None, repo: Path) -> str | None:
+    """The committer date of ``commit`` in ``repo`` (ISO 8601), or None
+    without a commit, without git or when ``repo`` lacks the commit."""
+    if commit is None:
+        return None
+    try:
+        proc = subprocess.run(["git", "show", "-s", "--format=%cI", commit], cwd=repo, capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() or None if proc.returncode == 0 else None
+
+
+def append_point(path: Path, point: dict, repo: Path = ROOT) -> None:
     """Add ``point`` to the file's points, replacing any point of the same
-    commit and sources."""
+    commit and sources. Every point gets its ``commit_date`` from ``repo``,
+    the points are sorted by it, and undated points go last."""
     data = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {"points": []}
     same = (point["commit"], point["source_sha256"])
-    data["points"] = [p for p in data["points"] if (p["commit"], p["source_sha256"]) != same] + [point]
+    points = [p for p in data["points"] if (p["commit"], p["source_sha256"]) != same] + [point]
+    for p in points:
+        p["commit_date"] = p.get("commit_date") or commit_date(p["commit"], repo)
+    data["points"] = sorted(points, key=_in_commit_order)
     path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+
+
+def _in_commit_order(point: dict) -> tuple[bool, float]:
+    """Sort key: dated points by commit time, then the undated ones."""
+    date = point["commit_date"]
+    return date is None, datetime.fromisoformat(date).timestamp() if date else 0.0
 
 
 def main(argv=None) -> int:
