@@ -192,9 +192,10 @@ class _SumLayout:
     8; their tree ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` (or -0.0 when there
     is no block); then the ``L % 8`` remaining entries one by one. Longer
     rows keep ``reduceat`` on their own segments. The short rows are sorted
-    twice by descending length, by blocks and by remainder, so that the rows
-    that still add a b-th block, or a j-th remaining entry, lead their order.
-    The matvec then makes one gather and one vector add per step."""
+    twice, by descending block count and by descending remainder, so that
+    the rows that still add a b-th block, or a j-th remaining entry, lead
+    their order. The matvec then makes one gather and one vector add per
+    step."""
 
     place: np.ndarray  # where each row's sum is: short rows by remainder, then long rows
     columns: np.ndarray  # the column of each entry, in the order they are read
