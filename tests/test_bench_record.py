@@ -83,3 +83,38 @@ def test_points_are_kept_in_commit_date_order(tmp_path):
     recorder.append_point(path, {"commit": commits[0], "source_sha256": "0"}, repo=repo)
     points = json.loads(path.read_text(encoding="utf-8"))["points"]
     assert [p["commit_date"] for p in points] == [*dates, None, None]
+
+
+def test_workload_point_takes_the_median_of_repeated_untraced_runs(monkeypatch):
+    # three untraced runs whose metrics differ, then one traced run; the
+    # second untraced run fails and the third lacks one metric
+    recorder = load_recorder()
+    reports = iter([
+        ({"points_per_s": 100.0, "quality": 0.9}, [0.2, 0.4]),
+        None,
+        ({"points_per_s": 130.0}, [0.3]),
+        ({"solver.iterations": 2423.0, "solver.sweep_ms": 0.0}, [9.0]),
+    ])
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append(trace)
+        report = next(reports)
+        if report is None:
+            return None, ["run.py exited 1 with no report: boom"]
+        metrics, cpu = report
+        info = {"environment": {"commit": "abc", "source_sha256": "def"}, "call_cpu_s": cpu,
+                "inputs_sha256": "123", "errors": []}
+        return {"info": info, "result": {"metrics": {k: {"value": v} for k, v in metrics.items()}}}, []
+
+    monkeypatch.setattr(recorder, "run_perfbench", fake_run)
+    point = recorder.record_workload(ROOT, "sbm-sweep", 1, 20.0, repeats=3)
+    assert calls == [0, 0, 0, 1]
+    assert point["repeats"] == 3 and point["commit"] == "abc"
+    assert point["errors"] == ["run.py exited 1 with no report: boom"]
+    assert point["end_to_end_runs"] == {"points_per_s": [100.0, 130.0], "quality": [0.9]}
+    assert point["end_to_end"] == {"points_per_s": 115.0, "quality": 0.9}
+    assert point["call_cpu_s_median"] == 0.3  # over every timed call of the untraced runs
+    assert point["per_layer"] == {"solver.iterations": 2423.0, "solver.sweep_ms": 0.0}
+    assert point["counters"] == {"solver.iterations": 2423.0}
+    assert point["always_zero"] == {"solver.sweep_ms": "times solver.jacobi_sweep, which the package no longer has"}

@@ -251,8 +251,11 @@ class TestPartitionOfUnity:
         rng = np.random.default_rng(43)
         g = random_connected_graph(rng, 200, extra_edges=200)
         seeds = three_label_seeds(rng, 200)
-        fields = one_vs_all_fields(g, seeds)
-        solved = diffuse(g, seeds, 3)
+        # the bound compares field values, which the default tolerance,
+        # chosen for the labels, does not bring within 1e-8
+        opts = SolverOptions(tolerance=1e-9)
+        fields = one_vs_all_fields(g, seeds, opts)
+        solved = diffuse(g, seeds, 3, opts)
         assert np.abs(fields[2].values - solved.values).max() < 1e-8
         assert [f.info.stop_reason for f in fields] == ["tolerance", "tolerance", "derived"]
         assert fields[2].info.iterations == 0

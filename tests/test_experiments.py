@@ -21,6 +21,9 @@ from heatprop import (
     run_experiment,
     sample_seeds,
 )
+from heatprop.classify import classify
+from heatprop.cli import _config_experiment, parse_config
+from heatprop.datasets import config_path
 from heatprop.experiments import derive_seed
 from conftest import count_calls, path_graph, random_connected_graph, star_graph
 
@@ -405,6 +408,33 @@ class TestRunExperiment:
         sweep = Sweep(kind="seed_ratio", values=(1.0, 20.0))  # 20 wants 40 seeds in a 30-node block
         with pytest.raises(ValidationError, match="^sweep value 20: seed count 40 must satisfy"):
             ExperimentConfig(source=SbmSource(params=params), sweep=sweep)
+
+
+class TestStoppingTolerance:
+    def test_default_tolerance_keeps_the_labels_of_an_exact_solve(self, monkeypatch):
+        # labels read only the order of each node's scores: on every cell of
+        # the bundled fig2a-small, fields solved at the default tolerance
+        # give the centered labels of fields solved to rounding (tolerance
+        # 0) on every node, and move a vanilla label only where its two best
+        # scores tie to rounding
+        cfg = _config_experiment(parse_config(config_path("fig2a-small").read_text(encoding="utf-8")))
+        cfg = dataclasses.replace(cfg, solver=SolverOptions())
+        original = heatprop.experiments.one_vs_all_fields
+        cells = []
+
+        def both(g, seeds, opts):
+            exact = original(g, seeds, dataclasses.replace(opts, tolerance=0.0))
+            cells.append((seeds, exact, original(g, seeds, opts)))
+            return cells[-1][2]
+
+        monkeypatch.setattr(heatprop.experiments, "one_vs_all_fields", both)
+        table = run_experiment(cfg)
+        assert len(cells) == len(table.reps) == 20
+        for seeds, exact, fields in cells:
+            assert np.array_equal(classify(fields, seeds, "centered")[0], classify(exact, seeds, "centered")[0])
+            exact_labels, gap = classify(exact, seeds, "vanilla")
+            moved = classify(fields, seeds, "vanilla")[0] != exact_labels
+            assert np.all(gap[moved] <= 8 * heatprop.solver.EPS)
 
 
 class TestSeedDerivation:

@@ -780,14 +780,14 @@ class TestCli:
         assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 32
 
     def test_bench_config_defaults(self, tmp_path):
-        # the fields take 12-13 conjugate-gradient iterations, so another
-        # tolerance or a cap below that shows in the iters column; the
-        # decoded configs must also be equal, so that any other changed
+        # the fields take 9 conjugate-gradient iterations (12-13 at 1e-9), so
+        # another tolerance or a cap below that shows in the iters column;
+        # the decoded configs must also be equal, so that any other changed
         # default in SolverOptions or ExperimentConfig shows
         model = "sizes = 60,60\nseeds = 20,20\np = 0.3\nq = 0.05\n"
         spelled_out = model + (
             "source = sbm\nsweep = none\nvariants = vanilla,centered\nrepetitions = 10\n"
-            "master_seed = 0\nmax_iterations = 100\ntolerance = 1e-9\n"
+            "master_seed = 0\nmax_iterations = 100\ntolerance = 1e-6\n"
         )
         for name, text in (("minimal", model), ("spelled-out", spelled_out)):
             (tmp_path / f"{name}.cfg").write_text(text)

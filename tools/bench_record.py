@@ -5,8 +5,9 @@
 For the checkout (default: this one) it
 
 - runs ``perfbench/run.py`` unchanged, as a subprocess, on each workload at
-  seed 1 for the ``run_seconds`` of BENCHMARK.json, once untraced (end-to-end
-  metrics) and once traced (per-layer metrics), and reads the JSON report
+  seed 1 for the ``run_seconds`` of BENCHMARK.json, ``REPEATS`` times
+  untraced (end-to-end metrics: the median of the runs, and each run's
+  value) and once traced (per-layer metrics), and reads the JSON report
   that run.py writes to ``.bench_run/reports/``;
 - runs ``heatprop bench`` in this process on each bundled config of the
   checkout: the median wall time of 3 runs, then one run under cProfile for
@@ -126,25 +127,34 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trac
     return data, errors
 
 
-def record_workload(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """A point of ``BENCH_<workload>.json``: the end-to-end metrics of an
-    untraced run and the per-layer metrics of a traced one, each as run.py
-    reports them (a timing is the median over a slot's timed calls), with
-    the environment of the first report."""
-    point, env = {"workload": workload, "seed": seed, "seconds": seconds, "errors": []}, None
-    for trace, key in ((0, "end_to_end"), (1, "per_layer")):
+def record_workload(checkout: Path, workload: str, seed: int, seconds: float, repeats: int) -> dict:
+    """A point of ``BENCH_<workload>.json``: the end-to-end metrics of
+    ``repeats`` untraced runs and the per-layer metrics of one traced run,
+    each as run.py reports them (a timing is the median over a slot's timed
+    calls), with the environment of the first report. An end-to-end metric
+    is the median over the runs that report it, and ``end_to_end_runs``
+    keeps each run's value in run order."""
+    point, env = {"workload": workload, "seed": seed, "seconds": seconds, "repeats": repeats, "errors": []}, None
+    runs, cpu = [], []
+    for trace in [0] * repeats + [1]:
         data, errors = run_perfbench(checkout, workload, seed, seconds, trace)
         point["errors"] += errors
         if data and env is None:
             env = data["info"]["environment"]
         metrics = {name: m["value"] for name, m in data["result"]["metrics"].items()} if data else {}
-        point[key] = metrics
         if data and trace == 0:
-            point["call_cpu_s_median"] = statistics.median(data["info"]["call_cpu_s"])
+            runs.append(metrics)
+            cpu += data["info"]["call_cpu_s"]
             point["inputs_sha256"] = data["info"]["inputs_sha256"]
         if trace == 1:
+            point["per_layer"] = metrics
             point["counters"] = {name: metrics[name] for name in COUNTERS if name in metrics}
             point["always_zero"] = always_zero(checkout, metrics)
+    names = dict.fromkeys(name for r in runs for name in r)
+    point["end_to_end_runs"] = {name: [r[name] for r in runs if name in r] for name in names}
+    point["end_to_end"] = {name: statistics.median(values) for name, values in point["end_to_end_runs"].items()}
+    if cpu:
+        point["call_cpu_s_median"] = statistics.median(cpu)
     return {**(env or environment(checkout)), **point}
 
 
@@ -306,7 +316,7 @@ def main(argv=None) -> int:
     os.environ.update(PINNED_ENV)  # before numpy is imported
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     for workload in (w["name"] for w in bench["workloads"]):
-        point = record_workload(checkout, workload, SEED, bench["run_seconds"])
+        point = record_workload(checkout, workload, SEED, bench["run_seconds"], REPEATS)
         append_point(ROOT / f"BENCH_{workload}.json", point)
         print(f"{workload}: {point['end_to_end']} errors={point['errors']}")
     with tempfile.TemporaryDirectory() as work:
