@@ -423,9 +423,9 @@ class TestStoppingTolerance:
         cells = []
 
         def both(g, seeds, opts):
-            exact = original(g, seeds, dataclasses.replace(opts, tolerance=0.0))
-            cells.append((seeds, exact, original(g, seeds, opts)))
-            return cells[-1][2]
+            fields = original(g, seeds, opts)
+            cells.append((seeds, original(g, seeds, dataclasses.replace(opts, tolerance=0.0)), fields))
+            return fields
 
         monkeypatch.setattr(heatprop.experiments, "one_vs_all_fields", both)
         table = run_experiment(cfg)
