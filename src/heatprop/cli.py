@@ -145,10 +145,10 @@ def _cmd_classify(args) -> int:
     external = list(map(_csv_field, bundle.id_map))
     names = {lab: _csv_field(name) for lab, name in label_names.items()}
     rows = map(
-        "{},{},{}\n".format,
+        "{},{},{:.12g}\n".format,  # the confidence as _fmt writes it
         map(external.__getitem__, originals.tolist()),
         map(names.__getitem__, labels[index].tolist()),
-        map(_fmt, confidence[index].tolist()),
+        confidence[index].tolist(),
     )
     text = "node_id,label,confidence\n" + "".join(rows)
     if args.out == "-":

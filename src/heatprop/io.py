@@ -3,9 +3,11 @@
 Both loaders run on one array tokenizer, ``_tokenize``. It reads a file once,
 classifies every character through a lookup table and finds lines, fields and
 their counts with whole-array operations; ``_first_seen`` then numbers the
-fields by value with one sort. No Python code runs per line or per token,
-except to parse weights with ``float``, to name each distinct id once and to
-settle overlapping matches of a multi-character delimiter.
+fields by value with one value sort of their code units packed beside their
+positions (tokens too long for that take more sorts). No Python code runs
+per line or per token, except to parse weights with ``float``, to name each
+distinct id once and to settle overlapping matches of a multi-character
+delimiter.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, NodePartition, _concat_ranges, build_graph, directed_to_bipartite
+from .graph import Graph, NodePartition, _concat_ranges, _stable_sort, build_graph, directed_to_bipartite
 
 # every character str.isspace() accepts lies below U+3001 (a test checks the
 # whole code space); the line breaks of str.splitlines() are all whitespace
@@ -136,7 +138,9 @@ def _classify(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     table[[ord(c) for c in _WHITESPACE if ord(c) < table.size]] = _SPACE
     table[[ord(c) for c in _LINE_BREAKS if ord(c) < table.size]] |= _BREAK
     kind = table[codes]
-    return kind != 0, np.flatnonzero(kind & _BREAK)
+    # every line break is whitespace, so kind is 0, _SPACE or _SPACE | _BREAK,
+    # and a bool mask is faster to search than kind & _BREAK
+    return kind != 0, np.flatnonzero(kind > _SPACE)
 
 
 def _detect_delimiter(line: str) -> str | None:
@@ -197,7 +201,11 @@ def _first_seen(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     the index of its first token.
 
     Tokens are compared by 64-bit words of their code units, each plus one so
-    that zero pads unambiguously: one sort when every token fits one word.
+    that zero pads unambiguously. When the longest token's units fit in one
+    word beside the bits of a position, one stable value sort
+    (``_stable_sort``) groups them, and each group's first token leads it.
+    Otherwise the first words are sorted, groups that have units left are
+    split by further sorts, and each group's first token is its smallest.
     """
     if not starts.size:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -208,10 +216,17 @@ def _first_seen(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     # words[i]: the 64 bits from unit i on
     words = np.ndarray((codes.size + 1,), dtype="<u8", buffer=padded, strides=(codes.itemsize,))
     lengths = ends - starts
-    order, new = _sorted_groups(_unit_words(words, starts, lengths, 64 // unit_bits, unit_bits))
-    if lengths.max() > 64 // unit_bits:
-        order, new = _refined_groups(words, starts, lengths, order, new, unit_bits)
-    firsts = np.minimum.reduceat(order, np.flatnonzero(new))
+    key = _unit_words(words, starts, lengths, 64 // unit_bits, unit_bits)
+    key_bits = unit_bits * int(lengths.max())
+    if key_bits + (starts.size - 1).bit_length() <= 63:
+        ranked, order = _stable_sort(key, key_bits)
+        new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+        firsts = order[new]
+    else:
+        order, new = _sorted_groups(key)
+        if key_bits > 64:
+            order, new = _refined_groups(words, starts, lengths, order, new, unit_bits)
+        firsts = np.minimum.reduceat(order, np.flatnonzero(new))
     by_appearance = np.argsort(firsts)
     number = np.empty(firsts.size, dtype=np.int64)
     number[by_appearance] = np.arange(firsts.size)
@@ -358,8 +373,7 @@ def _lookup(id_map: dict[str, int], codes: np.ndarray, starts: np.ndarray, ends:
 def _first_conflict(nodes: np.ndarray, labels: np.ndarray) -> int | None:
     """Index of the first entry whose label differs from the label of the
     first entry of its node, or None."""
-    order = np.argsort(nodes, kind="stable")
-    ranked = nodes[order]
+    ranked, order = _stable_sort(nodes, int(nodes.max(initial=0)).bit_length())
     first = np.concatenate(([True], ranked[1:] != ranked[:-1]))[: order.size]
     first_label = labels[order[first]][np.cumsum(first) - 1]
     clash = order[labels[order] != first_label]

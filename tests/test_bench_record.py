@@ -108,7 +108,7 @@ def test_workload_point_takes_the_median_of_repeated_untraced_runs(monkeypatch):
         return {"info": info, "result": {"metrics": {k: {"value": v} for k, v in metrics.items()}}}, []
 
     monkeypatch.setattr(recorder, "run_perfbench", fake_run)
-    point = recorder.record_workload(ROOT, "sbm-sweep", 1, 20.0, repeats=3)
+    (point,) = recorder.record_workload([ROOT], "sbm-sweep", 1, 20.0, repeats=3)
     assert calls == [0, 0, 0, 1]
     assert point["repeats"] == 3 and point["commit"] == "abc"
     assert point["errors"] == ["run.py exited 1 with no report: boom"]
@@ -118,3 +118,28 @@ def test_workload_point_takes_the_median_of_repeated_untraced_runs(monkeypatch):
     assert point["per_layer"] == {"solver.iterations": 2423.0, "solver.sweep_ms": 0.0}
     assert point["counters"] == {"solver.iterations": 2423.0}
     assert point["always_zero"] == {"solver.sweep_ms": "times solver.jacobi_sweep, which the package no longer has"}
+
+
+def test_checkouts_take_turns_and_keep_their_own_points(monkeypatch, tmp_path):
+    # two checkouts, two untraced runs each: every checkout runs once before
+    # any runs again, and the traced runs come last
+    recorder = load_recorder()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src" / "heatprop").mkdir(parents=True)
+        (checkout / "src" / "heatprop" / "solver.py").write_text('"""Solvers."""\n', encoding="utf-8")
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, trace))
+        value = float(len(calls))
+        info = {"environment": {"commit": checkout.name, "source_sha256": checkout.name}, "call_cpu_s": [value],
+                "inputs_sha256": "123", "errors": []}
+        return {"info": info, "result": {"metrics": {"classify_s": {"value": value}}}}, []
+
+    monkeypatch.setattr(recorder, "run_perfbench", fake_run)
+    points = recorder.record_workload([parent, change], "file-classify", 1, 30.0, repeats=2)
+    assert calls == [("parent", 0), ("change", 0), ("parent", 0), ("change", 0), ("parent", 1), ("change", 1)]
+    assert [p["commit"] for p in points] == ["parent", "change"]
+    assert [p["end_to_end_runs"] for p in points] == [{"classify_s": [1.0, 3.0]}, {"classify_s": [2.0, 4.0]}]
+    assert [p["per_layer"] for p in points] == [{"classify_s": 5.0}, {"classify_s": 6.0}]

@@ -17,7 +17,7 @@ from heatprop import (
     transition_apply,
 )
 import heatprop.graph
-from heatprop.graph import BlockGraph, _sorted_unique
+from heatprop.graph import BlockGraph, _sorted_unique, _stable_sort
 from conftest import count_calls, dense_from_edges, path_graph, random_connected_graph
 from reference import dense_adjacency, two_stage_build_graph, validate_layout
 
@@ -567,6 +567,29 @@ class TestSortedUnique:
         out, expect = _sorted_unique(values), np.unique(values)
         assert out.dtype == expect.dtype
         assert np.array_equal(out, expect)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        np.empty(0, dtype=np.int64),
+        np.array([7]),
+        np.full(5, 3),
+        np.arange(10)[::-1].copy(),
+        np.random.default_rng(6).integers(0, 50, size=1000),
+        np.random.default_rng(7).integers(0, 2**40, size=1000, dtype=np.uint64),
+    ],
+    ids=["empty", "one", "all-equal", "descending", "random", "uint64"],
+)
+def test_stable_sort_packed_and_fallback_match_stable_argsort(key):
+    # a key width that leaves no room for the position bits forces the
+    # fallback on the same input
+    key_bits = int(key.max(initial=0)).bit_length()
+    packed, fallback = _stable_sort(key, key_bits), _stable_sort(key, 64)
+    order = np.argsort(key, kind="stable")
+    for ranked, got in (packed, fallback):
+        assert ranked.dtype == key.dtype and got.dtype == np.int64
+        assert np.array_equal(ranked, key[order]) and np.array_equal(got, order)
 
 
 def lexsort_reference(n, src, dst, w):

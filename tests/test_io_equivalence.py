@@ -295,6 +295,16 @@ def test_loaders_match_reference(tmp_path, seed):
     assert label_summary(outcome(load_labels, *args)) == label_summary(outcome(reference_load_labels, *args))
 
 
+@pytest.mark.parametrize("digits, edges", [(7, 64), (7, 65), (7, 500), (8, 500), (9, 500)])
+def test_long_ids_match_reference(tmp_path, digits, edges):
+    # 7-digit ids take 56 bits: 128 tokens pack beside their 7 position bits
+    # into one sort, 130 do not; 8 digits fill the first word, 9 need more
+    rng = np.random.default_rng([digits, edges])
+    ids = rng.integers(10 ** (digits - 1), 10 ** (digits - 1) + 3 * edges, size=(edges, 2))
+    path = write(tmp_path / "g.edges", "".join(f"{a}\t{b}\n" for a, b in ids.tolist()))
+    assert edge_summary(load_edge_list(path)) == edge_summary(reference_load_edge_list(path))
+
+
 def test_conflict_reported_before_unknown_ids(tmp_path):
     edges = write(tmp_path / "g.edges", "a\tb\nb\tc\n")
     labels = write(tmp_path / "g.labels", "zz\tx\na\tx\nb\ty\na\ty\nqq\tx\n")

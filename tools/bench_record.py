@@ -1,19 +1,22 @@
 """Record one point of the performance trajectory in BENCH_*.json.
 
-    python3 tools/bench_record.py [--checkout DIR]
+    python3 tools/bench_record.py [--checkout DIR ...]
 
-For the checkout (default: this one) it
+For each checkout (default: this one; ``--checkout`` may be given more than
+once) it
 
 - runs ``perfbench/run.py`` unchanged, as a subprocess, on each workload at
   seed 1 for the ``run_seconds`` of BENCHMARK.json, ``REPEATS`` times
   untraced (end-to-end metrics: the median of the runs, and each run's
   value) and once traced (per-layer metrics), and reads the JSON report
-  that run.py writes to ``.bench_run/reports/``;
+  that run.py writes to ``.bench_run/reports/``. On each workload the
+  checkouts take turns, one run each, so that a spell of load on the
+  machine falls on all of them;
 - runs ``heatprop bench`` in this process on each bundled config of the
   checkout: the median wall time of 3 runs, then one run under cProfile for
   the split by layer, with exact solver counters.
 
-Each part adds one point per commit to ``BENCH_<workload>.json`` and
+Each part adds one point per checkout to ``BENCH_<workload>.json`` and
 ``BENCH_bundled.json`` at the root of this repository. A point recorded again
 for the same commit and sources replaces the old one. Points are kept in the
 order of their commit dates, read from this repository's history (a point
@@ -24,7 +27,8 @@ core count, the CPU model and the thread variables. As in run.py,
 ``HEATPROP_THREADS`` is unset and the ``*_NUM_THREADS`` variables are pinned
 to 1 before numpy is imported. To
 record another commit, check it out elsewhere (for example with ``git
-clone``) and pass it as ``--checkout``.
+clone``) and pass it as ``--checkout``; pass the parent and the change to
+compare them.
 """
 
 from __future__ import annotations
@@ -127,17 +131,28 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trac
     return data, errors
 
 
-def record_workload(checkout: Path, workload: str, seed: int, seconds: float, repeats: int) -> dict:
-    """A point of ``BENCH_<workload>.json``: the end-to-end metrics of
-    ``repeats`` untraced runs and the per-layer metrics of one traced run,
-    each as run.py reports them (a timing is the median over a slot's timed
-    calls), with the environment of the first report. An end-to-end metric
-    is the median over the runs that report it, and ``end_to_end_runs``
-    keeps each run's value in run order."""
+def record_workload(checkouts: list[Path], workload: str, seed: int, seconds: float, repeats: int) -> list[dict]:
+    """One point of ``BENCH_<workload>.json`` per checkout, from ``repeats``
+    untraced runs and one traced run of each. The checkouts take turns: run
+    r of every checkout comes before run r + 1 of any, and the traced runs
+    come last."""
+    reports = [[] for _ in checkouts]
+    for trace in [0] * repeats + [1]:
+        for checkout, done in zip(checkouts, reports):
+            done.append((trace, *run_perfbench(checkout, workload, seed, seconds, trace)))
+    return [_workload_point(c, workload, seed, seconds, repeats, done) for c, done in zip(checkouts, reports)]
+
+
+def _workload_point(checkout: Path, workload: str, seed: int, seconds: float, repeats: int, reports) -> dict:
+    """A point from one checkout's ``(trace, report, errors)`` runs: the
+    end-to-end metrics of the untraced runs and the per-layer metrics of the
+    traced one, each as run.py reports them (a timing is the median over a
+    slot's timed calls), with the environment of the first report. An
+    end-to-end metric is the median over the runs that report it, and
+    ``end_to_end_runs`` keeps each run's value in run order."""
     point, env = {"workload": workload, "seed": seed, "seconds": seconds, "repeats": repeats, "errors": []}, None
     runs, cpu = [], []
-    for trace in [0] * repeats + [1]:
-        data, errors = run_perfbench(checkout, workload, seed, seconds, trace)
+    for trace, data, errors in reports:
         point["errors"] += errors
         if data and env is None:
             env = data["info"]["environment"]
@@ -176,6 +191,11 @@ def always_zero(checkout: Path, metrics: dict) -> dict:
 
 
 def _import_cli(checkout: Path):
+    loaded = sys.modules.get("heatprop")
+    if loaded and Path(loaded.__file__).resolve().parent != checkout.resolve() / "src" / "heatprop":
+        # another checkout's package: drop it, so that this one is imported
+        for name in [name for name in sys.modules if name.split(".")[0] == "heatprop"]:
+            del sys.modules[name]
     with _path_first(checkout / "src"):
         import heatprop.cli
 
@@ -310,20 +330,22 @@ def _in_commit_order(point: dict) -> tuple[bool, float]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--checkout", type=Path, default=ROOT, help="source checkout to measure")
-    checkout = p.parse_args(argv).checkout.resolve()
+    p.add_argument("--checkout", type=Path, action="append",
+                   help="source checkout to measure; repeat to measure several in turns")
+    checkouts = [c.resolve() for c in p.parse_args(argv).checkout or [ROOT]]
     os.environ.pop("HEATPROP_THREADS", None)
     os.environ.update(PINNED_ENV)  # before numpy is imported
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     for workload in (w["name"] for w in bench["workloads"]):
-        point = record_workload(checkout, workload, SEED, bench["run_seconds"], REPEATS)
-        append_point(ROOT / f"BENCH_{workload}.json", point)
-        print(f"{workload}: {point['end_to_end']} errors={point['errors']}")
-    with tempfile.TemporaryDirectory() as work:
-        point = record_bundled(checkout, bundled_configs(checkout), REPEATS, Path(work))
-    append_point(ROOT / "BENCH_bundled.json", point)
-    for name, cfg in point["configs"].items():
-        print(f"{name}: {cfg['wall_s']:.3f} s errors={cfg['errors']}")
+        for checkout, point in zip(checkouts, record_workload(checkouts, workload, SEED, bench["run_seconds"], REPEATS)):
+            append_point(ROOT / f"BENCH_{workload}.json", point)
+            print(f"{workload} {checkout}: {point['end_to_end']} errors={point['errors']}")
+    for checkout in checkouts:
+        with tempfile.TemporaryDirectory() as work:
+            point = record_bundled(checkout, bundled_configs(checkout), REPEATS, Path(work))
+        append_point(ROOT / "BENCH_bundled.json", point)
+        for name, cfg in point["configs"].items():
+            print(f"{name} {checkout}: {cfg['wall_s']:.3f} s errors={cfg['errors']}")
     return 0
 
 
