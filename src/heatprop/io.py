@@ -219,14 +219,15 @@ def _first_seen(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     key = _unit_words(words, starts, lengths, 64 // unit_bits, unit_bits)
     key_bits = unit_bits * int(lengths.max())
     if key_bits + (starts.size - 1).bit_length() <= 63:
-        ranked, order = _stable_sort(key, key_bits)
-        new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+        key, order = _stable_sort(key, key_bits)
+        new = np.concatenate(([True], key[1:] != key[:-1]))
         firsts = order[new]
     else:
         order, new = _sorted_groups(key)
         if key_bits > 64:
             order, new = _refined_groups(words, starts, lengths, order, new, unit_bits)
         firsts = np.minimum.reduceat(order, np.flatnonzero(new))
+    del key, lengths  # 16 bytes a token, not needed for the numbering below
     by_appearance = np.argsort(firsts)
     number = np.empty(firsts.size, dtype=np.int64)
     number[by_appearance] = np.arange(firsts.size)
