@@ -1,8 +1,8 @@
 """Command-line front end: classify, bench, oracle.
 
-``classify`` prints as ``residual=`` the largest harmonicity defect
-``max|P t - t|`` of its fields at the solver's stop: it bounds the true defect
-at a tolerance stop and sits at the rounding floor with ``--tol 0``.
+``classify`` prints as ``residual=`` the largest ``SolveInfo.final_change``
+of its fields, the solver's recursively updated defect at its stop. It is
+not the true defect ``max|P t - t|`` of a field, which can exceed it.
 
 ``classify`` and ``bench`` decode every flag or config key, and check the
 output destination, before they read a graph, label or seed file.
@@ -104,9 +104,9 @@ def _seeds_from_file(path, bundle, label_names, delimiter=None):
 
 def _cmd_classify(args) -> int:
     """Label every non-seed node; the stderr summary's ``residual=`` is the
-    largest ``SolveInfo.final_change``, the solver's defect at the stop (see
-    the module docstring). Every flag is decoded, and ``--out`` checked,
-    before ``load_bundle`` reads the first file."""
+    largest ``SolveInfo.final_change`` (see the module docstring). Every flag
+    is decoded, and ``--out`` checked, before ``load_bundle`` reads the first
+    file."""
     if args.sample and not (args.labels or args.graph in BUILTIN_DATASETS):
         raise ValidationError("--sample needs --labels to draw seeds from")
     sampling = [flag for flag, value in (("--fraction", args.fraction), ("--seed", args.seed)) if value is not None]

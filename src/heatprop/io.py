@@ -3,11 +3,10 @@
 Both loaders run on one array tokenizer, ``_tokenize``. It reads a file once,
 classifies every character through a lookup table and finds lines, fields and
 their counts with whole-array operations; ``_first_seen`` then numbers the
-fields by value with one value sort of their code units packed beside their
-positions (tokens too long for that take more sorts). No Python code runs
-per line or per token, except to parse weights with ``float``, to name each
-distinct id once and to settle overlapping matches of a multi-character
-delimiter.
+fields by value with stable radix sorts (``graph._stable_sort``) of their
+code units, 64 bits at a time. No Python code runs per line or per token,
+except to parse weights with ``float``, to name each distinct id once and to
+settle overlapping matches of a multi-character delimiter.
 """
 
 from __future__ import annotations
@@ -201,11 +200,10 @@ def _first_seen(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     the index of its first token.
 
     Tokens are compared by 64-bit words of their code units, each plus one so
-    that zero pads unambiguously. When the longest token's units fit in one
-    word beside the bits of a position, one stable value sort
-    (``_stable_sort``) groups them, and each group's first token leads it.
-    Otherwise the first words are sorted, groups that have units left are
-    split by further sorts, and each group's first token is its smallest.
+    that zero pads unambiguously. A stable sort (``_sorted_groups``) groups
+    them by their first words; when tokens have units left, further sorts
+    split their groups (``_refined_groups``). Each group's first token leads
+    it, and one more stable sort puts the first tokens in order.
     """
     if not starts.size:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -216,26 +214,20 @@ def _first_seen(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     # words[i]: the 64 bits from unit i on
     words = np.ndarray((codes.size + 1,), dtype="<u8", buffer=padded, strides=(codes.itemsize,))
     lengths = ends - starts
-    key = _unit_words(words, starts, lengths, 64 // unit_bits, unit_bits)
     key_bits = unit_bits * int(lengths.max())
-    if key_bits + (starts.size - 1).bit_length() <= 63:
-        key, order = _stable_sort(key, key_bits)
-        new = np.concatenate(([True], key[1:] != key[:-1]))
-        firsts = order[new]
-    else:
-        order, new = _sorted_groups(key)
-        if key_bits > 64:
-            order, new = _refined_groups(words, starts, lengths, order, new, unit_bits)
-        firsts = np.minimum.reduceat(order, np.flatnonzero(new))
-    del key, lengths  # 16 bytes a token, not needed for the numbering below
-    by_appearance = np.argsort(firsts)
+    # the first words are freed once grouped
+    order, new = _sorted_groups(_unit_words(words, starts, lengths, 64 // unit_bits, unit_bits), min(key_bits, 64))
+    if key_bits > 64:
+        order, new = _refined_groups(words, starts, lengths, order, new, unit_bits)
+    del lengths  # 8 bytes a token, not needed for the numbering below
+    firsts, by_appearance = _stable_sort(order[new], (starts.size - 1).bit_length())
     number = np.empty(firsts.size, dtype=np.int64)
     number[by_appearance] = np.arange(firsts.size)
     group = np.cumsum(new)
     group -= 1
     ids = np.empty(starts.size, dtype=np.int64)
     ids[order] = number[group]
-    return ids, firsts[by_appearance]
+    return ids, firsts
 
 
 def _unit_words(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray, units: int, unit_bits: int) -> np.ndarray:
@@ -262,20 +254,21 @@ def _refined_groups(words, starts, lengths, order, new, unit_bits) -> tuple[np.n
         units = (64 - classes.bit_length()) // unit_bits
         key = _unit_words(words[done:], starts[tokens], lengths[tokens] - done, units, unit_bits)
         key |= cls[tokens].astype(np.uint64) << np.uint64(unit_bits * units)
-        order, new = _sorted_groups(key)
+        order, new = _sorted_groups(key, unit_bits * units + classes.bit_length())
         cls[tokens[order]] = classes + np.cumsum(new) - 1
         classes += int(np.count_nonzero(new))
         done += units
         tokens = tokens[lengths[tokens] > done]
-    return _sorted_groups(cls)
+    return _sorted_groups(cls, classes.bit_length())
 
 
-def _sorted_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorting permutation of ``key`` and, in sorted order, a mask of the
-    entries that differ from their predecessor."""
-    order = np.argsort(key)
-    ranked = key[order]
-    return order, np.concatenate(([True], ranked[1:] != ranked[:-1]))
+def _sorted_groups(key: np.ndarray, key_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of the keys below ``2**key_bits`` (``_stable_sort``)
+    and, in that order, a mask of the keys that differ from their predecessor."""
+    ranked, order = _stable_sort(key, key_bits)
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    return order, new
 
 
 def _float_prefix(texts: list[str]) -> list[float]:
@@ -374,8 +367,7 @@ def _lookup(id_map: dict[str, int], codes: np.ndarray, starts: np.ndarray, ends:
 def _first_conflict(nodes: np.ndarray, labels: np.ndarray) -> int | None:
     """Index of the first entry whose label differs from the label of the
     first entry of its node, or None."""
-    ranked, order = _stable_sort(nodes, int(nodes.max(initial=0)).bit_length())
-    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))[: order.size]
+    order, first = _sorted_groups(nodes, int(nodes.max(initial=0)).bit_length())
     first_label = labels[order[first]][np.cumsum(first) - 1]
     clash = order[labels[order] != first_label]
     return int(clash.min()) if clash.size else None

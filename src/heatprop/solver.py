@@ -74,9 +74,10 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolveInfo:
-    """How a field was produced. ``final_change`` is the harmonicity defect
-    ``max|P t - t|`` of the conjugate-gradient iterate at the stop (0 when
-    there is nothing to solve)."""
+    """How a field was produced. ``final_change`` is conjugate gradients'
+    recursive defect at the stop (0 when there is nothing to solve); rounding
+    lets the true defect ``max|P t - t|`` (``residual``) exceed it, by about
+    1e-6 relative at tolerance 1e-9 and by far more at tolerance 0."""
 
     iterations: int
     final_change: float
@@ -132,18 +133,19 @@ def solve_iterative(problem: DirichletProblem, opts: SolverOptions | None = None
     boundary node. The iteration runs over full-length vectors with
     ``transition_apply`` as the matvec, ``A p = d * (p - P p)`` with ``d`` the
     degrees zeroed on the boundary, so the preconditioned residual
-    ``z = r / degrees`` is exactly the harmonicity defect ``P t - t`` that
-    ``residual`` measures. It solves for ``(t - low) / span``, where ``low``
-    and ``span`` are the minimum and the range of the boundary temperatures:
-    equal boundary temperatures give a zero right-hand side and the constant
-    field after 0 iterations, and a boundary that covers every node gives
-    its own temperatures after 0 iterations.
+    ``z = r / degrees`` is, up to the rounding of its recursive updates, the
+    harmonicity defect ``P t - t`` that ``residual`` measures. It solves for
+    ``(t - low) / span``, where ``low`` and ``span`` are the minimum and the
+    range of the boundary temperatures: equal boundary temperatures give a
+    zero right-hand side and the constant field after 0 iterations, and a
+    boundary that covers every node gives its own temperatures after 0
+    iterations.
 
     Stops as soon as the defect ``max|z|`` drops below ``opts.tolerance`` or
     to the rounding level ``eps * span``, below which no floating-point
     field does better (so tolerance 0 runs to that level), or after
     ``opts.max_iterations`` iterations of one matvec each. The returned
-    field carries the iteration count, the defect at the stop as
+    field carries the iteration count, ``max|z| * span`` at the stop as
     ``final_change``, and which rule fired. It is clipped to the boundary
     range (see ``_clip_to_boundary_range``).
     """

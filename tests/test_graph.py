@@ -569,6 +569,24 @@ class TestSortedUnique:
         assert np.array_equal(out, expect)
 
 
+def keys_of_width(bits, size, dtype):
+    """``size`` keys with ties whose largest is ``2**bits - 1``."""
+    rng = np.random.default_rng([bits, size])
+    key = rng.integers(0, 2**bits, size=size // 3, dtype=np.uint64)[rng.integers(0, size // 3, size=size)]
+    key[::7] = 2**bits - 1
+    return key.astype(dtype)
+
+
+# beside the p position bits of size keys (10 for 1000, 11 for 1025), keys of
+# 63 - p bits fill one digit and keys of 64 - p bits take two
+DIGIT_BOUNDARY_KEYS = {
+    f"{np.dtype(dtype).name}-{bits}-bits-{size}": keys_of_width(bits, size, dtype)
+    for size in (1000, 1025)
+    for bits in (63 - (size - 1).bit_length(), 64 - (size - 1).bit_length())
+    for dtype in (np.int64, np.uint64)
+}
+
+
 @pytest.mark.parametrize(
     "key",
     [
@@ -578,16 +596,16 @@ class TestSortedUnique:
         np.arange(10)[::-1].copy(),
         np.random.default_rng(6).integers(0, 50, size=1000),
         np.random.default_rng(7).integers(0, 2**40, size=1000, dtype=np.uint64),
+        np.tile(np.random.default_rng(8).integers(0, 2**64, size=300, dtype=np.uint64), 4),
+        *DIGIT_BOUNDARY_KEYS.values(),
     ],
-    ids=["empty", "one", "all-equal", "descending", "random", "uint64"],
+    ids=["empty", "one", "all-equal", "descending", "random", "uint64", "uint64-full", *DIGIT_BOUNDARY_KEYS],
 )
-def test_stable_sort_packed_and_fallback_match_stable_argsort(key):
-    # a key width that leaves no room for the position bits forces the
-    # fallback on the same input
-    key_bits = int(key.max(initial=0)).bit_length()
-    packed, fallback = _stable_sort(key, key_bits), _stable_sort(key, 64)
+def test_stable_sort_matches_stable_argsort_at_every_width(key):
+    # at the key's own width and at 64 bits, which take two digits
     order = np.argsort(key, kind="stable")
-    for ranked, got in (packed, fallback):
+    for key_bits in (int(key.max(initial=0)).bit_length(), 64):
+        ranked, got = _stable_sort(key, key_bits)
         assert ranked.dtype == key.dtype and got.dtype == np.int64
         assert np.array_equal(ranked, key[order]) and np.array_equal(got, order)
 

@@ -297,12 +297,36 @@ def test_loaders_match_reference(tmp_path, seed):
 
 @pytest.mark.parametrize("digits, edges", [(7, 64), (7, 65), (7, 500), (8, 500), (9, 500)])
 def test_long_ids_match_reference(tmp_path, digits, edges):
-    # 7-digit ids take 56 bits: 128 tokens pack beside their 7 position bits
-    # into one sort, 130 do not; 8 digits fill the first word, 9 need more
+    # 7-digit ids take 56 bits: beside the 7 position bits of 128 tokens they
+    # sort in one pass, beside the 8 of 130 tokens in two; 8 digits fill the
+    # first word, 9 need more
     rng = np.random.default_rng([digits, edges])
     ids = rng.integers(10 ** (digits - 1), 10 ** (digits - 1) + 3 * edges, size=(edges, 2))
     path = write(tmp_path / "g.edges", "".join(f"{a}\t{b}\n" for a, b in ids.tolist()))
     assert edge_summary(load_edge_list(path)) == edge_summary(reference_load_edge_list(path))
+
+
+@pytest.mark.parametrize("suffixes", [("\x7f",), ("\x7f", "", "~\x7f")], ids=["one-word", "mixed"])
+def test_ids_with_the_top_bit_set_match_reference(tmp_path, suffixes):
+    # each code unit is stored plus one, so 8 ASCII characters ending in
+    # U+007F give a first word whose top byte is 0x80
+    rng = np.random.default_rng(len(suffixes))
+    ids = [f"{v:07d}{rng.choice(suffixes)}" for v in rng.integers(0, 300, size=1000).tolist()]
+    path = write(tmp_path / "g.edges", "".join(f"{a}\t{b}\n" for a, b in zip(ids[0::2], ids[1::2])))
+    assert edge_summary(load_edge_list(path)) == edge_summary(reference_load_edge_list(path))
+
+
+@pytest.mark.parametrize("lengths", [(2,), (2, 3, 4, 5)])
+def test_short_non_ascii_ids_match_reference(tmp_path, lengths):
+    # two 32-bit code units fill the first word; more need further sorts
+    rng = np.random.default_rng(list(lengths))
+    ids = ["".join(rng.choice(list("aé字😀"), size=rng.choice(lengths))) for _ in range(1000)]
+    edges = write(tmp_path / "g.edges", "".join(f"{a}\t{b}\n" for a, b in zip(ids[0::2], ids[1::2])))
+    expected = reference_load_edge_list(edges)
+    assert edge_summary(load_edge_list(edges)) == edge_summary(expected)
+    labels = write(tmp_path / "g.labels", "".join(f"{v}\t{v[::-1]}\n" for v in ids[::3]))
+    args = (labels, expected.id_map, expected.graph.n)
+    assert label_summary(outcome(load_labels, *args)) == label_summary(outcome(reference_load_labels, *args))
 
 
 def test_conflict_reported_before_unknown_ids(tmp_path):
