@@ -142,7 +142,10 @@ def _cmd_classify(args) -> int:
     is_seed[seeds.nodes] = True
     originals = np.flatnonzero(~is_seed[index])
     index = index[originals]
-    external = list(map(_csv_field, bundle.id_map))
+    external = list(bundle.id_map)
+    joined = "".join(external)
+    if "," in joined or '"' in joined:
+        external = list(map(_csv_field, external))
     names = {lab: _csv_field(name) for lab, name in label_names.items()}
     rows = map(
         "{},{},{:.12g}\n".format,  # the confidence as _fmt writes it

@@ -309,6 +309,8 @@ def build_graph(n: int, edges) -> Graph:
         Self-loops are permitted. The rows are assembled by a stable radix
         sort (``_stable_sort``) of the ``row * n + col`` keys of both
         orientations: one value sort at 1M nodes and 2.5M edges, two at 3M and 4M.
+        The ``starts`` of the distinct keys are built only when duplicate
+        pairs exist; each large array is freed after its last use.
 
     Raises
     ------
@@ -329,12 +331,14 @@ def build_graph(n: int, edges) -> Graph:
     lo, hi = np.minimum(src, dst), np.maximum(src, dst)
     off = lo != hi
     key = np.concatenate([lo * n + hi, hi[off] * n + lo[off]])
+    del lo, hi
     # a stable order keeps each pair's copies in input order, so that its
     # weights sum in input order
     key, order = _stable_sort(key, (int(n) ** 2 - 1).bit_length())
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     vals = np.concatenate([w, w[off]])[order]
-    if starts.size < key.size:  # duplicate pairs: one entry each, weights summed
+    del order
+    if np.any(key[1:] == key[:-1]):  # duplicate pairs: one entry each, weights summed
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         vals, key = np.add.reduceat(vals, starts), key[starts]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(key // n, minlength=n))))
     return Graph(n=n, indptr=indptr, indices=key % n, weights=vals)

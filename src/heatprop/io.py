@@ -2,7 +2,12 @@
 
 Both loaders run on one array tokenizer, ``_tokenize``. It reads a file once,
 classifies every character through a lookup table and finds lines, fields and
-their counts with whole-array operations; ``_first_seen`` then numbers the
+their counts with whole-array operations. Its fields are the runs of
+non-space characters when the file splits at whitespace, and also when the
+delimiter is one whitespace character other than a line break and no data
+line holds other whitespace between its first and last non-space character
+(the runs path, which tab-separated files without padding take); otherwise
+they are cut at the delimiter and stripped. ``_first_seen`` then numbers the
 fields by value with stable radix sorts (``graph._stable_sort``) of their
 code units, 64 bits at a time. No Python code runs per line or per token,
 except to parse weights with ``float``, to name each distinct id once and to
@@ -88,17 +93,19 @@ def _tokenize(path, delimiter: str | None) -> _Fields:
     stripped; without one (or with ``""``) it is split at whitespace. Empty
     parts are dropped. Unless a delimiter is given, the first data line picks
     it for the whole file: tab if it holds one, else comma, else whitespace.
+    A one-character whitespace delimiter that breaks no line gives the same
+    fields as a split at whitespace when no data line holds other whitespace
+    inside (``_runs_are_fields``), and then the runs are the fields. Blank and
+    comment lines may hold any whitespace.
     """
     text = read_text(path)
     codes = _code_units(text)
     space, breaks = _classify(codes)
-    # runs of non-space characters; line i starts at line_bound[i], holds the
-    # runs bounds[i]:bounds[i + 1] (no run starts at a break) and, stripped,
-    # spans them
+    # runs of non-space characters; line i holds the runs bounds[i]:bounds[i + 1]
+    # (no run starts at a break) and, stripped, spans them
     run_start = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
     run_end = np.flatnonzero(~space & np.append(space[1:], True)) + 1
-    line_bound = np.concatenate(([0], breaks + 1, [codes.size + 1]))
-    bounds = np.searchsorted(run_start, line_bound)
+    bounds = np.searchsorted(run_start, _line_starts(breaks, codes.size))
     lines = np.flatnonzero(bounds[1:] > bounds[:-1])  # nonblank lines
     lines = lines[codes[run_start[bounds[lines]]] != ord("#")]  # data lines
     content_start = run_start[bounds[lines]]
@@ -109,7 +116,7 @@ def _tokenize(path, delimiter: str | None) -> _Fields:
 
     if delimiter is None:
         delimiter = _detect_delimiter(text[content_start[0] : content_end[0]])
-    if delimiter:
+    if delimiter and not _runs_are_fields(codes, space, breaks, delimiter, content_start, content_end):
         # one cut character at each end, so that every field lies between two
         cut = np.zeros(codes.size + 2, dtype=bool)
         cut[[0, -1]] = True
@@ -119,15 +126,22 @@ def _tokenize(path, delimiter: str | None) -> _Fields:
         else:
             cut[_delimiter_units(codes, delimiter, content_start, content_end) + 1] = True
         starts, ends = _stripped_fields(cut, space, run_start, run_end)
-        bounds = np.searchsorted(starts, line_bound)
+        del cut
+        bounds = np.searchsorted(starts, _line_starts(breaks, codes.size))
     else:
         starts, ends = run_start, run_end
+    del space, breaks, run_start, run_end, content_start, content_end
     # the fields of line i are bounds[i]:bounds[i + 1]
     counts = np.diff(bounds)[lines]
     if counts.sum() < starts.size:  # fields on comment lines
         keep = _concat_ranges(bounds, lines)
         starts, ends = starts[keep], ends[keep]
     return _Fields(text, codes, starts, ends, line_numbers=lines + 1, counts=counts)
+
+
+def _line_starts(breaks: np.ndarray, size: int) -> np.ndarray:
+    """Where each line of a text of ``size`` characters starts, and ``size + 1``."""
+    return np.concatenate(([0], breaks + 1, [size + 1]))
 
 
 def _classify(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,6 +154,21 @@ def _classify(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # every line break is whitespace, so kind is 0, _SPACE or _SPACE | _BREAK,
     # and a bool mask is faster to search than kind & _BREAK
     return kind != 0, np.flatnonzero(kind > _SPACE)
+
+
+def _runs_are_fields(codes, space, breaks, delimiter: str, content_start, content_end) -> bool:
+    """Whether splitting the data lines at ``delimiter`` gives their runs of
+    non-space characters: the delimiter is one whitespace character but no
+    line break, and no data line holds other whitespace between its first
+    and last non-space character."""
+    if len(delimiter) != 1 or not delimiter.isspace() or delimiter in _LINE_BREAKS:
+        return False
+    other = codes != ord(delimiter)
+    other &= space
+    other[breaks] = False
+    at = np.flatnonzero(other)
+    line = np.searchsorted(content_start, at, side="right") - 1
+    return not np.any((line >= 0) & (at < content_end[np.maximum(line, 0)]))
 
 
 def _detect_delimiter(line: str) -> str | None:
@@ -215,18 +244,22 @@ def _first_seen(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     words = np.ndarray((codes.size + 1,), dtype="<u8", buffer=padded, strides=(codes.itemsize,))
     lengths = ends - starts
     key_bits = unit_bits * int(lengths.max())
-    # the first words are freed once grouped
-    order, new = _sorted_groups(_unit_words(words, starts, lengths, 64 // unit_bits, unit_bits), min(key_bits, 64))
+    key = _unit_words(words, starts, lengths, 64 // unit_bits, unit_bits)
+    if key_bits <= 64:
+        del lengths  # 8 bytes a token, read only by the further sorts
+    order, new = _sorted_groups(key, min(key_bits, 64))
+    del key
     if key_bits > 64:
         order, new = _refined_groups(words, starts, lengths, order, new, unit_bits)
-    del lengths  # 8 bytes a token, not needed for the numbering below
+        del lengths
+    del words, padded
     firsts, by_appearance = _stable_sort(order[new], (starts.size - 1).bit_length())
     number = np.empty(firsts.size, dtype=np.int64)
     number[by_appearance] = np.arange(firsts.size)
     group = np.cumsum(new)
     group -= 1
     ids = np.empty(starts.size, dtype=np.int64)
-    ids[order] = number[group]
+    ids[order] = np.take(number, group, out=group, mode="clip")  # in place
     return ids, firsts
 
 
@@ -236,7 +269,7 @@ def _unit_words(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray, unit
     key = words[starts]
     shift = np.minimum(lengths, units)
     shift *= unit_bits
-    key &= _LOW_BITS[shift]
+    key &= np.take(_LOW_BITS, shift, out=shift.view(np.uint64), mode="clip")  # the masks, in place
     return key
 
 
@@ -311,15 +344,19 @@ def load_edge_list(
 
 def _read_edges(path, weighted: bool, delimiter: str | None):
     """The ids in first-seen order and the ``(src, dst, weight)`` arrays of an
-    edge-list file. A function of its own, so that the file's fields are
-    freed before the graph is built."""
+    edge-list file.
+
+    The fields' line numbers and counts, read only by the checks, and the
+    weight texts are freed before ``_first_seen`` numbers the ids, and unit
+    weights are made after it. A function of its own, so that the text,
+    its code units and the field bounds are freed before the graph is built.
+    """
     fields = _tokenize(path, delimiter)
     width = 3 if weighted else 2
     bad = np.flatnonzero(fields.counts != width)
     rows = int(bad[0]) if bad.size else fields.counts.size  # lines before the first bad count
     starts = fields.starts[: rows * width].reshape(rows, width)
     ends = fields.ends[: rows * width].reshape(rows, width)
-    weights = np.ones(rows)
     if weighted:
         texts = _substrings(fields.text, starts[:, 2], ends[:, 2])
         weights = np.array(_float_prefix(texts), dtype=np.float64)
@@ -331,6 +368,7 @@ def _read_edges(path, weighted: bool, delimiter: str | None):
                 raise ValidationError(f"{where}: bad weight {texts[row]!r}")
             kind = "nonpositive" if weights[row] <= 0 else "non-finite"
             raise ValidationError(f"{where}: {kind} weight {float(weights[row])}")
+        del texts  # one string a row
     if bad.size:
         where = f"{path}: line {fields.line_numbers[rows]}"
         count = int(fields.counts[rows])
@@ -341,9 +379,12 @@ def _read_edges(path, weighted: bool, delimiter: str | None):
         raise ValidationError(f"{where}: expected 2 or 3 columns, got {count}")
     if not rows:
         raise ValidationError(f"{path}: no edges found")
+    text, codes = fields.text, fields.codes
     starts, ends = starts[:, :2].ravel(), ends[:, :2].ravel()
-    ids, firsts = _first_seen(fields.codes, starts, ends)
-    return _substrings(fields.text, starts[firsts], ends[firsts]), (ids[0::2], ids[1::2], weights)
+    del fields  # the line numbers and counts
+    ids, firsts = _first_seen(codes, starts, ends)
+    names = _substrings(text, starts[firsts], ends[firsts])
+    return names, (ids[0::2], ids[1::2], weights if weighted else np.ones(rows))
 
 
 def _lookup(id_map: dict[str, int], codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):

@@ -667,6 +667,20 @@ class TestCli:
         assert [row[:2] for row in rows[1:]] == [["a,1", "z"], ["d", "x,y"]]
         assert all(len(row) == 3 for row in rows)
 
+    def test_classify_quotes_ids_holding_only_quotes(self, tmp_path):
+        # no id holds a comma, so only the '"' test sends them to _csv_field
+        (tmp_path / "g.edges").write_text('a"1\tb\nb\tc\nc\td\nd\ta"1\n')
+        (tmp_path / "g.labels").write_text('a"1\tx\nb\tz\nc\tx\nd\tz\n')
+        out = tmp_path / "x.csv"
+        assert self.run(
+            "classify", "--graph", str(tmp_path / "g.edges"), "--labels", str(tmp_path / "g.labels"),
+            "--sample", "uniform", "--fraction", "0.5", "--seed", "1", "--out", str(out),
+        ) == 0
+        assert '"a""1"' in out.read_text()
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert {row[0] for row in rows[1:]} <= {'a"1', "b", "c", "d"}
+        assert 'a"1' in {row[0] for row in rows[1:]}
+
     @pytest.mark.parametrize("text", ["plain", "a,1", 'say "hi"', '"', ",", 'x,"y"'])
     def test_csv_field_quotes_as_the_csv_module(self, text):
         buffer = io.StringIO()

@@ -6,9 +6,11 @@ held a tab or a comma).
 
 Random files mix every delimiter mode, the line breaks ``str.splitlines``
 knows, blank and comment lines, padding with Unicode whitespace, doubled and
-trailing delimiters, non-ASCII ids and malformed lines. Both loaders must
-give the same id map (in order), CSR bytes, labels, names, or the same first
-error message. The weights drawn are finite: non-finite weights, which the
+trailing delimiters, non-ASCII ids and malformed lines. Half the files with a
+one-character whitespace delimiter pad their fields with the delimiter only,
+so that their fields are the whitespace runs (the tokenizer's runs path).
+Both loaders must give the same id map (in order), CSR bytes, labels, names,
+or the same first error message. The weights drawn are finite: non-finite weights, which the
 reference accepted, are now rejected (tested in test_io_cli.py).
 """
 
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from heatprop import ValidationError
+from heatprop import io as io_module
 from heatprop.graph import NodePartition, build_graph, directed_to_bipartite
 from heatprop.io import _LINE_BREAKS, _WHITESPACE, DatasetBundle, load_edge_list, load_labels
 
@@ -184,15 +187,17 @@ def random_weight(rng, bad=False):
     return str(rng.choice([repr(float(rng.uniform(0.1, 5))), "1", "2.5e-1", "1_0", "+3"]))
 
 
-def random_lines(rng, rows, fields_of, sep, comment_prefix, fault):
+def random_lines(rng, rows, fields_of, sep, comment_prefix, fault, inner_padding=True):
     """Lines of ``fields_of(i)`` fields each, with blank and comment lines,
     padding, doubled and trailing separators and, if ``fault``, one line
-    with a field too few or too many.
+    with a field too few or too many. Without ``inner_padding`` the fields
+    are padded with ``sep`` only.
 
     Half the files use only ASCII padding and line breaks."""
     wide = rng.random() < 0.5
     breaks = BREAKS if wide else ["\n", "\r\n", "\r", "\v", "\f", "\x1c"]
     padding = PADDING if wide else PADDING[:4]
+    field_padding = padding if inner_padding else [sep]
     bad_row = int(rng.integers(rows)) if fault and rows else -1
     lines = []
     for i in range(rows):
@@ -204,7 +209,7 @@ def random_lines(rng, rows, fields_of, sep, comment_prefix, fault):
         if i == bad_row:
             fields = fields[:-1] if rng.random() < 0.5 else fields + ["extra"]
         fields = [
-            str(rng.choice(padding)) + f + str(rng.choice(padding)) if rng.random() < 0.2 else f
+            str(rng.choice(field_padding)) + f + str(rng.choice(field_padding)) if rng.random() < 0.2 else f
             for f in fields
         ]
         line = (sep * 2 if rng.random() < 0.1 else sep).join(fields)
@@ -217,7 +222,13 @@ def random_lines(rng, rows, fields_of, sep, comment_prefix, fault):
     return text if rng.random() < 0.8 else text.rstrip("\n")
 
 
-def random_case(rng):
+def pads_inside(seed: int, sep: str) -> bool:
+    """Whether a case pads fields with any whitespace: every case but the
+    even-seeded ones whose separator is one whitespace character."""
+    return seed % 2 == 1 or not (len(sep) == 1 and sep.isspace())
+
+
+def random_case(rng, seed):
     delimiter, sep = MODES[int(rng.integers(len(MODES)))]
     alphabet = ASCII + (WIDE if rng.random() < 0.4 else "") + (":|" if rng.random() < 0.2 else "")
     # the loaders skip "#" lines only
@@ -231,7 +242,7 @@ def random_case(rng):
         fields = [str(rng.choice(ids)), str(rng.choice(ids))]
         return fields + [random_weight(rng, bad=i == bad_weight)] if weighted else fields
 
-    text = random_lines(rng, rows, edge, sep, comment_prefix, fault=rng.random() < 0.2)
+    text = random_lines(rng, rows, edge, sep, comment_prefix, rng.random() < 0.2, pads_inside(seed, sep))
     options = dict(directed=bool(rng.random() < 0.2), weighted=weighted, delimiter=delimiter)
     return text, options, ids, alphabet, sep, comment_prefix
 
@@ -268,7 +279,7 @@ def write(path: Path, text: str) -> Path:
 @pytest.mark.parametrize("seed", range(200))
 def test_loaders_match_reference(tmp_path, seed):
     rng = np.random.default_rng([20081194, seed])
-    text, options, ids, alphabet, sep, comment_prefix = random_case(rng)
+    text, options, ids, alphabet, sep, comment_prefix = random_case(rng, seed)
     # labels on the destination copies of every other directed case
     options["use_destination"] = options["directed"] and seed % 2 == 1
     edges = write(tmp_path / "g.edges", text)
@@ -289,9 +300,65 @@ def test_loaders_match_reference(tmp_path, seed):
         return [node, str(rng.choice(names))]
 
     rows = int(rng.integers(0, 30))
-    labels_text = random_lines(rng, rows, label_line, sep, comment_prefix, fault=rng.random() < 0.15)
+    fault = rng.random() < 0.15
+    labels_text = random_lines(rng, rows, label_line, sep, comment_prefix, fault, pads_inside(seed, sep))
     labels = write(tmp_path / "g.labels", labels_text)
     args = (labels, expected.id_map, expected.graph.n, options["delimiter"])
+    assert label_summary(outcome(load_labels, *args)) == label_summary(outcome(reference_load_labels, *args))
+
+
+@pytest.fixture
+def runs_path(monkeypatch):
+    """The answers of ``io._runs_are_fields``, one per file split at a
+    delimiter: True where the fields are the whitespace runs."""
+    taken = []
+    check = io_module._runs_are_fields
+
+    def spy(*args):
+        taken.append(check(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(io_module, "_runs_are_fields", spy)
+    return taken
+
+
+def test_random_cases_take_both_tokenizer_paths(tmp_path, runs_path):
+    edges = tmp_path / "g.edges"
+    for seed in range(200):
+        text, options, *_ = random_case(np.random.default_rng([20081194, seed]), seed)
+        outcome(load_edge_list, write(edges, text), **options)
+    assert 0 < sum(runs_path) < len(runs_path)
+
+
+@pytest.mark.parametrize(
+    "edges, labels, delimiter, runs",
+    [
+        # SNAP-style headers: comment lines may hold any whitespace
+        (
+            "# Directed graph: a b.txt\n# Nodes: 3 Edges: 3\n# FromNodeId\tToNodeId\na\tb\nb\tc\n\t\tc\ta\t\n",
+            "# node label\na\tx\nb\ty\nc\tx\n",
+            None,
+            True,
+        ),
+        # a space inside a field stays in the field
+        ("New York\tBoston\nBoston\tChicago\nChicago\tNew York\n", "New York\tx y\nBoston\tz\n", None, False),
+        ("a b\nb  c\n c a \n", "a x\nb y\n", " ", True),
+        ("a\u3000b\nb\u3000\u3000c\n", "a\u3000x\n", "\u3000", True),
+        ("a\x1fb\nb\x1f c\n", "a\x1fx\n", "\x1f", False),
+        # a delimiter that breaks lines keeps the general path
+        ("a\vb\n", "a\vx\n", "\v", False),
+        ("a,b\x85b,c\n", "a,x\n", "\x85", False),
+    ],
+    ids=["tab-headers", "tab-space-in-field", "space", "ideographic-space", "unit-separator", "vt", "nel"],
+)
+def test_tokenizer_paths_match_reference(tmp_path, runs_path, edges, labels, delimiter, runs):
+    path = write(tmp_path / "g.edges", edges)
+    expected = outcome(reference_load_edge_list, path, delimiter=delimiter)
+    assert edge_summary(outcome(load_edge_list, path, delimiter=delimiter)) == edge_summary(expected)
+    assert runs_path == [runs]
+    if isinstance(expected, tuple):
+        return
+    args = (write(tmp_path / "g.labels", labels), expected.id_map, expected.graph.n, delimiter)
     assert label_summary(outcome(load_labels, *args)) == label_summary(outcome(reference_load_labels, *args))
 
 
