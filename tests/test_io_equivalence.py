@@ -6,12 +6,13 @@ held a tab or a comma).
 
 Random files mix every delimiter mode, the line breaks ``str.splitlines``
 knows, blank and comment lines, padding with Unicode whitespace, doubled and
-trailing delimiters, non-ASCII ids and malformed lines. Half the files with a
-one-character whitespace delimiter pad their fields with the delimiter only,
-so that their fields are the whitespace runs (the tokenizer's runs path).
-Both loaders must give the same id map (in order), CSR bytes, labels, names,
-or the same first error message. The weights drawn are finite: non-finite weights, which the
-reference accepted, are now rejected (tested in test_io_cli.py).
+trailing delimiters, non-ASCII ids and malformed lines. The even-seeded files
+whose separator is one whitespace character pad their fields with it alone,
+so that the fields are the whitespace runs (the tokenizer's runs path). Both
+loaders must give the same id map (in order), CSR bytes, labels, names, or
+the same first error message. The weights drawn are finite: non-finite
+weights, which the reference accepted, are now rejected (tested in
+test_io_cli.py).
 """
 
 from pathlib import Path
@@ -344,7 +345,7 @@ def test_random_cases_take_both_tokenizer_paths(tmp_path, runs_path):
         ("New York\tBoston\nBoston\tChicago\nChicago\tNew York\n", "New York\tx y\nBoston\tz\n", None, False),
         ("a b\nb  c\n c a \n", "a x\nb y\n", " ", True),
         ("a\u3000b\nb\u3000\u3000c\n", "a\u3000x\n", "\u3000", True),
-        ("a\x1fb\nb\x1f c\n", "a\x1fx\n", "\x1f", False),
+        ("a\x1fb\nb\x1f c\n", "a\x1f x\n", "\x1f", False),
         # a delimiter that breaks lines keeps the general path
         ("a\vb\n", "a\vx\n", "\v", False),
         ("a,b\x85b,c\n", "a,x\n", "\x85", False),
@@ -360,6 +361,7 @@ def test_tokenizer_paths_match_reference(tmp_path, runs_path, edges, labels, del
         return
     args = (write(tmp_path / "g.labels", labels), expected.id_map, expected.graph.n, delimiter)
     assert label_summary(outcome(load_labels, *args)) == label_summary(outcome(reference_load_labels, *args))
+    assert runs_path == [runs, runs]  # the labels take the same path
 
 
 @pytest.mark.parametrize("digits, edges", [(7, 64), (7, 65), (7, 500), (8, 500), (9, 500)])
